@@ -116,12 +116,7 @@ def cmd_oracle_compare(args):
     outdir = iomod.resolve_outdir(cfg["output"])
     traj, bundle, cfg_hash = _run_config(cfg, outdir)
 
-    params = cfg["initial"].get("params", {})
-    if "radius" in params:
-        Q = float(params["radius"]) ** 2 * np.eye(cfg["n"] + 1)
-    else:
-        Q = np.asarray(params["matrix"], dtype=float)
-    spec = oracles.EllipsoidSpec(Q)
+    spec = oracles.EllipsoidSpec(cfgmod.ellipsoid_matrix(cfg))
     radii = spec.semi_axes
     is_sphere = np.allclose(radii, radii[0], rtol=1e-12, atol=0)
     s0 = traj.snapshots[0].field.s
@@ -138,13 +133,8 @@ def cmd_oracle_compare(args):
                      "max_rel_err_support": err,
                      "roundness": float(bundle.roundness[k])})
     path = os.path.join(outdir, "oracle_compare.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write("t,factor_exact,max_rel_err_support,roundness\n")
-        for r in rows:
-            fh.write(",".join(iomod._fmt(r[c]) for c in
-                              ("t", "factor_exact", "max_rel_err_support",
-                               "roundness")) + "\n")
+    iomod.write_csv(path, ("t", "factor_exact", "max_rel_err_support", "roundness"),
+                    rows, cfg_hash)
     print(f"oracle-compare: max relative support error {worst:.3e} "
           f"(tolerance {args.tolerance:.3e}) -> {path}")
     if traj.termination in GUARD_TERMINATIONS:
@@ -188,10 +178,7 @@ def cmd_sweep(args):
     cols = axis_paths + ["termination", "classification", "final_roundness",
                          "final_supT2", "status"]
     path = os.path.join(outroot, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+    iomod.write_csv(path, cols, rows)
     bad = sum(1 for r in rows if r["status"] != "completed")
     print(f"sweep: {len(rows)} cells, {bad} failed -> {path}")
     return 0 if bad == 0 else 1

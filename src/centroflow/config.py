@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import make_grid
-from .support import SupportField, ellipsoid_support, fourier_support
-from .support import curvature_matrix, hessian_eigs
+from .support import convexity_margin, ellipsoid_support, fourier_support
 
 SCHEMES = ("rk4", "heun")
 
@@ -133,24 +132,27 @@ def validate(raw):
     return cfg
 
 
+def ellipsoid_matrix(cfg):
+    """Shape matrix Q (s(p)^2 = p^T Q p) of a validated ellipsoid initial datum."""
+    params = cfg["initial"].get("params", {})
+    if "radius" in params:
+        return float(params["radius"]) ** 2 * np.eye(cfg["n"] + 1)
+    return np.asarray(params["matrix"], dtype=float)
+
+
 def build_initial(cfg):
     """Grid + SupportField for a validated config; convexity-checks the datum."""
     grid = make_grid(cfg["n"], cfg["resolution"])
     init = cfg["initial"]
     kind, params = init["kind"], init.get("params", {})
     if kind == "ellipsoid":
-        if "radius" in params:
-            Q = float(params["radius"]) ** 2 * np.eye(cfg["n"] + 1)
-        else:
-            Q = np.asarray(params["matrix"], dtype=float)
-        field = ellipsoid_support(grid, Q)
+        field = ellipsoid_support(grid, ellipsoid_matrix(cfg))
     elif kind == "fourier":
         field = fourier_support(grid, params["c0"],
                                 a=params.get("a", ()), b=params.get("b", ()))
         if field.min_s() <= 0:
             raise ConfigError("fourier initial datum has non-positive support")
-        b = curvature_matrix(field)
-        bmin = float(np.min(b)) if cfg["n"] == 1 else float(np.min(hessian_eigs(b)[0]))
+        bmin = convexity_margin(field)
         if bmin <= cfg["stops"]["convexity_floor"]:
             raise ConfigError(
                 f"fourier initial datum is not uniformly convex (min curvature "

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import invariants as inva
 from . import oracles
-from .support import curvature_matrix, gradient_norm, hessian_eigs
+from .support import curvature_matrix, gradient_norm
 
 SPHERE_AREA = {1: 2.0 * np.pi, 2: 4.0 * np.pi}
 
@@ -21,11 +21,10 @@ SERIES_COLUMNS = ("t", "area", "area_rhs", "supT2", "supC2", "min_s", "max_s",
                   "residual_relsupport", "residual_prop21")
 
 
-def _smooth_max(grid, values):
-    """Max of a nodal scalar; Newton-refined off the lattice on circle grids."""
-    if grid.n == 1:
-        return grid.refine_max(values)[1]
-    return float(np.max(values))
+def _eig_range(grid, b):
+    """(min, max) curvature eigenvalue over the grid."""
+    lo, hi = grid.sym_eigs(b)
+    return float(np.min(lo)), float(np.max(hi))
 
 
 class BoundCheck:
@@ -63,22 +62,14 @@ class SeriesBundle:
         self.int_T2 = np.array(
             [inva.integrate_mu(iv.grid, iv.norm_T2, iv.sqrt_det_g) for iv in self.inv])
         self.area_rhs = 0.5 * n * self.int_T2
-        self.supT2 = np.array([_smooth_max(iv.grid, iv.norm_T2) for iv in self.inv])
-        self.supC2 = np.array([_smooth_max(iv.grid, iv.norm_C2) for iv in self.inv])
+        self._T2_max = [iv.grid.refine_max(iv.norm_T2) for iv in self.inv]
+        self.supT2 = np.array([v for _, v in self._T2_max])
+        self.supC2 = np.array([iv.grid.refine_max(iv.norm_C2)[1] for iv in self.inv])
         self.min_s = np.array([st.field.min_s() for st in traj.snapshots])
         self.max_s = np.array([st.field.max_s() for st in traj.snapshots])
-        eig_lo, eig_hi = [], []
-        for st in traj.snapshots:
-            b = curvature_matrix(st.field)
-            if n == 1:
-                eig_lo.append(float(np.min(b)))
-                eig_hi.append(float(np.max(b)))
-            else:
-                lo, hi = hessian_eigs(b)
-                eig_lo.append(float(np.min(lo)))
-                eig_hi.append(float(np.max(hi)))
-        self.eig_min_b = np.array(eig_lo)
-        self.eig_max_b = np.array(eig_hi)
+        eigs = np.array([_eig_range(iv.grid, iv.curvature) for iv in self.inv])
+        self.eig_min_b = eigs[:, 0]
+        self.eig_max_b = eigs[:, 1]
         self.rho_min = np.array([float(np.min(iv.rho)) for iv in self.inv])
         self.rho_max = np.array([float(np.max(iv.rho)) for iv in self.inv])
         self.roundness = np.array(
@@ -105,15 +96,10 @@ class SeriesBundle:
         int_rhs = np.array([
             inva.integrate_mu(iv.grid, te + 0.5 * self.n * iv.norm_T2 ** 2, iv.sqrt_det_g)
             for iv, te in zip(self.inv, tevo)])
-        sup_rhs = np.empty(K)
-        for k, (iv, te) in enumerate(zip(self.inv, tevo)):
-            if self.n == 1:
-                # evaluate at the interior max, not the nearest node: the node
-                # offset costs O(h^2 rhs'') which dominates the residual floor
-                th, _ = iv.grid.refine_max(iv.norm_T2)
-                sup_rhs[k] = iv.grid.interpolate(te, th)
-            else:
-                sup_rhs[k] = float(te.reshape(-1)[np.argmax(iv.norm_T2)])
+        # evaluate at the grid's refined max, not the nearest node: on the circle
+        # the node offset costs O(h^2 rhs'') which dominates the residual floor
+        sup_rhs = np.array([iv.grid.value_at(te, where)
+                            for iv, te, (where, _) in zip(self.inv, tevo, self._T2_max)])
         for k in range(1, K - 1):
             dt2 = self.t[k + 1] - self.t[k - 1]
             dA = (self.area[k + 1] - self.area[k - 1]) / dt2
@@ -179,16 +165,8 @@ def check_c1(traj, tol=1e-8):
 
 def check_pinch(traj, eps_cvx=1e-10):
     """Positivity of the curvature matrix over the run; reports empirical L."""
-    bundle_lo, bundle_hi = [], []
-    for st in traj.snapshots:
-        b = curvature_matrix(st.field)
-        if st.field.n == 1:
-            bundle_lo.append(float(np.min(b)))
-            bundle_hi.append(float(np.max(b)))
-        else:
-            lo, hi = hessian_eigs(b)
-            bundle_lo.append(float(np.min(lo)))
-            bundle_hi.append(float(np.max(hi)))
+    bundle_lo, bundle_hi = zip(*[_eig_range(st.field.grid, curvature_matrix(st.field))
+                                 for st in traj.snapshots])
     L = max(max(bundle_hi), 1.0 / min(bundle_lo)) if min(bundle_lo) > 0 else np.inf
     margins = [lo - eps_cvx for lo in bundle_lo]
     return float(L), BoundCheck("curvature_pinch_positive", margins, 0.0)
@@ -223,12 +201,6 @@ def check_tchebychev_laws(traj, bundle, tol=1e-8, ident_tol=0.05, decay_ratio=0.
     decay = BoundCheck("tchebychev_decay",
                        [decay_ratio * bundle.supT2[0] - bundle.supT2[-1]], 0.0)
     return bcheck, ident, decay
-
-
-def check_evolution_identities(traj, bundle):
-    """Residual series of the scalar contractions (area, integral, pointwise)."""
-    return {"r_area": bundle.r_area, "r_intT2": bundle.r_intT2,
-            "r_supT2": bundle.r_supT2, "residual_prop21": bundle.residual_prop21}
 
 
 def classify(traj, drift_tol=1e-6):
@@ -284,7 +256,8 @@ def run_report(traj, bundle=None, decay_ratio=None):
     checks = [lo, hi, c1, pinch, mono, ident, iso, tb, tident]
     if decay_ratio is not None:
         checks.append(tdecay)
-    residuals = check_evolution_identities(traj, bundle)
+    residuals = {"r_area": bundle.r_area, "r_intT2": bundle.r_intT2,
+                 "r_supT2": bundle.r_supT2, "residual_prop21": bundle.residual_prop21}
     summary = {
         "classification": classify(traj),
         "termination": traj.termination,

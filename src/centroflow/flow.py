@@ -1,8 +1,8 @@
 """Explicit time stepping for the support-function flow.
 
-The PDE is s_t = (s/2n) log(s^{n+2} det(hess s + s id)) on the sphere.  For
-n=1 it is advanced spectrally in s.  For n=2 it is advanced in the per-face
-graph variables u = w s, where the right side regroups to
+The PDE is s_t = (s/2n) log(s^{n+2} det(hess s + s id)) on the sphere.  It is
+advanced in the graph variables u = w s of the grid (u = s on the circle,
+spectral in theta).  For n=2 the right side regroups to
 u_t = (1/2n) u log det D^2 u + ((n+2)/2n) u log u; the determinant is measured
 against the same stencils applied to the exact sphere graph w (grid.ref_det),
 so every round sphere is a fixed point of the discrete operator to round-off,
@@ -12,10 +12,7 @@ not merely to truncation order.
 import numpy as np
 
 from .errors import ConvexityLost, NumericalBlowup, OriginCrossed
-from .support import SupportField, hessian_eigs, _chart_hessian
-
-TERMINATIONS = ("ReachedTEnd", "Extinction", "Blowup", "ConvexityLost",
-                "NumericalBlowup")
+from .support import SupportField
 
 
 class StepControl:
@@ -74,28 +71,20 @@ class Trajectory:
 
 
 def _rhs_values(field, convexity_floor=0.0):
-    """Right-hand side on the field's own unknowns (s for n=1, u for n=2)."""
+    """Right-hand side on the graph values u (u = s on the circle)."""
     g = field.grid
+    u = field.u
+    if np.min(u) <= 0.0:
+        raise OriginCrossed("support function lost positivity",
+                            value=float(np.min(u / g.w)))
+    D2 = g.graph_hessian(u)
+    lo, _ = g.sym_eigs(D2)
+    if np.min(lo) <= convexity_floor:
+        raise ConvexityLost("graph Hessian lost positivity",
+                            value=float(np.min(lo)))
     if field.n == 1:
-        s = field.s
-        if np.min(s) <= 0.0:
-            raise OriginCrossed("support function lost positivity",
-                                value=float(np.min(s)))
-        b = s + g.deriv(s, 2)
-        if np.min(b) <= convexity_floor:
-            raise ConvexityLost("curvature radius lost positivity",
-                                value=float(np.min(b)))
-        out = 0.5 * s * np.log(s**3 * b)
+        out = 0.5 * u * np.log(u**3 * D2)
     else:
-        u = field.u
-        if np.min(u) <= 0.0:
-            raise OriginCrossed("support function lost positivity",
-                                value=float(np.min(u / g.w)))
-        _, _, D2 = _chart_hessian(field)
-        lo, _ = hessian_eigs(D2)
-        if np.min(lo) <= convexity_floor:
-            raise ConvexityLost("graph Hessian lost positivity",
-                                value=float(np.min(lo)))
         det = D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] ** 2
         ratio = det / g.ref_det
         srel = u / g.w
@@ -111,10 +100,7 @@ def _rhs_values(field, convexity_floor=0.0):
 
 def rhs(field, convexity_floor=0.0):
     """ds/dt per node (sphere values, both n)."""
-    vals = _rhs_values(field, convexity_floor)
-    if field.n == 1:
-        return vals
-    return vals / field.grid.w
+    return _rhs_values(field, convexity_floor) / field.grid.w
 
 
 def stable_dt(field, control):
@@ -125,12 +111,11 @@ def stable_dt(field, control):
     bounds the symbol over both axes.
     """
     g = field.grid
+    D2 = g.graph_hessian(field.u)
     if field.n == 1:
-        b = field.s + g.deriv(field.s, 2)
-        lam = np.max(field.s / (2.0 * b))
+        lam = np.max(field.s / (2.0 * D2))
     else:
-        _, _, D2 = _chart_hessian(field)
-        lo, hi = hessian_eigs(D2)
+        lo, hi = g.sym_eigs(D2)
         lam = np.max(0.25 * field.u * (1.0 / lo + 1.0 / hi))
     if not np.isfinite(lam) or lam <= 0:
         raise NumericalBlowup("no stable step: degenerate diffusion coefficient")
@@ -138,20 +123,13 @@ def stable_dt(field, control):
 
 
 def _advance(field, delta):
-    if field.n == 1:
-        return SupportField(field.grid, s=field.s + delta)
     return SupportField(field.grid, u=field.u + delta)
 
 
 def _sync(field):
     """Make duplicate edge/corner nodes agree across faces (owner-face copy)."""
-    if field.n == 1:
-        return field
-    g = field.grid
-    uf = field.u.reshape(-1)
-    wf = g.w.reshape(-1)
-    uf[g._dup_dst] = wf[g._dup_dst] * (uf[g._dup_src] / wf[g._dup_src])
-    field.s = field.u / g.w
+    field.grid.sync_duplicates(field.u)
+    field.s = field.u / field.grid.w
     return field
 
 
@@ -174,20 +152,16 @@ def step(state, dt, control, _dt_bound=None):
         k4 = _rhs_values(_advance(f0, dt * k3), floor)
         fnew = _advance(f0, (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     _sync(fnew)
-    vals = fnew.u if fnew.n == 2 else fnew.s
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(fnew.u)):
         raise NumericalBlowup("non-finite state after step")
     return FlowState(state.t + dt, fnew, state.step_count + 1, dt)
 
 
 def _renormalize(field):
-    m = field.max_s()
-    if field.n == 1:
-        return SupportField(field.grid, s=field.s / m)
-    return SupportField(field.grid, u=field.u / m)
+    return SupportField(field.grid, u=field.u / field.max_s())
 
 
-def evolve(field0, control, hooks=None, renormalize=False):
+def evolve(field0, control, renormalize=False):
     """Run the flow to t_end or a stop condition; returns a Trajectory.
 
     Snapshots are recorded at t=0, at integer multiples of snapshot_interval
@@ -202,9 +176,6 @@ def evolve(field0, control, hooks=None, renormalize=False):
     _sync(state.field)
     snapshots = [FlowState(state.t, state.field.copy())]
     factors = [1.0]
-    if hooks:
-        for hk in hooks:
-            hk(snapshots[-1])
     if renormalize:
         factors[-1] = state.field.max_s()
         state = FlowState(state.t, _renormalize(state.field),
@@ -250,9 +221,6 @@ def evolve(field0, control, hooks=None, renormalize=False):
             snapshots.append(FlowState(state.t, state.field.copy(),
                                        state.step_count, state.last_dt))
             factors.append(1.0)
-            if hooks:
-                for hk in hooks:
-                    hk(snapshots[-1])
             if renormalize:
                 factors[-1] = state.field.max_s()
                 state = FlowState(state.t, _renormalize(state.field),
@@ -261,9 +229,6 @@ def evolve(field0, control, hooks=None, renormalize=False):
         snapshots.append(FlowState(state.t, state.field.copy(),
                                    state.step_count, state.last_dt))
         factors.append(1.0)
-        if hooks:
-            for hk in hooks:
-                hk(snapshots[-1])
     return Trajectory(snapshots, termination, state.step_count, factors)
 
 

@@ -3,7 +3,9 @@
 n=1: periodic theta-grid on the circle with Fourier collocation derivatives.
 n=2: cubed sphere, six gnomonic (central projection) face charts y in [-1,1]^2,
 4th-order centered differences with a halo of width 2 filled by cross-face
-interpolation.
+interpolation.  Both grids offer one interface (graph factor w, curvature
+operator, gradients, quadrature, maxima, interpolation, duplicate-node sync)
+that the other modules call instead of branching on the dimension.
 
 Node ordering contract (documented so snapshots are bit-stable):
   n=1: values[k] at theta_k = 2*pi*k/N, k = 0..N-1.
@@ -45,6 +47,9 @@ class CircleGrid:
         self.thetas = 2 * np.pi * np.arange(N) / N
         self.nodes = np.stack([np.cos(self.thetas), np.sin(self.thetas)], axis=-1)
         self.weights = np.full(N, 2 * np.pi / N)
+        self.shape = (N,)
+        self.w = np.ones(N)  # graph factor of the circle chart: u = s
+        self._dup_src = self._dup_dst = np.empty(0, dtype=np.int64)
         self._k = np.arange(N // 2 + 1)  # rfft wavenumbers
 
     def deriv(self, values, order=1):
@@ -60,6 +65,43 @@ class CircleGrid:
         # trapezoid on a periodic grid == spectrally accurate quadrature
         return float(np.sum(values) * self.h)
 
+    integrate_chart = integrate
+
+    def graph_hessian(self, u):
+        """Curvature radius b = u + u'' (the chart is theta, so u = s)."""
+        return u + self.deriv(u, 2)
+
+    @staticmethod
+    def sym_eigs(b):
+        """(min, max) eigenvalue of the 1x1 curvature operator: b itself."""
+        return b, b
+
+    @staticmethod
+    def sym_det(b):
+        return b
+
+    @staticmethod
+    def to_frame(D2):
+        return D2
+
+    def grad(self, values):
+        """d/dtheta of a nodal field (node axis first), shape (..., 1) appended."""
+        arr = np.asarray(values)
+        flat = arr.reshape(arr.shape[0], -1)
+        out = np.stack([self.deriv(flat[:, c], 1) for c in range(flat.shape[1])], -1)
+        return out.reshape(arr.shape)[..., None]
+
+    def chart_jet(self, X):
+        """(X_i, X_ij) of an ambient-valued field X (N, d): (N,1,d), (N,1,1,d)."""
+        comps = range(X.shape[-1])
+        Xd = np.stack([self.deriv(X[:, c], 1) for c in comps], axis=-1)
+        Xdd = np.stack([self.deriv(X[:, c], 2) for c in comps], axis=-1)
+        return Xd[:, None, :], Xdd[:, None, None, :]
+
+    def sync_duplicates(self, u):
+        """The circle has no duplicated nodes."""
+        return u
+
     def interpolate(self, values, thetas_query):
         """Trigonometric interpolation of nodal values at arbitrary angles."""
         N = self.N
@@ -69,8 +111,15 @@ class CircleGrid:
         out = (np.exp(1j * tq[:, None] * k[None, :]) @ c).real
         return out if np.ndim(thetas_query) else float(out[0])
 
+    def interpolate_at_directions(self, values, dirs):
+        """Evaluate a nodal field at unit directions (Q,2) (or one (2,) direction)."""
+        dirs = np.asarray(dirs, dtype=float)
+        return self.interpolate(values, np.arctan2(dirs[..., 1], dirs[..., 0]))
+
+    value_at = interpolate
+
     def refine_max(self, values):
-        """Parametrization-robust maximum: Newton-polish the trig interpolant.
+        """(theta, value) of the maximum: Newton-polish the trig interpolant.
 
         Node maxima move by O(h^2 f'') under reparametrization; the interior
         smooth max does not, which matters when comparing series across
@@ -99,6 +148,14 @@ class CircleGrid:
                 break
         val = float(np.sum(c * np.exp(1j * k * th)).real)
         return th, max(val, vmax)
+
+
+def hessian_eigs(D2):
+    """Eigenvalues (min, max) of symmetric 2x2 fields, closed form."""
+    tr = D2[..., 0, 0] + D2[..., 1, 1]
+    det = D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
+    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
+    return tr / 2 - disc, tr / 2 + disc
 
 
 def _lagrange_weights(xs, xq):
@@ -145,7 +202,8 @@ class CubedSphereGrid:
         self.w = np.sqrt(1.0 + Y1**2 + Y2**2)[None, :, :] * np.ones((6, 1, 1))
         self.nodes = z / self.w[..., None]          # (6,M,M,3) unit directions
 
-        self.sphere_weights = self._solid_angle_weights()
+        self.shape = (6, M, M)
+        self.weights = self.sphere_weights = self._solid_angle_weights()
         self.chart_weights_1d = self._simpson_weights()
         self._build_halo_tables()
         self._build_duplicate_map()
@@ -155,10 +213,8 @@ class CubedSphereGrid:
         # pipeline as any graph field; fields are compared against it so that
         # every exact sphere is an exact discrete fixed point of the flow
         wext = self.extend(self.w, kind="deg1")
-        w1, w2, w11, w12, w22 = self.chart_derivs_from_ext(wext)
+        _, _, w11, w12, w22 = self.chart_derivs_from_ext(wext)
         self.ref_det = w11 * w22 - w12 * w12
-        self.ref_hess = np.stack(
-            [np.stack([w11, w12], -1), np.stack([w12, w22], -1)], -2)
 
     # ---------- quadrature ----------
 
@@ -205,10 +261,8 @@ class CubedSphereGrid:
         G = gi.size
 
         owner = np.empty((6, G), dtype=np.int64)
-        yp = np.empty((6, G, 2))
         start = np.empty((6, G, 2), dtype=np.int64)
         lagw = np.empty((6, G, 2, NSTEN))
-        jac = np.empty((6, G, 2, 2))
         znorm = np.empty((6, G))
 
         for f in range(6):
@@ -223,26 +277,21 @@ class CubedSphereGrid:
             ao = self.axes[owner[f]]                        # (G,3)
             to = self.tangents[owner[f]]                    # (G,2,3)
             alpha = np.einsum("gk,gk->g", z, ao)
-            yp[f] = np.einsum("gk,gck->gc", z, to) / alpha[:, None]
-            if np.any(np.abs(yp[f]) > 1.0 + 1e-12):
+            yp = np.einsum("gk,gck->gc", z, to) / alpha[:, None]
+            if np.any(np.abs(yp) > 1.0 + 1e-12):
                 raise GridError("halo ghost fell outside the owner chart")
-            # jacobian d y'_c / d y_i of the chart transition at the ghost point
-            tdot = np.einsum("ik,gck->gci", t, to)          # t_i . t'_c
-            tad = t @ ao.T                                  # (2, G) before transpose
-            jac[f] = (tdot - yp[f][:, :, None] * tad.T[:, None, :]) / alpha[:, None, None]
             # high-order interpolation stencils in the owner chart; the ghost
             # value error must stay below the h^4 stencil truncation even
             # after a second differentiation (see d1_face)
-            idx = np.clip(np.floor((yp[f] + 1.0) / h).astype(np.int64)
+            idx = np.clip(np.floor((yp + 1.0) / h).astype(np.int64)
                           - (NSTEN // 2 - 1), 0, M - NSTEN)
             start[f] = idx
             for c in range(2):
                 xs = self.ys[idx[:, c][:, None] + np.arange(NSTEN)[None, :]]
-                lagw[f, :, c, :] = _lagrange_weights(xs, yp[f][:, c])
+                lagw[f, :, c, :] = _lagrange_weights(xs, yp[:, c])
 
         self._ghost_ij = (gi, gj)
-        self._halo = dict(owner=owner, start=start, lagw=lagw, jac=jac,
-                          znorm=znorm, yp=yp)
+        self._halo = dict(owner=owner, start=start, lagw=lagw, znorm=znorm)
 
     def _gather_interp(self, values, f):
         """Interpolate per-face nodal 'values' at the ghost points of face f."""
@@ -260,8 +309,6 @@ class CubedSphereGrid:
         kind:
           'scalar' -- pointwise function on the sphere (components of X, psi, ...)
           'deg1'   -- graph value u = sqrt(1+|y|^2) * s, rescaled by homogeneity
-          'cov'    -- covector chart components, trailing axis (..., 2)
-          'bilin'  -- symmetric 2-tensor chart components, trailing axes (..., 2, 2)
         """
         M, H = self.M, HALO
         E = M + 2 * H
@@ -277,13 +324,6 @@ class CubedSphereGrid:
                 ext[f, gi, gj] = self._gather_interp(values, f)
             elif kind == "deg1":
                 ext[f, gi, gj] = self._gather_interp(svals, f) * hal["znorm"][f]
-            elif kind == "cov":
-                wp = self._gather_interp(values, f)         # (G,2) owner components
-                ext[f, gi, gj] = np.einsum("gci,gc->gi", hal["jac"][f], wp)
-            elif kind == "bilin":
-                gp = self._gather_interp(values, f)         # (G,2,2)
-                ext[f, gi, gj] = np.einsum("gci,gdj,gcd->gij", hal["jac"][f],
-                                           hal["jac"][f], gp)
             else:
                 raise GridError(f"unknown halo kind {kind!r}")
         return ext
@@ -319,6 +359,42 @@ class CubedSphereGrid:
     def chart_derivs(self, values, kind="scalar"):
         return self.chart_derivs_from_ext(self.extend(values, kind))
 
+    def graph_hessian(self, u):
+        """Chart Hessian D^2 u of graph values, shape (6,M,M,2,2)."""
+        _, _, u11, u12, u22 = self.chart_derivs(u, kind="deg1")
+        D2 = np.empty(u11.shape + (2, 2))
+        D2[..., 0, 0] = u11
+        D2[..., 0, 1] = u12
+        D2[..., 1, 0] = u12
+        D2[..., 1, 1] = u22
+        return D2
+
+    sym_eigs = staticmethod(hessian_eigs)
+
+    @staticmethod
+    def sym_det(D2):
+        return D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
+
+    def to_frame(self, D2):
+        """Orthonormal-frame components of b = hess s + s id: w P^{-T} D2 P^{-1}."""
+        Pi = self.frameP_inv
+        return self.w[..., None, None] * np.einsum("...ca,...cd,...db->...ab", Pi, D2, Pi)
+
+    def chart_jet(self, X):
+        """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), halo stencils."""
+        M = self.M
+        Xi = np.empty((6, M, M, 2, 3))
+        Xij = np.empty((6, M, M, 2, 2, 3))
+        for c in range(3):
+            f1, f2, f11, f12, f22 = self.chart_derivs(X[..., c], kind="scalar")
+            Xi[..., 0, c] = f1
+            Xi[..., 1, c] = f2
+            Xij[..., 0, 0, c] = f11
+            Xij[..., 0, 1, c] = f12
+            Xij[..., 1, 0, c] = f12
+            Xij[..., 1, 1, c] = f22
+        return Xi, Xij
+
     def d1_face(self, values, axis):
         """4th-order chart derivative from same-face values only.
 
@@ -345,9 +421,9 @@ class CubedSphereGrid:
                              - 6 * v[..., -4] + v[..., -5])
         return np.moveaxis(out, -1, axis)
 
-    def grad_chart(self, values):
-        """(d/dy1, d/dy2) of a per-chart nodal field, on-face stencils."""
-        return self.d1_face(values, 1), self.d1_face(values, 2)
+    def grad(self, values):
+        """(d/dy1, d/dy2) of a per-chart nodal field, on-face stencils, axis appended."""
+        return np.stack([self.d1_face(values, 1), self.d1_face(values, 2)], axis=-1)
 
     # ---------- orthonormal tangent frames ----------
 
@@ -362,12 +438,10 @@ class CubedSphereGrid:
         v2 = t2 - np.einsum("...k,...k->...", t2, p)[..., None] * p
         v2 = v2 - np.einsum("...k,...k->...", v2, e1)[..., None] * e1
         e2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
-        self.frame = np.stack([e1, e2], axis=-2)            # (6,M,M,2,3)
         P = np.stack([np.stack([np.einsum("...k,...k->...", e1, t1),
                                 np.einsum("...k,...k->...", e1, t2)], -1),
                       np.stack([np.einsum("...k,...k->...", e2, t1),
                                 np.einsum("...k,...k->...", e2, t2)], -1)], -2)
-        self.frameP = P
         det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
         inv = np.empty_like(P)
         inv[..., 0, 0] = P[..., 1, 1]
@@ -375,7 +449,6 @@ class CubedSphereGrid:
         inv[..., 0, 1] = -P[..., 0, 1]
         inv[..., 1, 0] = -P[..., 1, 0]
         self.frameP_inv = inv / det[..., None, None]
-        self.frameP_det = det
 
     # ---------- duplicate (shared edge/corner) nodes ----------
 
@@ -394,15 +467,26 @@ class CubedSphereGrid:
         self._dup_src = np.array(src, dtype=np.int64)
         self._dup_dst = np.array(dst, dtype=np.int64)
 
-    def sync_duplicates(self, sphere_values):
-        """Copy the first-face value onto duplicate edge/corner nodes (in place).
+    def sync_duplicates(self, u):
+        """Copy the first-face s onto duplicate edge/corner nodes of graph values u.
 
-        Operates on 0-homogeneous per-node fields (e.g. s); keeps the six charts
-        consistent after independent per-face updates.
+        In place; the copy is rescaled by w so the duplicates agree in s = u / w,
+        which keeps the six charts consistent after independent per-face updates.
         """
-        flat = sphere_values.reshape(-1)
-        flat[self._dup_dst] = flat[self._dup_src]
-        return sphere_values
+        uf = u.reshape(-1)
+        wf = self.w.reshape(-1)
+        uf[self._dup_dst] = wf[self._dup_dst] * (uf[self._dup_src] / wf[self._dup_src])
+        return u
+
+    # ---------- maximum ----------
+
+    def refine_max(self, values):
+        """(flat node index, value) of the node maximum."""
+        where = int(np.argmax(values))
+        return where, float(values.reshape(-1)[where])
+
+    def value_at(self, values, where):
+        return float(values.reshape(-1)[where])
 
     # ---------- interpolation at arbitrary directions ----------
 

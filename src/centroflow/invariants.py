@@ -16,7 +16,6 @@ g = (s+s'')/s etc.) and the tests pin them against this generic pipeline.
 import numpy as np
 
 from .errors import TransversalityLost, Unsupported
-from .grids import HALO
 from . import support as sup
 
 EPS_FRAME = 1e-12
@@ -27,33 +26,6 @@ class InvariantFields:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
-
-
-def _embedding_derivs(field):
-    """X, X_i, X_ij per node in ambient components.
-
-    n=1: X (N,2), X_i (N,1,2), X_ij (N,1,1,2), all spectral.
-    n=2: X (6,M,M,3), X_i (...,2,3), X_ij (...,2,2,3), 4th-order stencils on
-         the scalar ambient components with cross-face halos.
-    """
-    g = field.grid
-    X = sup.embed(field)
-    if field.n == 1:
-        Xd = np.stack([g.deriv(X[:, c], 1) for c in range(2)], axis=-1)
-        Xdd = np.stack([g.deriv(X[:, c], 2) for c in range(2)], axis=-1)
-        return X, Xd[:, None, :], Xdd[:, None, None, :]
-    M = g.M
-    Xi = np.empty((6, M, M, 2, 3))
-    Xij = np.empty((6, M, M, 2, 2, 3))
-    for c in range(3):
-        f1, f2, f11, f12, f22 = g.chart_derivs(X[..., c], kind="scalar")
-        Xi[..., 0, c] = f1
-        Xi[..., 1, c] = f2
-        Xij[..., 0, 0, c] = f11
-        Xij[..., 0, 1, c] = f12
-        Xij[..., 1, 0, c] = f12
-        Xij[..., 1, 1, c] = f22
-    return X, Xi, Xij
 
 
 def gauss_decompose(X, X_i, X_ij):
@@ -90,19 +62,6 @@ def gauss_decompose(X, X_i, X_ij):
     return gmat, Ghat, frame, frame_det, cross
 
 
-def _grad_field(grid, values, kind):
-    """Chart gradient of a nodal field, shape (..., n) appended."""
-    if grid.n == 1:
-        arr = np.asarray(values)
-        if arr.ndim == 1:
-            return grid.deriv(arr, 1)[..., None]
-        flat = arr.reshape(arr.shape[0], -1)
-        out = np.stack([grid.deriv(flat[:, c], 1) for c in range(flat.shape[1])], -1)
-        return out.reshape(arr.shape)[..., None]
-    d1, d2 = grid.grad_chart(values)
-    return np.stack([d1, d2], axis=-1)
-
-
 def levi_civita(grid, gmat):
     """Christoffel symbols of the metric field, [k, i, j] ordering."""
     if grid.n == 1:
@@ -136,7 +95,7 @@ def tchebychev(grid, C, gmat, Gam):
     ginv = np.linalg.inv(gmat)
     T_up = np.einsum("...ij,...j->...i", ginv, T_low)
     norm_T2 = np.einsum("...i,...i->...", T_low, T_up)
-    dT = _grad_field(grid, T_low, kind="cov")           # (..., i, j) = d_j T_i
+    dT = grid.grad(T_low)                               # (..., i, j) = d_j T_i
     covdiv = np.einsum("...ij,...ij->...", ginv, np.swapaxes(dT, -1, -2)) \
         - np.einsum("...ij,...kij,...k->...", ginv, Gam, T_low)
     H = covdiv / n
@@ -162,17 +121,8 @@ def pick_and_chi(norm_C2, norm_T2, n):
     return J, chi
 
 
-def centroaffine_area(grid, sqrt_det_g):
-    """Area = integral of sqrt(det g) over the chart coordinates."""
-    if grid.n == 1:
-        return grid.integrate(sqrt_det_g)
-    return grid.integrate_chart(sqrt_det_g)
-
-
 def integrate_mu(grid, values, sqrt_det_g):
     """Integral of a scalar against the centro-affine measure dmu = sqrt(det g) dy."""
-    if grid.n == 1:
-        return grid.integrate(values * sqrt_det_g)
     return grid.integrate_chart(values * sqrt_det_g)
 
 
@@ -185,19 +135,16 @@ def compute_invariants(field):
     """
     grid = field.grid
     n = grid.n
-    X, X_i, X_ij = _embedding_derivs(field)
+    X = sup.embed(field)
+    X_i, X_ij = grid.chart_jet(X)
     gmat, Ghat, frame, frame_det, cross = gauss_decompose(X, X_i, X_ij)
     Gam = levi_civita(grid, gmat)
     C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat)
     T_low, T_up, norm_T2, H = tchebychev(grid, C, gmat, Gam)
     psi = tchebychev_function(gmat, frame_det)
     bmat = sup.curvature_matrix(field)
-    if n == 1:
-        K = 1.0 / bmat
-        det_b = bmat
-    else:
-        det_b = bmat[..., 0, 0] * bmat[..., 1, 1] - bmat[..., 0, 1] * bmat[..., 1, 0]
-        K = 1.0 / det_b
+    det_b = grid.sym_det(bmat)
+    K = 1.0 / det_b
     rho = equiaffine_support(field.s, K, n)
     if n >= 2:
         J, chi = pick_and_chi(norm_C2, norm_T2, n)
@@ -207,8 +154,8 @@ def compute_invariants(field):
     sqrt_det_g = np.sqrt(np.maximum(det_g, 0.0))
 
     # rel-support residuals: T against the gradients of log psi and log rho
-    grad_lpsi = _grad_field(grid, np.log(psi), kind="scalar")
-    grad_lrho = _grad_field(grid, np.log(rho), kind="scalar")
+    grad_lpsi = grid.grad(np.log(psi))
+    grad_lrho = grid.grad(np.log(rho))
     r_psi = float(np.max(np.abs(T_low + grad_lpsi / (2 * n))))
     r_rho = float(np.max(np.abs(T_low - (n + 2) / (2 * n) * grad_lrho)))
 
@@ -223,7 +170,7 @@ def compute_invariants(field):
         residual_gauss_cross=cross, residual_C_symmetry=sym_C,
         residual_relsupport=max(r_psi, r_rho),
         residual_psi=r_psi, residual_rho=r_rho,
-        area=centroaffine_area(grid, sqrt_det_g),
+        area=grid.integrate_chart(sqrt_det_g),
     )
 
 
@@ -236,7 +183,7 @@ def t2_evolution_rhs(inv):
     """
     grid = inv.grid
     n = inv.n
-    H_i = _grad_field(grid, inv.H, kind="scalar")
+    H_i = grid.grad(inv.H)
     TiHi = np.einsum("...i,...i->...", inv.T_up, H_i)
     CTTT = np.einsum("...ijk,...i,...j,...k->...", inv.C_low,
                      inv.T_up, inv.T_up, inv.T_up)
@@ -249,9 +196,8 @@ def covariant_grad(grid, tensor, Gam):
     rank 1: out[..., i, j]    = d_j T_i  - Gam^p_ij T_p
     rank 2: out[..., i, j, l] = d_l S_ij - Gam^p_il S_pj - Gam^p_jl S_ip
     """
-    lead = 1 if grid.n == 1 else 3
-    rank = np.asarray(tensor).ndim - lead
-    d = _grad_field(grid, tensor, kind="cov")
+    rank = np.asarray(tensor).ndim - len(grid.shape)
+    d = grid.grad(tensor)
     if rank == 1:
         return d - np.einsum("...pij,...p->...ij", Gam, tensor)
     if rank == 2:

@@ -60,14 +60,8 @@ def resolve_outdir(path):
 
 
 def write_snapshot(path, field, t, cfg_hash):
-    if field.n == 1:
-        values = [float(v) for v in field.s]
-        resolution = field.grid.N
-    else:
-        values = [[[float(v) for v in row] for row in face] for face in field.s]
-        resolution = field.grid.M
-    doc = {"n": field.n, "resolution": resolution, "time": float(t),
-           "values": values, "config_hash": cfg_hash}
+    doc = {"n": field.n, "resolution": field.grid.resolution, "time": float(t),
+           "values": field.s.tolist(), "config_hash": cfg_hash}
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -80,21 +74,26 @@ def load_snapshot(path, grid=None):
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"unreadable snapshot {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"snapshot {path} is not a JSON object")
     for key in ("n", "resolution", "time", "values"):
         if key not in doc:
             raise ConfigError(f"snapshot {path} missing field '{key}'")
     n, resolution = doc["n"], doc["resolution"]
     if grid is None:
         grid = make_grid(n, resolution)
-    elif grid.n != n or (grid.N if n == 1 else grid.M) != resolution:
+    elif grid.n != n or grid.resolution != resolution:
         raise ConfigError(f"snapshot {path} grid mismatch")
-    values = np.asarray(doc["values"], dtype=float)
-    want = (grid.N,) if n == 1 else (6, grid.M, grid.M)
-    if values.shape != want:
-        raise ConfigError(f"snapshot {path} has shape {values.shape}, want {want}")
+    try:
+        t = float(doc["time"])
+        values = np.asarray(doc["values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"snapshot {path} holds non-numeric data: {exc}")
+    if values.shape != grid.shape:
+        raise ConfigError(f"snapshot {path} has shape {values.shape}, want {grid.shape}")
     if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
         raise ConfigError(f"snapshot {path} holds non-positive or non-finite s")
-    return float(doc["time"]), SupportField(grid, s=values), doc.get("config_hash")
+    return t, SupportField(grid, s=values), doc.get("config_hash")
 
 
 def write_trajectory(outdir, traj, config, cfg_hash, wall_time, extra_meta=None):
@@ -129,6 +128,8 @@ def load_trajectory(outdir):
             meta = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"unreadable metadata {meta_path}: {exc}")
+    if not isinstance(meta, dict):
+        raise ConfigError(f"metadata {meta_path} is not a JSON object")
     snapdir = os.path.join(outdir, SNAP_DIR)
     if not os.path.isdir(snapdir):
         raise ConfigError(f"missing snapshot directory {snapdir}")
@@ -146,20 +147,36 @@ def load_trajectory(outdir):
     if any(b.t <= a.t for a, b in zip(states, states[1:])):
         raise ConfigError("snapshot times are not strictly increasing")
     factors = meta.get("renorm_factors") or [1.0] * len(states)
+    try:
+        factors = [float(f) for f in factors]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"renorm_factors must be numbers: {exc}")
     if len(factors) != len(states):
         raise ConfigError("renorm_factors length does not match snapshots")
     traj = Trajectory(states, meta.get("termination", "ReachedTEnd"),
-                      meta.get("step_count", 0), [float(f) for f in factors])
+                      meta.get("step_count", 0), factors)
     return traj, meta
 
 
-def write_series_csv(path, rows, cfg_hash):
+def write_csv(path, columns, rows, cfg_hash=None):
+    """Header + one line per row (dicts keyed by column), RFC 4180 quoting.
+
+    Floats go through repr (nan as "nan"), anything else through str, so a
+    field is quoted only when it holds a comma, quote or line break. With a
+    config hash the file starts with a "# config_hash=..." comment line.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
+        if cfg_hash is not None:
+            fh.write(f"# config_hash={cfg_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SERIES_COLUMNS])
+            writer.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else str(v)
+                             for v in (row.get(c, "") for c in columns)])
+
+
+def write_series_csv(path, rows, cfg_hash):
+    write_csv(path, SERIES_COLUMNS, rows, cfg_hash)
 
 
 def read_csv_rows(path):
@@ -189,7 +206,7 @@ def invariant_summary(inv):
         arr = getattr(inv, name)
         out[name] = {"min": float(np.min(arr)), "max": float(np.max(arr)),
                      "mean": float(np.mean(arr))}
-    if inv.n >= 2:
+    if inv.J is not None:
         for name in ("J", "chi"):
             arr = getattr(inv, name)
             out[name] = {"min": float(np.min(arr)), "max": float(np.max(arr)),

@@ -65,7 +65,7 @@ def best_fit_ellipsoid(field):
     grid = field.grid
     dim = grid.n + 1
     x = grid.nodes.reshape(-1, dim)
-    wq = (grid.weights if grid.n == 1 else grid.sphere_weights).reshape(-1)
+    wq = grid.weights.reshape(-1)
     s2 = (field.s ** 2).reshape(-1)
     # design columns: x_i^2 then 2 x_i x_j (i<j), matching symmetric Q entries
     cols = [x[:, i] ** 2 for i in range(dim)]

@@ -1,44 +1,33 @@
 """Support-function fields, the induced embedding, and curvature data.
 
 A convex body containing the origin is described by its support function s on
-the unit sphere.  On the circle the field is stored as nodal s values; on the
-cubed sphere the master unknown is the per-face graph value u = w * s,
-w = sqrt(1 + |y|^2), because the Hessian D^2 u of the 1-homogeneous extension
-is exactly what both the curvature matrix and the flow right-hand side need.
+the unit sphere.  The master unknown is the per-chart graph value u = w * s:
+on the cubed sphere w = sqrt(1 + |y|^2), because the Hessian D^2 u of the
+1-homogeneous extension is exactly what both the curvature matrix and the flow
+right-hand side need; on the circle w = 1 and u = s.
 """
 
 import numpy as np
 
 from .errors import ConfigError, ConvexityLost, GridError
-from .grids import CircleGrid, CubedSphereGrid
+from .grids import hessian_eigs  # noqa: F401  (re-exported)
 
 
 class SupportField:
-    """Support function sampled on a grid; n=2 also carries graph values u."""
+    """Support function s sampled on a grid, with its graph values u = w * s."""
 
     def __init__(self, grid, s=None, u=None):
         self.grid = grid
         self.n = grid.n
-        if grid.n == 1:
-            if s is None:
-                raise GridError("circle support field needs s values")
-            self.s = np.asarray(s, dtype=float)
-            if self.s.shape != (grid.N,):
-                raise GridError(f"expected s shape {(grid.N,)}, got {self.s.shape}")
-        else:
-            if u is not None:
-                self.u = np.asarray(u, dtype=float)
-            elif s is not None:
-                self.u = grid.w * np.asarray(s, dtype=float)
-            else:
-                raise GridError("sphere support field needs s or u values")
-            if self.u.shape != (6, grid.M, grid.M):
-                raise GridError(f"expected u shape {(6, grid.M, grid.M)}, got {self.u.shape}")
-            self.s = self.u / grid.w
+        if s is None and u is None:
+            raise GridError("support field needs s or u values")
+        vals = np.asarray(s if u is None else u, dtype=float)
+        if vals.shape != grid.shape:
+            raise GridError(f"expected shape {grid.shape}, got {vals.shape}")
+        self.u = vals if u is not None else grid.w * vals
+        self.s = self.u / grid.w
 
     def copy(self):
-        if self.n == 1:
-            return SupportField(self.grid, s=self.s.copy())
         return SupportField(self.grid, u=self.u.copy())
 
     def min_s(self):
@@ -83,44 +72,22 @@ def fourier_support(grid, c0, a=(), b=()):
     return SupportField(grid, s=s)
 
 
-def _chart_hessian(field):
-    """(u1, u2, D2u) on the sphere grid, D2u shape (6,M,M,2,2)."""
-    g = field.grid
-    u1, u2, u11, u12, u22 = g.chart_derivs(field.u, kind="deg1")
-    D2 = np.empty(u11.shape + (2, 2))
-    D2[..., 0, 0] = u11
-    D2[..., 0, 1] = u12
-    D2[..., 1, 0] = u12
-    D2[..., 1, 1] = u22
-    return u1, u2, D2
-
-
-def embed(field, with_derivs=False):
+def embed(field):
     """Map support values to surface points X = s p + grad s.
 
     n=1 returns X (N,2); n=2 returns X (6,M,M,3) in ambient coordinates.
-    With with_derivs=True also returns chart first/second derivative data
-    needed downstream (see invariants).
     """
     g = field.grid
     if field.n == 1:
         sp = g.deriv(field.s, 1)
         tang = np.stack([-np.sin(g.thetas), np.cos(g.thetas)], axis=-1)
-        X = field.s[:, None] * g.nodes + sp[:, None] * tang
-        if with_derivs:
-            return X, sp
-        return X
-    u1, u2, D2 = _chart_hessian(field)
+        return field.s[:, None] * g.nodes + sp[:, None] * tang
+    u1, u2 = g.chart_derivs(field.u, kind="deg1")[:2]
     t1 = g.tangents[:, None, None, 0, :]
     t2 = g.tangents[:, None, None, 1, :]
     a = g.axes[:, None, None, :]
-    Y1 = g.Y1[None, :, :, None]
-    Y2 = g.Y2[None, :, :, None]
-    X = (u1[..., None] * t1 + u2[..., None] * t2
-         + (field.u - g.Y1[None] * u1 - g.Y2[None] * u2)[..., None] * a)
-    if with_derivs:
-        return X, (u1, u2, D2)
-    return X
+    return (u1[..., None] * t1 + u2[..., None] * t2
+            + (field.u - g.Y1[None] * u1 - g.Y2[None] * u2)[..., None] * a)
 
 
 def curvature_matrix(field, D2=None):
@@ -130,30 +97,17 @@ def curvature_matrix(field, D2=None):
     orthonormal tangent frame: b = w * P^{-T} (D^2 u) P^{-1}.
     """
     g = field.grid
-    if field.n == 1:
-        return field.s + g.deriv(field.s, 2)
     if D2 is None:
-        _, _, D2 = _chart_hessian(field)
-    Pi = g.frameP_inv
-    return g.w[..., None, None] * np.einsum("...ca,...cd,...db->...ab", Pi, D2, Pi)
-
-
-def hessian_eigs(D2):
-    """Eigenvalues (min, max) of symmetric 2x2 fields, closed form."""
-    tr = D2[..., 0, 0] + D2[..., 1, 1]
-    det = D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
-    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
-    return tr / 2 - disc, tr / 2 + disc
+        D2 = g.graph_hessian(field.u)
+    return g.to_frame(D2)
 
 
 def convexity_margin(field, D2=None):
-    """Smallest curvature eigenvalue over the grid; > 0 means strictly convex."""
+    """Smallest graph-Hessian eigenvalue over the grid; > 0 means strictly convex."""
     g = field.grid
-    if field.n == 1:
-        return float(np.min(field.s + g.deriv(field.s, 2)))
     if D2 is None:
-        _, _, D2 = _chart_hessian(field)
-    lo, _ = hessian_eigs(D2)
+        D2 = g.graph_hessian(field.u)
+    lo, _ = g.sym_eigs(D2)
     return float(np.min(lo))
 
 
@@ -176,12 +130,10 @@ def gradient_norm(field):
 
 def homogeneity_residual(field):
     """Max mismatch of s across duplicate chart nodes (coherence of the six charts)."""
-    if field.n == 1:
-        return 0.0
     g = field.grid
-    flat = field.s.reshape(-1)
     if g._dup_dst.size == 0:
         return 0.0
+    flat = field.s.reshape(-1)
     return float(np.max(np.abs(flat[g._dup_dst] - flat[g._dup_src])))
 
 
@@ -201,9 +153,5 @@ def apply_linear_map(field, A):
     q = g.nodes @ A                      # rows: A^T p
     qn = np.linalg.norm(q, axis=-1)
     qdir = q / qn[..., None]
-    if field.n == 1:
-        ang = np.arctan2(qdir[:, 1], qdir[:, 0])
-        vals = g.interpolate(field.s, ang)
-    else:
-        vals = g.interpolate_at_directions(field.s, qdir.reshape(-1, 3)).reshape(qn.shape)
+    vals = g.interpolate_at_directions(field.s, qdir.reshape(-1, dim)).reshape(qn.shape)
     return SupportField(g, s=qn * vals)

@@ -20,7 +20,7 @@ from conftest import random_spd
 from centroflow.diagnostics import SeriesBundle, classify
 from centroflow.flow import StepControl, evolve
 from centroflow.grids import CircleGrid, CubedSphereGrid
-from centroflow.invariants import _grad_field, compute_invariants
+from centroflow.invariants import compute_invariants
 from centroflow.oracles import (
     best_fit_ellipsoid,
     exact_ellipsoid_factor,
@@ -206,8 +206,8 @@ def test_09_consistency_and_equivariance(flower256):
         g = CubedSphereGrid(M)
         f = SupportField(g, s=1.0 + 0.3 * np.prod(g.nodes, axis=-1))
         inv = compute_invariants(f)
-        rp = np.abs(inv.T_low + _grad_field(g, np.log(inv.psi), kind="scalar") / 4.0)
-        rr = np.abs(inv.T_low - _grad_field(g, np.log(inv.rho), kind="scalar"))
+        rp = np.abs(inv.T_low + g.grad(np.log(inv.psi)) / 4.0)
+        rr = np.abs(inv.T_low - g.grad(np.log(inv.rho)))
         core = (slice(None), slice(3, M - 3), slice(3, M - 3))
         r2[M] = max(float(np.max(rp[core])), float(np.max(rr[core])))
     ratios2 = (r2[17] / r2[33], r2[33] / r2[65])

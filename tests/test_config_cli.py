@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 
@@ -301,6 +302,55 @@ class TestCLI:
         # the healthy cell still produced its artifacts
         assert os.path.exists(tmp_path / "sweep" / "cell_000" / "metadata.json")
         assert not os.path.exists(tmp_path / "sweep" / "cell_001" / "metadata.json")
+
+    def test_sweep_csv_round_trips_list_values(self, tmp_path):
+        values = [[0.0, 0.05], [0.02]]
+        spec = {"base": flower_cfg(output=str(tmp_path / "sweep")),
+                "axes": [{"path": "initial.params.a", "values": values}],
+                "parallelism": 2}
+        assert main(["sweep", "--spec", write_cfg(tmp_path / "s.json", spec)]) == 0
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert len(rows) == len(values)
+        for row, want in zip(rows, values):
+            assert list(row) == reader.fieldnames
+            assert None not in row.values()
+            assert row["status"] == "completed"
+            assert json.loads(row["initial.params.a"]) == want
+
+    @pytest.mark.parametrize("command, artifact, key, value", [
+        ("diagnose", "snapshot", "values", [[1.0, 1.0], [1.0]]),
+        ("diagnose", "snapshot", "values", ["x"] * 64),
+        ("diagnose", "snapshot", "time", "soon"),
+        ("diagnose", "snapshot", "time", None),
+        ("diagnose", "metadata", "renorm_factors", ["a", "b", "c"]),
+        ("diagnose", "metadata", "renorm_factors", 5),
+        ("diagnose", "snapshot", None, 3),
+        ("diagnose", "metadata", None, 3),
+        ("evolve", "snapshot", "values", [[1.0, 1.0], [1.0]]),
+        ("validate-config", "snapshot", "time", [0.0]),
+    ], ids=["ragged-values", "text-values", "text-time", "null-time",
+            "text-renorm-factors", "scalar-renorm-factors", "number-snapshot",
+            "number-metadata", "evolve-from-ragged-file",
+            "validate-list-time-file"])
+    def test_corrupt_artifact_exits_2(self, tmp_path, command, artifact, key, value):
+        out = self.run_dir(tmp_path, flower_cfg())
+        path = out / ("metadata.json" if artifact == "metadata"
+                      else "snapshots/snap_000000.json")
+        doc = json.loads(path.read_text())
+        if key is None:
+            doc = value
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        if command == "diagnose":
+            argv = ["diagnose", "--trajectory", str(out)]
+        else:
+            cfg = flower_cfg(output=str(tmp_path / "from_file"),
+                             initial={"kind": "file", "params": {"path": str(path)}})
+            argv = [command, "--config", write_cfg(tmp_path / "file.json", cfg)]
+        assert main(argv) == 2
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CENTROFLOW_OUTPUT_ROOT", str(tmp_path))

@@ -3,6 +3,12 @@ import pytest
 
 from centroflow.errors import ConfigError
 from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, make_grid
+from centroflow.support import SupportField, homogeneity_residual
+
+# the dimension interface every grid offers; nothing outside grids.py branches on n
+SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "graph_hessian",
+          "sym_eigs", "sym_det", "to_frame", "grad", "chart_jet", "integrate_chart",
+          "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates")
 
 
 class TestCircleGrid:
@@ -144,3 +150,55 @@ def test_make_grid_dispatch():
     assert isinstance(make_grid(2, 17), CubedSphereGrid)
     with pytest.raises(ConfigError):
         make_grid(3, 17)
+
+
+class TestSharedInterface:
+    @pytest.mark.parametrize("name", SHARED)
+    def test_both_grids_expose(self, circle64, sphere17, name):
+        assert hasattr(circle64, name) and hasattr(sphere17, name)
+
+    def test_shapes_and_graph_factor(self, circle64, sphere17):
+        assert circle64.shape == (64,) and np.array_equal(circle64.w, np.ones(64))
+        assert sphere17.shape == (6, 17, 17) == sphere17.w.shape
+        for g in (circle64, sphere17):
+            assert g.weights.shape == g.shape
+            assert float(np.sum(g.weights)) == pytest.approx(2 * g.n * np.pi, rel=1e-10)
+
+    def test_circle_methods_equal_closed_forms(self, circle64):
+        g = circle64
+        s = 1.0 + 0.1 * np.cos(3 * g.thetas) + 0.05 * np.sin(2 * g.thetas)
+        b = g.graph_hessian(s)
+        assert np.array_equal(b, s + g.deriv(s, 2))
+        lo, hi = g.sym_eigs(b)
+        assert lo is b and hi is b and g.sym_det(b) is b and g.to_frame(b) is b
+        assert np.array_equal(g.grad(s), g.deriv(s, 1)[:, None])
+        X = s[:, None] * g.nodes
+        Xi, Xij = g.chart_jet(X)
+        for c in range(2):
+            assert np.array_equal(Xi[:, 0, c], g.deriv(X[:, c], 1))
+            assert np.array_equal(Xij[:, 0, 0, c], g.deriv(X[:, c], 2))
+        assert g.integrate_chart(s) == g.integrate(s)
+        rng = np.random.default_rng(5)
+        dirs = rng.standard_normal((9, 2))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        assert np.array_equal(g.interpolate_at_directions(s, dirs),
+                              g.interpolate(s, np.arctan2(dirs[:, 1], dirs[:, 0])))
+        th, _ = g.refine_max(s)
+        assert g.value_at(s, th) == g.interpolate(s, th)
+        before = s.copy()
+        assert g.sync_duplicates(s) is s and np.array_equal(s, before)
+
+    def test_sphere_refine_max_is_the_node_max(self, sphere17):
+        g = sphere17
+        v = 1.0 + 0.3 * np.prod(g.nodes, axis=-1) + 0.1 * g.nodes[..., 0]
+        where, val = g.refine_max(v)
+        assert val == float(np.max(v))
+        assert v.reshape(-1)[where] == val and g.value_at(v, where) == val
+
+    def test_sync_duplicates_on_graph_values(self, sphere17):
+        g = sphere17
+        rng = np.random.default_rng(11)
+        u = g.w * (1.0 + 0.1 * rng.random(g.shape))
+        assert homogeneity_residual(SupportField(g, u=u)) > 1e-4
+        assert g.sync_duplicates(u) is u
+        assert homogeneity_residual(SupportField(g, u=u)) < 1e-14
