@@ -70,14 +70,18 @@ class Trajectory:
         return len(self.snapshots)
 
 
-def _rhs_values(field, convexity_floor=0.0):
-    """Right-hand side on the graph values u (u = s on the circle)."""
+def _rhs_values(field, convexity_floor=0.0, D2=None):
+    """Right-hand side on the graph values u (u = s on the circle).
+
+    D2 is the chart Hessian of u when the caller already has it.
+    """
     g = field.grid
     u = field.u
     if np.min(u) <= 0.0:
         raise OriginCrossed("support function lost positivity",
                             value=float(np.min(u / g.w)))
-    D2 = g.graph_hessian(u)
+    if D2 is None:
+        D2 = g.graph_hessian(u)
     lo, _ = g.sym_eigs(D2)
     if np.min(lo) <= convexity_floor:
         raise ConvexityLost("graph Hessian lost positivity",
@@ -103,15 +107,16 @@ def rhs(field, convexity_floor=0.0):
     return _rhs_values(field, convexity_floor) / field.grid.w
 
 
-def stable_dt(field, control):
+def stable_dt(field, control, _hessian=None):
     """Explicit step from the linearized diffusion coefficient (s/2n) b^{-1}.
 
     n=1: coefficient s/(2b) per node on the uniform theta grid.
     n=2: the chart-coordinate diffusion tensor is (u/4)(D^2 u)^{-1}; its trace
     bounds the symbol over both axes.
+    _hessian is the chart Hessian of field.u when the caller already has it.
     """
     g = field.grid
-    D2 = g.graph_hessian(field.u)
+    D2 = g.graph_hessian(field.u) if _hessian is None else _hessian
     if field.n == 1:
         lam = np.max(field.s / (2.0 * D2))
     else:
@@ -133,15 +138,19 @@ def _sync(field):
     return field
 
 
-def step(state, dt, control, _dt_bound=None):
-    """One explicit step (rk4 or heun); every stage is convexity-guarded."""
-    if _dt_bound is None:
-        _dt_bound = stable_dt(state.field, control)
-    if dt > _dt_bound * (1.0 + 1e-9):
-        raise ValueError("step size exceeds the stability bound")
+def step(state, dt, control, _hessian=None):
+    """One explicit step (rk4 or heun); every stage is convexity-guarded.
+
+    _hessian is the chart Hessian of the state's u when the caller already has
+    it; it serves both the stability bound and the first stage.
+    """
     f0 = state.field
+    if _hessian is None:
+        _hessian = f0.grid.graph_hessian(f0.u)
+    if dt > stable_dt(f0, control, _hessian) * (1.0 + 1e-9):
+        raise ValueError("step size exceeds the stability bound")
     floor = control.convexity_floor
-    k1 = _rhs_values(f0, floor)
+    k1 = _rhs_values(f0, floor, _hessian)
     if control.scheme == "heun":
         f1 = _advance(f0, dt * k1)
         k2 = _rhs_values(f1, floor)
@@ -191,8 +200,9 @@ def evolve(field0, control, renormalize=False):
         if smax > control.blowup_radius:
             termination = "Blowup"
             break
+        D2 = state.field.grid.graph_hessian(state.field.u)
         try:
-            dt_bound = stable_dt(state.field, control)
+            dt_bound = stable_dt(state.field, control, D2)
         except NumericalBlowup:
             termination = "NumericalBlowup"
             break
@@ -205,7 +215,7 @@ def evolve(field0, control, renormalize=False):
             dt = target - state.t
             record = True
         try:
-            state = step(state, dt, control, _dt_bound=dt_bound)
+            state = step(state, dt, control, D2)
         except ConvexityLost:
             termination = "ConvexityLost"
             break

@@ -53,13 +53,14 @@ class CircleGrid:
         self._k = np.arange(N // 2 + 1)  # rfft wavenumbers
 
     def deriv(self, values, order=1):
-        """Spectral d^order/dtheta^order of a real periodic nodal field."""
-        vhat = np.fft.rfft(values)
+        """Spectral d^order/dtheta^order of a real periodic nodal field (node axis first)."""
+        values = np.asarray(values)
+        vhat = np.fft.rfft(values, axis=0)
         mult = (1j * self._k) ** order
         if order % 2 == 1 and self.N % 2 == 0:
-            mult = mult.copy()
             mult[-1] = 0.0  # odd derivative of the Nyquist mode is not representable
-        return np.fft.irfft(vhat * mult, n=self.N)
+        mult = mult.reshape(mult.shape + (1,) * (values.ndim - 1))
+        return np.fft.irfft(vhat * mult, n=self.N, axis=0)
 
     def integrate(self, values):
         # trapezoid on a periodic grid == spectrally accurate quadrature
@@ -86,17 +87,11 @@ class CircleGrid:
 
     def grad(self, values):
         """d/dtheta of a nodal field (node axis first), shape (..., 1) appended."""
-        arr = np.asarray(values)
-        flat = arr.reshape(arr.shape[0], -1)
-        out = np.stack([self.deriv(flat[:, c], 1) for c in range(flat.shape[1])], -1)
-        return out.reshape(arr.shape)[..., None]
+        return self.deriv(values, 1)[..., None]
 
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (N, d): (N,1,d), (N,1,1,d)."""
-        comps = range(X.shape[-1])
-        Xd = np.stack([self.deriv(X[:, c], 1) for c in comps], axis=-1)
-        Xdd = np.stack([self.deriv(X[:, c], 2) for c in comps], axis=-1)
-        return Xd[:, None, :], Xdd[:, None, None, :]
+        return self.deriv(X, 1)[:, None, :], self.deriv(X, 2)[:, None, None, :]
 
     def sync_duplicates(self, u):
         """The circle has no duplicated nodes."""
@@ -290,18 +285,17 @@ class CubedSphereGrid:
                 xs = self.ys[idx[:, c][:, None] + np.arange(NSTEN)[None, :]]
                 lagw[f, :, c, :] = _lagrange_weights(xs, yp[:, c])
 
-        self._ghost_ij = (gi, gj)
-        self._halo = dict(owner=owner, start=start, lagw=lagw, znorm=znorm)
-
-    def _gather_interp(self, values, f):
-        """Interpolate per-face nodal 'values' at the ghost points of face f."""
-        h = self._halo
-        own = h["owner"][f]
-        s1 = h["start"][f, :, 0][:, None, None] + np.arange(NSTEN)[None, :, None]
-        s2 = h["start"][f, :, 1][:, None, None] + np.arange(NSTEN)[None, None, :]
-        patch = values[own[:, None, None], s1, s2]          # (G,NSTEN,NSTEN,...)
-        return np.einsum("ga,gb,gab...->g...", h["lagw"][f, :, 0],
-                         h["lagw"][f, :, 1], patch)
+        # one flat table over all 6*G ghosts: the NSTEN x NSTEN owner-chart
+        # patch as flat node indices, the ghost's flat slot in the extended
+        # array, the two Lagrange weight rows and the deg1 rescale |z|
+        pi = start[..., 0, None] + np.arange(NSTEN)          # (6,G,NSTEN)
+        pj = start[..., 1, None] + np.arange(NSTEN)
+        src = (owner[..., None, None] * M + pi[..., :, None]) * M + pj[..., None, :]
+        self._halo_src = src.reshape(6 * G, NSTEN, NSTEN)
+        self._halo_dst = ((np.arange(6)[:, None] * E + gi) * E + gj).reshape(-1)
+        self._halo_w1 = lagw[:, :, 0].reshape(6 * G, NSTEN)
+        self._halo_w2 = lagw[:, :, 1].reshape(6 * G, NSTEN)
+        self._halo_znorm = znorm.reshape(-1)
 
     def extend(self, values, kind="scalar"):
         """Pad a per-face field with a width-2 halo filled from neighbor faces.
@@ -313,19 +307,24 @@ class CubedSphereGrid:
         M, H = self.M, HALO
         E = M + 2 * H
         comp = values.shape[3:]
+        trail = (1,) * len(comp)
+        if kind == "scalar":
+            svals = values
+        elif kind == "deg1":
+            svals = values / self.w.reshape((6, M, M) + trail)
+        else:
+            raise GridError(f"unknown halo kind {kind!r}")
+        # one gather and one contraction per component: with a trailing
+        # component axis einsum takes a generic loop about 3x slower
+        cols = svals.reshape(6 * M * M, -1).T
+        ghosts = np.stack([np.einsum("ga,gb,gab->g", self._halo_w1, self._halo_w2,
+                                     col[self._halo_src]) for col in cols],
+                          axis=-1).reshape((-1,) + comp)
+        if kind == "deg1":
+            ghosts = ghosts * self._halo_znorm.reshape((-1,) + trail)
         ext = np.empty((6, E, E) + comp, dtype=float)
         ext[:, H:-H, H:-H] = values
-        gi, gj = self._ghost_ij
-        hal = self._halo
-        if kind == "deg1":
-            svals = values / self.w.reshape((6, M, M) + (1,) * len(comp))
-        for f in range(6):
-            if kind == "scalar":
-                ext[f, gi, gj] = self._gather_interp(values, f)
-            elif kind == "deg1":
-                ext[f, gi, gj] = self._gather_interp(svals, f) * hal["znorm"][f]
-            else:
-                raise GridError(f"unknown halo kind {kind!r}")
+        ext.reshape((6 * E * E,) + comp)[self._halo_dst] = ghosts
         return ext
 
     # ---------- stencils ----------
@@ -383,16 +382,15 @@ class CubedSphereGrid:
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), halo stencils."""
         M = self.M
+        f1, f2, f11, f12, f22 = self.chart_derivs(X, kind="scalar")
         Xi = np.empty((6, M, M, 2, 3))
         Xij = np.empty((6, M, M, 2, 2, 3))
-        for c in range(3):
-            f1, f2, f11, f12, f22 = self.chart_derivs(X[..., c], kind="scalar")
-            Xi[..., 0, c] = f1
-            Xi[..., 1, c] = f2
-            Xij[..., 0, 0, c] = f11
-            Xij[..., 0, 1, c] = f12
-            Xij[..., 1, 0, c] = f12
-            Xij[..., 1, 1, c] = f22
+        Xi[..., 0, :] = f1
+        Xi[..., 1, :] = f2
+        Xij[..., 0, 0, :] = f11
+        Xij[..., 0, 1, :] = f12
+        Xij[..., 1, 0, :] = f12
+        Xij[..., 1, 1, :] = f22
         return Xi, Xij
 
     def d1_face(self, values, axis):
@@ -453,19 +451,16 @@ class CubedSphereGrid:
     # ---------- duplicate (shared edge/corner) nodes ----------
 
     def _build_duplicate_map(self):
-        key = np.round(self.nodes.reshape(-1, 3), 12)
-        groups = {}
-        for flat, k in enumerate(map(tuple, key)):
-            groups.setdefault(k, []).append(flat)
-        src, dst = [], []
-        for members in groups.values():
-            if len(members) > 1:
-                members.sort()
-                for m in members[1:]:
-                    src.append(members[0])
-                    dst.append(m)
-        self._dup_src = np.array(src, dtype=np.int64)
-        self._dup_dst = np.array(dst, dtype=np.int64)
+        # nodes sharing a rounded direction form a group; its lowest flat index
+        # is the source. "+ 0.0" turns -0.0 into 0.0: np.unique compares rows
+        # by their bytes, so the two zeros would otherwise split a group
+        key = np.round(self.nodes.reshape(-1, 3), 12) + 0.0
+        _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                      return_inverse=True)
+        src = first[inverse.reshape(-1)]
+        dup = src != np.arange(src.size)
+        self._dup_src = src[dup]
+        self._dup_dst = np.flatnonzero(dup)
 
     def sync_duplicates(self, u):
         """Copy the first-face s onto duplicate edge/corner nodes of graph values u.

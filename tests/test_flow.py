@@ -175,3 +175,34 @@ class TestSphereLawIntegration:
         assert got == pytest.approx(want, abs=1e-8)
         # support stays exactly round: graph path must not break symmetry
         assert np.ptp(traj.snapshots[-1].field.s) < 1e-10
+
+
+def bumpy_sphere(g):
+    """A convex non-round body on the cubed sphere, duplicates already synced."""
+    u = g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2])
+    return SupportField(g, u=g.sync_duplicates(u))
+
+
+class TestHessianReuse:
+    @pytest.mark.parametrize("scheme, per_step", [("rk4", 4), ("heun", 2)])
+    def test_hessians_per_step(self, monkeypatch, scheme, per_step):
+        # the step bound and stage k1 share one chart Hessian
+        g = CubedSphereGrid(17)
+        calls = []
+        hessian = g.graph_hessian
+        monkeypatch.setattr(g, "graph_hessian", lambda u: calls.append(1) or hessian(u))
+        traj = evolve(bumpy_sphere(g), StepControl(t_end=0.02, snapshot_interval=0.01,
+                                                   scheme=scheme))
+        assert traj.termination == "ReachedTEnd" and traj.step_count >= 2
+        assert len(calls) == per_step * traj.step_count
+
+    @pytest.mark.parametrize("scheme", ["rk4", "heun"])
+    def test_step_without_hessian_matches_evolve(self, sphere17, scheme):
+        f = bumpy_sphere(sphere17)
+        ctl = StepControl(snapshot_interval=0.0, scheme=scheme)
+        dt = stable_dt(f, ctl)
+        ctl.t_end = dt
+        traj = evolve(f, ctl)
+        assert traj.step_count == 1
+        alone = step(FlowState(0.0, f), dt, ctl)
+        assert np.array_equal(alone.field.u, traj.snapshots[-1].field.u)

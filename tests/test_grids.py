@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centroflow.errors import ConfigError
+from centroflow.errors import ConfigError, GridError
 from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, make_grid
 from centroflow.support import SupportField, homogeneity_residual
 
@@ -202,3 +202,61 @@ class TestSharedInterface:
         assert homogeneity_residual(SupportField(g, u=u)) > 1e-4
         assert g.sync_duplicates(u) is u
         assert homogeneity_residual(SupportField(g, u=u)) < 1e-14
+
+
+def ghost_directions(g):
+    """Ghost mask over the (E, E) extended face and the unnormalized ghost
+    directions a_f + y1 t1_f + y2 t2_f, shape (6, G, 3)."""
+    H, M, h = HALO, g.M, g.h
+    E = M + 2 * H
+    yg = np.concatenate([g.ys[0] - h * np.arange(H, 0, -1), g.ys,
+                         g.ys[-1] + h * np.arange(1, H + 1)])
+    i, j = np.meshgrid(np.arange(E), np.arange(E), indexing="ij")
+    ghost = (i < H) | (i >= M + H) | (j < H) | (j >= M + H)
+    z = (g.axes[:, None, :] + yg[i[ghost]][None, :, None] * g.tangents[:, None, 0]
+         + yg[j[ghost]][None, :, None] * g.tangents[:, None, 1])
+    return ghost, z
+
+
+class TestHaloTable:
+    def test_scalar_ghosts_are_interpolated_values(self, sphere17):
+        g = sphere17
+        v = np.exp(g.nodes[..., 0]) * (1.0 + 0.3 * g.nodes[..., 1] * g.nodes[..., 2])
+        ghost, z = ghost_directions(g)
+        dirs = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        want = g.interpolate_at_directions(v, dirs.reshape(-1, 3)).reshape(6, -1)
+        ext = g.extend(v)
+        assert np.max(np.abs(ext[:, ghost] - want)) < 1e-13
+        assert np.array_equal(ext[:, HALO:-HALO, HALO:-HALO], v)
+
+    def test_deg1_ghosts_rescale_by_the_direction_norm(self, sphere17):
+        g = sphere17
+        s = 1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.1 * g.nodes[..., 2]
+        ghost, z = ghost_directions(g)
+        znorm = np.linalg.norm(z, axis=-1)
+        want = znorm * g.interpolate_at_directions(
+            s, (z / znorm[..., None]).reshape(-1, 3)).reshape(6, -1)
+        ext = g.extend(g.w * s, kind="deg1")
+        assert np.max(np.abs(ext[:, ghost] - want)) < 1e-13
+
+    def test_component_extend_equals_per_component(self, sphere17):
+        g = sphere17
+        X = np.random.default_rng(2).random(g.shape + (3,))
+        ext = g.extend(X)
+        for c in range(3):
+            assert np.array_equal(ext[..., c], g.extend(X[..., c]))
+
+    def test_unknown_kind_rejected(self, sphere17):
+        with pytest.raises(GridError):
+            sphere17.extend(sphere17.w, kind="cov")
+
+
+@pytest.mark.parametrize("M", [17, 33])
+def test_duplicate_map_matches_dict_grouping(M):
+    g = CubedSphereGrid(M)
+    groups = {}
+    for flat, k in enumerate(map(tuple, np.round(g.nodes.reshape(-1, 3), 12))):
+        groups.setdefault(k, []).append(flat)
+    want = {(min(m), d) for m in groups.values() for d in m if d != min(m)}
+    got = set(zip(g._dup_src.tolist(), g._dup_dst.tolist()))
+    assert got == want and len(g._dup_dst) == len(want)
