@@ -155,13 +155,17 @@ def check_c0(traj, tol=1e-8):
             BoundCheck("support_upper_growth_bound", hi_m, tol))
 
 
-def check_c1(traj, tol=1e-8):
-    """max |grad s| <= running max of s (gradient bound from convexity)."""
+def check_c1(traj, bundle=None, tol=1e-8):
+    """max |grad s| <= running max of s (gradient bound from convexity).
+
+    With a bundle, each snapshot's embedding comes from its invariants.
+    """
     margins = []
     run_max = -np.inf
-    for st in traj.snapshots:
+    for k, st in enumerate(traj.snapshots):
+        X = bundle.inv[k].X if bundle is not None else None
         run_max = max(run_max, st.field.max_s())
-        margins.append(run_max - float(np.max(gradient_norm(st.field))))
+        margins.append(run_max - float(np.max(gradient_norm(st.field, X))))
     return BoundCheck("gradient_bound", margins, tol)
 
 
@@ -251,7 +255,7 @@ def run_report(traj, bundle=None, decay_ratio=None):
     if bundle is None:
         bundle = SeriesBundle(traj)
     lo, hi = check_c0(traj)
-    c1 = check_c1(traj)
+    c1 = check_c1(traj, bundle)
     L, pinch = check_pinch(traj, bundle)
     mono, ident, iso = check_area_law(traj, bundle)
     tb, tident, tdecay = check_tchebychev_laws(

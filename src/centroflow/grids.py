@@ -375,9 +375,17 @@ class CubedSphereGrid:
         return D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
 
     def to_frame(self, D2):
-        """Orthonormal-frame components of b = hess s + s id: w P^{-T} D2 P^{-1}."""
+        """Orthonormal-frame components of b = hess s + s id: w P^{-T} D2 P^{-1}.
+
+        Contracts component-first (node axes trailing) and returns a node-first
+        (6,M,M,2,2) view.
+        """
         Pi = self.frameP_inv
-        return self.w[..., None, None] * np.einsum("...ca,...cd,...db->...ab", Pi, D2, Pi)
+        D = np.ascontiguousarray(np.moveaxis(D2, (-2, -1), (0, 1)))
+        D2P = np.einsum("cd...,db...->cb...", D, Pi)
+        b = np.einsum("ca...,cb...->ab...", Pi, D2P)
+        b *= self.w
+        return np.moveaxis(b, (0, 1), (-2, -1))
 
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), halo stencils."""
@@ -441,12 +449,9 @@ class CubedSphereGrid:
                       np.stack([np.einsum("...k,...k->...", e2, t1),
                                 np.einsum("...k,...k->...", e2, t2)], -1)], -2)
         det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
-        inv = np.empty_like(P)
-        inv[..., 0, 0] = P[..., 1, 1]
-        inv[..., 1, 1] = P[..., 0, 0]
-        inv[..., 0, 1] = -P[..., 0, 1]
-        inv[..., 1, 0] = -P[..., 1, 0]
-        self.frameP_inv = inv / det[..., None, None]
+        # component-first (2,2,6,M,M), the layout to_frame contracts in
+        self.frameP_inv = np.array([[P[..., 1, 1], -P[..., 0, 1]],
+                                    [-P[..., 1, 0], P[..., 0, 0]]]) / det
 
     # ---------- duplicate (shared edge/corner) nodes ----------
 

@@ -11,6 +11,22 @@ scalar curvature chi = J - (n/(n-1))|T|^2 + 1.
 
 Everything is frame-generic; closed-form shortcuts exist for both n (for n=1
 g = (s+s'')/s etc.) and the tests pin them against this generic pipeline.
+
+Layout: the grids and the public entry points (compute_invariants,
+t2_evolution_rhs, covariant_grad, c_evolution_rhs, the InvariantFields) are
+node-first, component axes trailing. Inside, every per-node contraction runs
+component-first: component axes (length n or n+1) lead and the node axes
+trail, so each einsum's inner loop runs along the long node axis instead of
+an axis of length 2. The fields of InvariantFields are transposed views of
+those component-first arrays. levi_civita, cubic_form and tchebychev take
+and return component-first fields.
+
+The metric's inverse and determinant are computed once per call in closed
+form (inv_det). The primary Gauss route is LU (np.linalg.solve on the frame);
+the frame bracket [X_1..X_n, X] and the Cramer cross-check
+g_ij = -[X_1..X_n, X_ij] / [X_1..X_n, X] are dot products with the
+generalized cross product of X_1..X_n (cross_normal), an independent route
+whose disagreement with the solve is residual_gauss_cross.
 """
 
 import numpy as np
@@ -28,83 +44,124 @@ class InvariantFields:
         self.__dict__.update(kw)
 
 
+def _node_first(a, k):
+    """Node-first view of a field whose first k axes are components."""
+    # transpose, not np.moveaxis: same view, a sixth of the call overhead,
+    # which matters on the 256-node circle
+    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
+
+
+def _comp_first(a, k):
+    """Component-first form of a node-first field with k trailing component axes.
+
+    C-contiguous, because einsum runs ~10x slower on a strided operand: no copy
+    when a is a node-first view of a component-first array, a copy otherwise.
+    """
+    lead = a.ndim - k
+    return np.ascontiguousarray(a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead))))
+
+
+def inv_det(m):
+    """Closed-form inverse and determinant of a component-first (k, k, ...) field, k = 1 or 2."""
+    if len(m) == 1:
+        det = m[0, 0]
+        return (1.0 / det)[None, None], det
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    inv = np.empty_like(m)
+    inv[0, 0] = m[1, 1] / det
+    inv[0, 1] = -m[0, 1] / det
+    inv[1, 0] = -m[1, 0] / det
+    inv[1, 1] = m[0, 0] / det
+    return inv, det
+
+
+def cross_normal(Xi):
+    """Generalized cross product N of X_1..X_n, component-first (n, n+1, ...) -> (n+1, ...).
+
+    The bracket [X_1..X_n, Y] (determinant of the columns X_1..X_n, Y) is N . Y.
+    """
+    if len(Xi) == 1:
+        a = Xi[0]
+        return np.stack([-a[1], a[0]])
+    a, b = Xi
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def gauss_decompose(X, X_i, X_ij):
     """Solve X_ij = Ghat^k_ij X_k - g_ij X in the moving frame {X_1..X_n, X}.
 
+    Takes node-first X (..., n+1), X_i (..., n, n+1), X_ij (..., n, n, n+1).
     Returns (g, Ghat, frame, frame_det, crosscheck_residual):
-      g: (..., n, n), Ghat: (..., n, n, n) indexed [k, i, j],
-      frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its determinant.
+      g: (n, n, ...) and Ghat: (n, n, n, ...) [k, i, j], component-first;
+      frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its bracket.
     The metric is also recovered through the determinant (Cramer) formula
     g_ij = -[X_1..X_n, X_ij] / [X_1..X_n, X] as a cross-check.
     """
     n = X_i.shape[-2]
     lead = X.shape[:-1]
-    frame = np.concatenate([np.moveaxis(X_i, -2, -1), X[..., None]], axis=-1)
-    frame_det = np.linalg.det(frame)
+    normal = cross_normal(_comp_first(X_i, 2))
+    frame_det = np.einsum("a...,a...->...", normal, _comp_first(X, 1))
     if np.min(np.abs(frame_det)) < EPS_FRAME:
         raise TransversalityLost("frame [X_1..X_n, X] became degenerate",
                                  value=float(np.min(np.abs(frame_det))))
+    frame = np.concatenate([np.moveaxis(X_i, -2, -1), X[..., None]], axis=-1)
     # right-hand sides: all second derivatives at once, columns indexed by (i,j)
     rhs = X_ij.reshape(lead + (n * n, n + 1))
-    coef = np.linalg.solve(frame, np.moveaxis(rhs, -2, -1))
-    coef = np.moveaxis(coef, -1, -2).reshape(lead + (n, n, n + 1))
-    Ghat = np.moveaxis(coef[..., :n], -1, -3)          # [k, i, j]
-    gmat = -coef[..., n]
-    gmat = 0.5 * (gmat + np.swapaxes(gmat, -1, -2))
-    # Cramer cross-check for one representative entry per pair
-    alt = np.empty_like(gmat)
-    for i in range(n):
-        for j in range(n):
-            rep = frame.copy()
-            rep[..., :, n] = X_ij[..., i, j, :]
-            alt[..., i, j] = -np.linalg.det(rep) / frame_det
+    coef = np.linalg.solve(frame, np.moveaxis(rhs, -2, -1))   # (..., n+1, n*n)
+    coef = _comp_first(coef, 2).reshape((n + 1, n, n) + lead)
+    Ghat = coef[:n]                                            # [k, i, j]
+    gmat = -coef[n]
+    gmat = 0.5 * (gmat + gmat.swapaxes(0, 1))
+    # Cramer cross-check from the brackets, independent of the LU solve
+    alt = np.einsum("a...,ija...->ij...", normal, _comp_first(X_ij, 3))
+    alt /= -frame_det
     cross = float(np.max(np.abs(alt - gmat)))
     return gmat, Ghat, frame, frame_det, cross
 
 
-def levi_civita(grid, gmat):
-    """Christoffel symbols of the metric field, [k, i, j] ordering."""
-    if grid.n == 1:
-        g = gmat[..., 0, 0]
-        Gam = (grid.deriv(g, 1) / (2.0 * g))
-        return Gam[..., None, None, None]
-    dg = np.stack([grid.d1_face(gmat, 1), grid.d1_face(gmat, 2)], axis=-3)
-    # dg[..., l, i, j] = d g_ij / d y_l
-    ginv = np.linalg.inv(gmat)
-    # sym[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij, from dg[..., a, b, c] = d_a g_bc
-    sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, sym)
+def levi_civita(grid, gmat, ginv):
+    """Christoffel symbols [k, i, j] of the metric field, component-first."""
+    # dg[l, i, j] = d g_ij / d y_l
+    dg = np.moveaxis(grid.grad(_node_first(gmat, 2)), (-3, -2, -1), (1, 2, 0))
+    # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    sym = dg + dg.swapaxes(0, 1) - np.moveaxis(dg, 0, 2)
+    Gam = np.einsum("kl...,ijl...->kij...", ginv, sym)
+    Gam *= 0.5
+    return Gam
 
 
-def cubic_form(Ghat, Gam, gmat):
+def cubic_form(Ghat, Gam, gmat, ginv):
     """C = Ghat - Gamma (mixed), lowered form, |C|^2, and symmetry residual."""
-    C = Ghat - Gam                                      # [k, i, j]
-    C_low = np.einsum("...kij,...kl->...ijl", C, gmat)  # C_ijl
-    ginv = np.linalg.inv(gmat)
-    C_up = np.einsum("...ia,...jb,...kc,...abc->...ijk", ginv, ginv, ginv, C_low)
-    norm_C2 = np.einsum("...ijk,...ijk->...", C_low, C_up)
-    sym = max(float(np.max(np.abs(C_low - np.swapaxes(C_low, -3, -2)))),
-              float(np.max(np.abs(C_low - np.swapaxes(C_low, -2, -1)))))
+    C = Ghat - Gam                                            # [k, i, j]
+    C_low = np.einsum("kij...,kl...->ijl...", C, gmat)        # C_ijl
+    # C^{ijk} = g^{ia} g^{jb} C^k_ab, two single contractions
+    C_up = np.einsum("jb...,ibk...->ijk...", ginv,
+                     np.einsum("ia...,kab...->ibk...", ginv, C))
+    norm_C2 = np.einsum("ijk...,ijk...->...", C_low, C_up)
+    sym = max(float(np.max(np.abs(C_low - C_low.swapaxes(0, 1)))),
+              float(np.max(np.abs(C_low - C_low.swapaxes(1, 2)))))
     return C, C_low, norm_C2, sym
 
 
-def tchebychev(grid, C, gmat, Gam):
+def tchebychev(grid, C, ginv, Gam):
     """T_i = (1/n) C^k_ki, |T|^2, and H = (1/n) g^{ij} (d_j T_i - Gam^k_ij T_k)."""
     n = grid.n
-    T_low = np.einsum("...kki->...i", C) / n
-    ginv = np.linalg.inv(gmat)
-    T_up = np.einsum("...ij,...j->...i", ginv, T_low)
-    norm_T2 = np.einsum("...i,...i->...", T_low, T_up)
-    dT = grid.grad(T_low)                               # (..., i, j) = d_j T_i
-    covdiv = np.einsum("...ij,...ij->...", ginv, np.swapaxes(dT, -1, -2)) \
-        - np.einsum("...ij,...kij,...k->...", ginv, Gam, T_low)
+    T_low = np.einsum("kki...->i...", C) / n
+    T_up = np.einsum("ij...,j...->i...", ginv, T_low)
+    norm_T2 = np.einsum("i...,i...->...", T_low, T_up)
+    dT = _comp_first(grid.grad(_node_first(T_low, 1)), 2)     # [i, j] = d_j T_i
+    GamT = np.einsum("kij...,k...->ij...", Gam, T_low)
+    covdiv = np.einsum("ij...,ji...->...", ginv, dT) \
+        - np.einsum("ij...,ij...->...", ginv, GamT)
     H = covdiv / n
     return T_low, T_up, norm_T2, H
 
 
-def tchebychev_function(gmat, frame_det):
+def tchebychev_function(det_g, frame_det):
     """psi = det g / bracket^2 (positive, GL-covariant by det A^{-2})."""
-    return np.linalg.det(gmat) / frame_det**2
+    return det_g / frame_det**2
 
 
 def equiaffine_support(s, K, n):
@@ -131,17 +188,20 @@ def compute_invariants(field):
 
     Array shapes (leading axes = node axes of the grid):
       g, g_inv: (..., n, n);  gamma_hat, gamma, C_mixed: (..., n, n, n) [k,i,j];
-      C_low: (..., n, n, n) [i,j,k];  T_low: (..., n);  scalars: node-shaped.
+      C_low: (..., n, n, n) [i,j,k];  T_low, T_up: (..., n);
+      X (the embedding), frame: (..., n+1), (..., n+1, n+1);  scalars: node-shaped.
     """
     grid = field.grid
     n = grid.n
     X = sup.embed(field)
     X_i, X_ij = grid.chart_jet(X)
     gmat, Ghat, frame, frame_det, cross = gauss_decompose(X, X_i, X_ij)
-    Gam = levi_civita(grid, gmat)
-    C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat)
-    T_low, T_up, norm_T2, H = tchebychev(grid, C, gmat, Gam)
-    psi = tchebychev_function(gmat, frame_det)
+    del X, X_i, X_ij   # the frame keeps X; dropping the jet lowers the transient peak
+    ginv, det_g = inv_det(gmat)
+    Gam = levi_civita(grid, gmat, ginv)
+    C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat, ginv)
+    T_low, T_up, norm_T2, H = tchebychev(grid, C, ginv, Gam)
+    psi = tchebychev_function(det_g, frame_det)
     bmat = sup.curvature_matrix(field)
     det_b = grid.sym_det(bmat)
     K = 1.0 / det_b
@@ -150,23 +210,27 @@ def compute_invariants(field):
         J, chi = pick_and_chi(norm_C2, norm_T2, n)
     else:
         J = chi = None
-    det_g = np.linalg.det(gmat)
     sqrt_det_g = np.sqrt(np.maximum(det_g, 0.0))
 
     # rel-support residuals: T against the gradients of log psi and log rho
+    T_node = _node_first(T_low, 1)
     grad_lpsi = grid.grad(np.log(psi))
     grad_lrho = grid.grad(np.log(rho))
-    r_psi = float(np.max(np.abs(T_low + grad_lpsi / (2 * n))))
-    r_rho = float(np.max(np.abs(T_low - (n + 2) / (2 * n) * grad_lrho)))
+    r_psi = float(np.max(np.abs(T_node + grad_lpsi / (2 * n))))
+    r_rho = float(np.max(np.abs(T_node - (n + 2) / (2 * n) * grad_lrho)))
 
     return InvariantFields(
         n=n, grid=grid,
-        g=gmat, g_inv=np.linalg.inv(gmat), gamma_hat=Ghat, gamma=Gam,
-        C_mixed=C, C_low=C_low, T_low=T_low, T_up=T_up,
+        g=_node_first(gmat, 2), g_inv=_node_first(ginv, 2),
+        gamma_hat=_node_first(Ghat, 3), gamma=_node_first(Gam, 3),
+        C_mixed=_node_first(C, 3), C_low=_node_first(C_low, 3),
+        T_low=T_node, T_up=_node_first(T_up, 1),
         norm_T2=norm_T2, norm_C2=norm_C2,
         psi=psi, rho=rho, H=H, J=J, chi=chi,
         curvature=bmat, det_curvature=det_b, gauss_K=K,
-        frame=frame, frame_det=frame_det, det_g=det_g, sqrt_det_g=sqrt_det_g,
+        # the embedding is the frame's last column: a view, no second copy
+        X=frame[..., n], frame=frame, frame_det=frame_det,
+        det_g=det_g, sqrt_det_g=sqrt_det_g,
         residual_gauss_cross=cross, residual_C_symmetry=sym_C,
         residual_relsupport=max(r_psi, r_rho),
         residual_psi=r_psi, residual_rho=r_rho,
@@ -183,10 +247,10 @@ def t2_evolution_rhs(inv):
     """
     grid = inv.grid
     n = inv.n
-    H_i = grid.grad(inv.H)
-    TiHi = np.einsum("...i,...i->...", inv.T_up, H_i)
-    CTTT = np.einsum("...ijk,...i,...j,...k->...", inv.C_low,
-                     inv.T_up, inv.T_up, inv.T_up)
+    T_up = _comp_first(inv.T_up, 1)
+    TiHi = np.einsum("...i,i...->...", grid.grad(inv.H), T_up)
+    CTT = np.einsum("ijk...,j...,k...->i...", _comp_first(inv.C_low, 3), T_up, T_up)
+    CTTT = np.einsum("i...,i...->...", CTT, T_up)
     return TiHi + 2.0 * (1.0 + 1.0 / n) * inv.norm_T2 - CTTT
 
 
@@ -195,15 +259,20 @@ def covariant_grad(grid, tensor, Gam):
 
     rank 1: out[..., i, j]    = d_j T_i  - Gam^p_ij T_p
     rank 2: out[..., i, j, l] = d_l S_ij - Gam^p_il S_pj - Gam^p_jl S_ip
+    Node-first in and out, like the InvariantFields it is fed.
     """
     rank = np.asarray(tensor).ndim - len(grid.shape)
-    d = grid.grad(tensor)
+    if rank not in (1, 2):
+        raise Unsupported("covariant_grad handles rank 1 and 2 fields only")
+    d = _comp_first(grid.grad(tensor), rank + 1)
+    S = _comp_first(tensor, rank)
+    G = _comp_first(Gam, 3)
     if rank == 1:
-        return d - np.einsum("...pij,...p->...ij", Gam, tensor)
-    if rank == 2:
-        return (d - np.einsum("...pil,...pj->...ijl", Gam, tensor)
-                - np.einsum("...pjl,...ip->...ijl", Gam, tensor))
-    raise Unsupported("covariant_grad handles rank 1 and 2 fields only")
+        out = d - np.einsum("pij...,p...->ij...", G, S)
+    else:
+        out = (d - np.einsum("pil...,pj...->ijl...", G, S)
+               - np.einsum("pjl...,ip...->ijl...", G, S))
+    return _node_first(out, rank + 1)
 
 
 def c_evolution_rhs(inv):
@@ -223,20 +292,25 @@ def c_evolution_rhs(inv):
     For n=1 the two lines are algebraically consistent: lowering the mixed
     rhs with g and adding C^l_ij d/dt g_lk = C^l_ij T_p C^p_lk recovers the
     lowered rhs exactly (no curvature commutators in one dimension).
+    Node-first (..., n, n, n) results, like the InvariantFields.
     """
     S = covariant_grad(inv.grid, inv.T_low, inv.gamma)      # T_{i;j}
-    U = covariant_grad(inv.grid, S, inv.gamma)              # T_{i;jl}
-    up = np.einsum("...kl,...lij->...kij", inv.g_inv, U)    # T^k_{;ij}
-    rhs_mixed = 0.5 * (up + np.swapaxes(up, -2, -1)
-                       - np.einsum("...kl,...ijl->...kij", inv.g_inv, U))
+    U = _comp_first(covariant_grad(inv.grid, S, inv.gamma), 3)   # T_{i;jl}
+    ginv = _comp_first(inv.g_inv, 2)
+    g = _comp_first(inv.g, 2)
+    T = _comp_first(inv.T_low, 1)
+    C = _comp_first(inv.C_mixed, 3)
+    up = np.einsum("kl...,lij...->kij...", ginv, U)          # T^k_{;ij}
+    rhs_mixed = 0.5 * (up + up.swapaxes(1, 2)
+                       - np.einsum("kl...,ijl...->kij...", ginv, U))
     eye = np.eye(inv.n)
-    rhs_mixed = rhs_mixed + np.einsum("...i,kj->...kij", inv.T_low, eye) \
-        + np.einsum("...j,ki->...kij", inv.T_low, eye)
-    TC = np.einsum("...l,...lpj->...pj", inv.T_low, inv.C_mixed)  # T_l C^l_pj
+    rhs_mixed += np.einsum("i...,kj->kij...", T, eye) \
+        + np.einsum("j...,ki->kij...", T, eye)
+    TC = np.einsum("l...,lpj...->pj...", T, C)                # T_l C^l_pj
     rhs_low = 0.5 * U \
-        + 0.5 * np.einsum("...pik,...pj->...ijk", inv.C_mixed, TC) \
-        + 0.5 * np.einsum("...pjk,...ip->...ijk", inv.C_mixed, TC) \
-        + 0.5 * np.einsum("...ik,...j->...ijk", inv.g, inv.T_low) \
-        + 0.5 * np.einsum("...jk,...i->...ijk", inv.g, inv.T_low) \
-        + np.einsum("...ij,...k->...ijk", inv.g, inv.T_low)
-    return rhs_mixed, rhs_low
+        + 0.5 * np.einsum("pik...,pj...->ijk...", C, TC) \
+        + 0.5 * np.einsum("pjk...,ip...->ijk...", C, TC) \
+        + 0.5 * np.einsum("ik...,j...->ijk...", g, T) \
+        + 0.5 * np.einsum("jk...,i...->ijk...", g, T) \
+        + np.einsum("ij...,k...->ijk...", g, T)
+    return _node_first(rhs_mixed, 3), _node_first(rhs_low, 3)

@@ -118,12 +118,17 @@ def require_convex(field, D2=None, eps=1e-10):
     return m
 
 
-def gradient_norm(field):
-    """Per-node |grad s| on the sphere (tangential gradient)."""
+def gradient_norm(field, X=None):
+    """Per-node |grad s| on the sphere (tangential gradient).
+
+    X is the field's embedding when the caller already has it (as
+    curvature_matrix takes D2); the circle reads |s'| and ignores it.
+    """
     g = field.grid
     if field.n == 1:
         return np.abs(g.deriv(field.s, 1))
-    X = embed(field)
+    if X is None:
+        X = embed(field)
     gr = X - field.s[..., None] * g.nodes
     return np.linalg.norm(gr, axis=-1)
 

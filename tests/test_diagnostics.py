@@ -19,6 +19,7 @@ from centroflow.flow import StepControl, evolve
 from centroflow.grids import CircleGrid, CubedSphereGrid
 from centroflow.support import SupportField, fourier_support
 from centroflow import invariants as inva
+from centroflow import support
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,12 @@ def gentle_run(circle192):
 @pytest.fixture(scope="module")
 def gentle_bundle(gentle_run):
     return SeriesBundle(gentle_run)
+
+
+@pytest.fixture(scope="module")
+def sphere_run(sphere17):
+    f = SupportField(sphere17, s=1.0 + 0.05 * np.prod(sphere17.nodes, axis=-1))
+    return evolve(f, StepControl(t_end=0.002, snapshot_interval=0.001))
 
 
 class TestBoundCheck:
@@ -106,6 +113,22 @@ class TestChecks:
 
     def test_gradient_bound(self, gentle_run):
         assert check_c1(gentle_run).verdict == "Holds"
+
+    def test_gradient_bound_from_bundle_is_bitwise(self, gentle_run, gentle_bundle,
+                                                   sphere_run):
+        for traj, bundle in ((gentle_run, gentle_bundle),
+                             (sphere_run, SeriesBundle(sphere_run))):
+            with_bundle = check_c1(traj, bundle)
+            assert with_bundle.verdict == "Holds"
+            assert np.array_equal(with_bundle.margins, check_c1(traj).margins)
+
+    def test_run_report_embeds_once_per_snapshot(self, monkeypatch, sphere_run):
+        # the bundle's invariants embed each snapshot; check_c1 reuses it
+        calls = []
+        embed = support.embed
+        monkeypatch.setattr(support, "embed", lambda field: calls.append(1) or embed(field))
+        run_report(sphere_run)
+        assert len(calls) == len(sphere_run.snapshots) >= 3
 
     def test_pinch(self, gentle_run):
         L, pinch = check_pinch(gentle_run)

@@ -6,12 +6,19 @@ M=33. Curve quantities are spectrally accurate; sphere quantities carry
 4th-order chart truncation, tolerances sit ~3x above the measured error.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
 from centroflow.flow import rhs
 from centroflow.grids import CircleGrid
-from centroflow.invariants import compute_invariants, t2_evolution_rhs
+from centroflow.invariants import (
+    compute_invariants,
+    cross_normal,
+    inv_det,
+    t2_evolution_rhs,
+)
 from centroflow.support import SupportField, apply_linear_map, ellipsoid_support, fourier_support
 from conftest import random_spd
 
@@ -203,3 +210,96 @@ class TestEquivariance:
         th_bar = np.arctan2(q[:, 1], q[:, 0])
         psi_pull = g.interpolate(ivA.psi, th_bar) * detA ** 2
         assert np.max(np.abs(psi_pull - iv.psi)) < 1e-8
+
+
+def _bumpy(grid):
+    if grid.n == 1:
+        return fourier_support(grid, 1.0, a=[0.05, 0.0, 0.1], b=[0.0, 0.03])
+    return SupportField(grid, s=1.0 + 0.1 * np.prod(grid.nodes, axis=-1)
+                        + 0.05 * grid.nodes[..., 0] ** 2)
+
+
+GRIDS = ["circle64", "sphere17"]
+
+
+class TestKernels:
+    """The closed-form kernels against LAPACK on random component-first fields."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_inv_det_matches_linalg(self, rng, k):
+        A = rng.standard_normal((500, k, k))
+        spd = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(k)
+        inv, det = inv_det(np.moveaxis(spd, (-2, -1), (0, 1)))
+        want_inv = np.linalg.inv(spd)
+        want_det = np.linalg.det(spd)
+        assert inv.shape == (k, k, 500) and det.shape == (500,)
+        np.testing.assert_allclose(np.moveaxis(inv, (0, 1), (-2, -1)), want_inv,
+                                   rtol=1e-13, atol=1e-13 * np.abs(want_inv).max())
+        np.testing.assert_allclose(det, want_det, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bracket_is_column_replaced_det(self, rng, d):
+        # frames with columns X_1..X_n, X; [X_1..X_n, Y] = det of the frame
+        # whose last column is replaced by Y
+        F = rng.standard_normal((500, d, d))
+        Y = rng.standard_normal((500, d))
+        normal = cross_normal(np.moveaxis(F[..., :d - 1], (-1, -2), (0, 1)))
+        assert normal.shape == (d, 500)
+        got = np.einsum("a...,...a->...", normal, Y)
+        F[..., d - 1] = Y
+        want = np.linalg.det(F)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+class TestLayout:
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_node_first_shapes(self, request, grid):
+        g = request.getfixturevalue(grid)
+        f = _bumpy(g)
+        iv = compute_invariants(f)
+        n, sh = g.n, g.shape
+        want = {"g": (n, n), "g_inv": (n, n), "gamma_hat": (n, n, n),
+                "gamma": (n, n, n), "C_mixed": (n, n, n), "C_low": (n, n, n),
+                "T_low": (n,), "T_up": (n,), "X": (n + 1,), "frame": (n + 1, n + 1),
+                "norm_T2": (), "norm_C2": (), "psi": (), "rho": (), "H": (),
+                "det_g": (), "sqrt_det_g": (), "frame_det": (),
+                "det_curvature": (), "gauss_K": ()}
+        for name, comp in want.items():
+            assert getattr(iv, name).shape == sh + comp, name
+        assert iv.curvature.shape == g.graph_hessian(f.u).shape
+        for name in ("J", "chi"):
+            assert (getattr(iv, name) is None) if n == 1 else getattr(iv, name).shape == sh
+        # the views index the right components: g^{-1} g = id, T^i = g^{ij} T_j
+        eye = np.matmul(iv.g_inv, iv.g)
+        assert np.max(np.abs(eye - np.eye(n))) < 1e-12
+        T_up = np.matmul(iv.g_inv, iv.T_low[..., None])[..., 0]
+        assert np.max(np.abs(T_up - iv.T_up)) < 1e-12 * max(1.0, np.abs(iv.T_up).max())
+
+
+class TestGaussRoutes:
+    """LU is the one primary route; the bracket cross-check stays independent of it."""
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_one_solve_no_inv_or_det(self, request, monkeypatch, grid):
+        f = _bumpy(request.getfixturevalue(grid))
+        calls = collections.Counter()
+        for name in ("solve", "inv", "det"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, _name=name, **kw:
+                                calls.update([_name]) or _real(*a, **kw))
+        compute_invariants(f)
+        assert calls == {"solve": 1}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_shifted_solve_shows_in_cross_check(self, request, monkeypatch, grid):
+        f = _bumpy(request.getfixturevalue(grid))
+        assert compute_invariants(f).residual_gauss_cross < 1e-12
+        solve = np.linalg.solve
+
+        def shifted(a, b):
+            out = solve(a, b)
+            out[..., -1, :] -= 1e-8   # the X row holds -g_ij: g moves by 1e-8
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", shifted)
+        assert compute_invariants(f).residual_gauss_cross > 1e-9
