@@ -9,6 +9,7 @@ trip halfway through a run.
 
 import copy
 import json
+import math
 import os
 
 import numpy as np
@@ -38,9 +39,19 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_number(v):
+    """A JSON number with a finite float value; true/false load as bool, an int."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _positive_real(cfg, key, upper=None):
     v = cfg[key]
-    _require(isinstance(v, (int, float)) and np.isfinite(v) and v > 0,
+    _require(_is_number(v) and v > 0,
              f"'{key}' must be a positive finite number, got {v!r}")
     if upper is not None:
         _require(v <= upper, f"'{key}' must be <= {upper}, got {v!r}")
@@ -63,7 +74,7 @@ def validate(raw):
     unknown = set(cfg) - known
     _require(not unknown, f"unknown config fields: {sorted(unknown)}")
 
-    _require(cfg.get("n") in (1, 2), "'n' must be 1 or 2")
+    _require(_is_number(cfg.get("n")) and cfg["n"] in (1, 2), "'n' must be 1 or 2")
     n = cfg["n"]
     res = cfg.get("resolution")
     _require(isinstance(res, int) and not isinstance(res, bool),
@@ -102,10 +113,14 @@ def validate(raw):
         _require(has_m != has_r,
                  "ellipsoid initial takes exactly one of 'matrix' or 'radius'")
         if has_r:
-            _require(isinstance(params["radius"], (int, float))
-                     and params["radius"] > 0, "'radius' must be positive")
+            _require(_is_number(params["radius"]) and params["radius"] > 0,
+                     "'radius' must be positive")
         else:
-            Q = np.asarray(params["matrix"], dtype=float)
+            rows = params["matrix"]
+            _require(isinstance(rows, list)
+                     and all(isinstance(r, list) and all(_is_number(x) for x in r)
+                             for r in rows), "'matrix' must be a list of rows of numbers")
+            Q = np.asarray(rows, dtype=float)
             _require(Q.shape == (n + 1, n + 1),
                      f"'matrix' must be {(n + 1)}x{(n + 1)}")
             _require(np.allclose(Q, Q.T, atol=1e-12), "'matrix' must be symmetric")
@@ -114,12 +129,11 @@ def validate(raw):
     elif kind == "fourier":
         _require(n == 1, "fourier initial data is only defined for n=1")
         _require("c0" in params, "fourier initial needs 'c0'")
-        _require(isinstance(params["c0"], (int, float)) and params["c0"] > 0,
-                 "'c0' must be positive")
+        _require(_is_number(params["c0"]) and params["c0"] > 0, "'c0' must be positive")
         for key in ("a", "b"):
             coeffs = params.get(key, [])
             _require(isinstance(coeffs, list)
-                     and all(isinstance(c, (int, float)) for c in coeffs),
+                     and all(_is_number(c) for c in coeffs),
                      f"fourier '{key}' must be a list of numbers")
             _require(len(coeffs) < res // 2,
                      f"fourier '{key}' has more modes than the grid resolves")

@@ -2,10 +2,11 @@
 
 Bound checks (inequalities with margins) run at 1e-8 relative tolerance;
 identity checks involve centered time differences of invariant series and run
-at 5% relative tolerance.  Tensor evolution identities are checked through
-scalar contractions: the area law (trace of the metric evolution), the
-integral |T|^2 law, and the pointwise |T|^2 law at its spatial maximum, where
-tangential reparametrization of a scalar drops out to first order.
+at 5% relative tolerance (the area identity at 1%).  Tensor evolution
+identities are checked through scalar contractions: the area law (trace of the
+metric evolution), the integral |T|^2 law, and the pointwise |T|^2 law at its
+spatial maximum, where tangential reparametrization of a scalar drops out to
+first order.
 """
 
 import numpy as np
@@ -15,6 +16,14 @@ from . import oracles
 # curvature_matrix is not called here; the module keeps the binding because
 # perfbench/test_perfbench.py checks that the tracer rebinds it
 from .support import curvature_matrix, gradient_norm  # noqa: F401
+
+BOUND_TOL = 1e-8              # c0 growth, gradient and sup |T|^2 bounds
+PINCH_EPS = 1e-10             # floor of the smallest curvature eigenvalue
+AREA_MONO_TOL = 1e-10         # slack of area_monotone
+AREA_IDENT_TOL = 0.01         # relative tolerance of area_identity
+AREA_ISO_TOL = 1e-6           # slack on the isoperimetric ceiling
+TCHEBYCHEV_IDENT_TOL = 0.05   # relative tolerance of tchebychev_identity
+STATIONARY_DRIFT_TOL = 1e-6   # relative drift of s that classify calls Stationary
 
 SPHERE_AREA = {1: 2.0 * np.pi, 2: 4.0 * np.pi}
 
@@ -125,7 +134,7 @@ class SeriesBundle:
                 for k in range(len(self.t))]
 
 
-def check_c0(traj, tol=1e-8):
+def check_c0(traj):
     """Double-exponential growth bounds on min/max of s.
 
     Anchored at snapshot 0 for plain runs; for renormalized runs each interval
@@ -151,11 +160,11 @@ def check_c0(traj, tol=1e-8):
         smax = traj.snapshots[k].field.max_s()
         lo_m.append((smin - lower) / max(abs(lower), 1e-300))
         hi_m.append((upper - smax) / max(abs(upper), 1e-300))
-    return (BoundCheck("support_lower_growth_bound", lo_m, tol),
-            BoundCheck("support_upper_growth_bound", hi_m, tol))
+    return (BoundCheck("support_lower_growth_bound", lo_m, BOUND_TOL),
+            BoundCheck("support_upper_growth_bound", hi_m, BOUND_TOL))
 
 
-def check_c1(traj, bundle=None, tol=1e-8):
+def check_c1(traj, bundle=None):
     """max |grad s| <= running max of s (gradient bound from convexity).
 
     With a bundle, each snapshot's embedding comes from its invariants.
@@ -166,51 +175,51 @@ def check_c1(traj, bundle=None, tol=1e-8):
         X = bundle.inv[k].X if bundle is not None else None
         run_max = max(run_max, st.field.max_s())
         margins.append(run_max - float(np.max(gradient_norm(st.field, X))))
-    return BoundCheck("gradient_bound", margins, tol)
+    return BoundCheck("gradient_bound", margins, BOUND_TOL)
 
 
-def check_pinch(traj, bundle=None, eps_cvx=1e-10):
+def check_pinch(traj, bundle=None):
     """Positivity of the curvature matrix over the run; reports empirical L."""
     if bundle is None:
         bundle = SeriesBundle(traj)
     lo, hi = bundle.eig_min_b, bundle.eig_max_b
     L = max(float(np.max(hi)), 1.0 / float(np.min(lo))) if np.min(lo) > 0 else np.inf
-    margins = [v - eps_cvx for v in lo]
+    margins = [v - PINCH_EPS for v in lo]
     return float(L), BoundCheck("curvature_pinch_positive", margins, 0.0)
 
 
-def check_area_law(traj, bundle, tol_mono=1e-10, tol_ident=0.01, tol_iso=1e-6):
+def check_area_law(traj, bundle):
     """(monotone, identity, isoperimetric) verdicts for the area series."""
     A = bundle.area
     mono = BoundCheck("area_monotone", A[1:] - A[:-1] if len(A) > 1 else [0.0],
-                      tol_mono)
+                      AREA_MONO_TOL)
     # identity margin convention: tol*max(1, rhs) - |diff| >= 0 means holds
     idm = []
     for k in range(1, len(A) - 1):
         dt2 = bundle.t[k + 1] - bundle.t[k - 1]
         dA = (A[k + 1] - A[k - 1]) / dt2
-        idm.append(tol_ident * max(1.0, bundle.area_rhs[k])
+        idm.append(AREA_IDENT_TOL * max(1.0, bundle.area_rhs[k])
                    - abs(dA - bundle.area_rhs[k]))
     ident = BoundCheck("area_identity", idm if idm else [0.0], 0.0)
     iso = BoundCheck("area_isoperimetric",
-                     SPHERE_AREA[bundle.n] + tol_iso - A, 0.0)
+                     SPHERE_AREA[bundle.n] + AREA_ISO_TOL - A, 0.0)
     return mono, ident, iso
 
 
-def check_tchebychev_laws(traj, bundle, tol=1e-8, ident_tol=0.05, decay_ratio=0.1):
+def check_tchebychev_laws(traj, bundle, decay_ratio=0.1):
     """A-priori sup |T|^2 bound, pointwise evolution identity, decay trend."""
     n = bundle.n
     bound = max((n + 3.0) / n, bundle.supT2[0])
-    bcheck = BoundCheck("tchebychev_sup_bound", bound + tol - bundle.supT2, 0.0)
+    bcheck = BoundCheck("tchebychev_sup_bound", bound + BOUND_TOL - bundle.supT2, 0.0)
     interior = bundle.r_supT2[1:-1] if len(bundle.t) >= 3 else np.array([])
     ident = BoundCheck("tchebychev_identity",
-                       ident_tol - interior if interior.size else [0.0], 0.0)
+                       TCHEBYCHEV_IDENT_TOL - interior if interior.size else [0.0], 0.0)
     decay = BoundCheck("tchebychev_decay",
                        [decay_ratio * bundle.supT2[0] - bundle.supT2[-1]], 0.0)
     return bcheck, ident, decay
 
 
-def classify(traj, drift_tol=1e-6):
+def classify(traj):
     """Shrinking / Expanding / Stationary / Undetermined from the s series."""
     if traj.termination == "Extinction":
         return "Shrinking"
@@ -218,7 +227,7 @@ def classify(traj, drift_tol=1e-6):
         return "Expanding"
     s0 = traj.snapshots[0].field.s
     drift = max(float(np.max(np.abs(st.field.s - s0))) for st in traj.snapshots)
-    if drift / max(float(np.max(np.abs(s0))), 1e-300) <= drift_tol:
+    if drift / max(float(np.max(np.abs(s0))), 1e-300) <= STATIONARY_DRIFT_TOL:
         return "Stationary"
     max_s = np.array([st.field.max_s() for st in traj.snapshots])
     min_s = np.array([st.field.min_s() for st in traj.snapshots])

@@ -38,11 +38,10 @@ class StepControl:
 
 
 class FlowState:
-    def __init__(self, t, field, step_count=0, last_dt=0.0):
+    def __init__(self, t, field, step_count=0):
         self.t = t
         self.field = field
         self.step_count = step_count
-        self.last_dt = last_dt
 
 
 class Trajectory:
@@ -60,7 +59,6 @@ class Trajectory:
         if renorm_factors is None:
             renorm_factors = [1.0] * len(snapshots)
         self.renorm_factors = renorm_factors
-        self.diagnostics = {}
 
     @property
     def times(self):
@@ -89,8 +87,7 @@ def _rhs_values(field, convexity_floor=0.0, D2=None):
     if field.n == 1:
         out = 0.5 * u * np.log(u**3 * D2)
     else:
-        det = D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] ** 2
-        ratio = det / g.ref_det
+        ratio = g.sym_det(D2) / g.ref_det
         srel = u / g.w
         out = 0.25 * u * np.log(ratio) + u * np.log(srel)
         # same value grouped as w * s_t; the two must agree to rounding
@@ -163,7 +160,12 @@ def step(state, dt, control, _hessian=None):
     _sync(fnew)
     if not np.all(np.isfinite(fnew.u)):
         raise NumericalBlowup("non-finite state after step")
-    return FlowState(state.t + dt, fnew, state.step_count + 1, dt)
+    return FlowState(state.t + dt, fnew, state.step_count + 1)
+
+
+# the termination a guard error raised by stable_dt or step ends the run with
+_GUARD_TERMINATION = {ConvexityLost: "ConvexityLost", OriginCrossed: "Extinction",
+                      NumericalBlowup: "NumericalBlowup"}
 
 
 def _renormalize(field):
@@ -183,12 +185,17 @@ def evolve(field0, control, renormalize=False):
     """
     state = FlowState(0.0, field0.copy())
     _sync(state.field)
-    snapshots = [FlowState(state.t, state.field.copy())]
-    factors = [1.0]
-    if renormalize:
-        factors[-1] = state.field.max_s()
-        state = FlowState(state.t, _renormalize(state.field),
-                          state.step_count, state.last_dt)
+    snapshots, factors = [], []
+
+    def record():
+        nonlocal state
+        snapshots.append(FlowState(state.t, state.field.copy(), state.step_count))
+        factors.append(1.0)
+        if renormalize:
+            factors[-1] = state.field.max_s()
+            state = FlowState(state.t, _renormalize(state.field), state.step_count)
+
+    record()
     interval = control.snapshot_interval
     next_idx = 1
     termination = "ReachedTEnd"
@@ -202,42 +209,23 @@ def evolve(field0, control, renormalize=False):
             break
         D2 = state.field.grid.graph_hessian(state.field.u)
         try:
-            dt_bound = stable_dt(state.field, control, D2)
-        except NumericalBlowup:
-            termination = "NumericalBlowup"
-            break
-        dt = dt_bound
-        record = False
-        target = control.t_end
-        if interval and interval > 0:
-            target = min(target, next_idx * interval)
-        if state.t + dt >= target - 1e-13:
-            dt = target - state.t
-            record = True
-        try:
+            dt = stable_dt(state.field, control, D2)
+            target = control.t_end
+            if interval and interval > 0:
+                target = min(target, next_idx * interval)
+            landed = state.t + dt >= target - 1e-13
+            if landed:
+                dt = target - state.t
             state = step(state, dt, control, D2)
-        except ConvexityLost:
-            termination = "ConvexityLost"
+        except tuple(_GUARD_TERMINATION) as exc:
+            termination = _GUARD_TERMINATION[type(exc)]
             break
-        except OriginCrossed:
-            termination = "Extinction"
-            break
-        except NumericalBlowup:
-            termination = "NumericalBlowup"
-            break
-        if record:
+        if landed:
             if interval and interval > 0 and abs(state.t - next_idx * interval) < 1e-12:
                 next_idx += 1
-            snapshots.append(FlowState(state.t, state.field.copy(),
-                                       state.step_count, state.last_dt))
-            factors.append(1.0)
-            if renormalize:
-                factors[-1] = state.field.max_s()
-                state = FlowState(state.t, _renormalize(state.field),
-                                  state.step_count, state.last_dt)
+            record()
     if abs(snapshots[-1].t - state.t) > 1e-13:
-        snapshots.append(FlowState(state.t, state.field.copy(),
-                                   state.step_count, state.last_dt))
+        snapshots.append(FlowState(state.t, state.field.copy(), state.step_count))
         factors.append(1.0)
     return Trajectory(snapshots, termination, state.step_count, factors)
 

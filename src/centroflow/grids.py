@@ -145,10 +145,15 @@ class CircleGrid:
         return th, max(val, vmax)
 
 
+def sym_det(D2):
+    """Determinant of 2x2 fields (the pair axes last)."""
+    return D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
+
+
 def hessian_eigs(D2):
     """Eigenvalues (min, max) of symmetric 2x2 fields, closed form."""
     tr = D2[..., 0, 0] + D2[..., 1, 1]
-    det = D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
+    det = sym_det(D2)
     disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
     return tr / 2 - disc, tr / 2 + disc
 
@@ -164,6 +169,16 @@ def _lagrange_weights(xs, xq):
                 continue
             w[..., m] *= (xq - xs[..., l]) / (xs[..., m] - xs[..., l])
     return w
+
+
+def _sym2(f11, f12, f22):
+    """Symmetric 2x2 field [[f11, f12], [f12, f22]], pair axes after the node axes."""
+    out = np.empty(f11.shape[:3] + (2, 2) + f11.shape[3:])
+    out[:, :, :, 0, 0] = f11
+    out[:, :, :, 0, 1] = f12
+    out[:, :, :, 1, 0] = f12
+    out[:, :, :, 1, 1] = f22
+    return out
 
 
 class CubedSphereGrid:
@@ -207,9 +222,7 @@ class CubedSphereGrid:
         # reference chart factor processed through the same extend+stencil
         # pipeline as any graph field; fields are compared against it so that
         # every exact sphere is an exact discrete fixed point of the flow
-        wext = self.extend(self.w, kind="deg1")
-        _, _, w11, w12, w22 = self.chart_derivs_from_ext(wext)
-        self.ref_det = w11 * w22 - w12 * w12
+        self.ref_det = self.sym_det(self.graph_hessian(self.w))
 
     # ---------- quadrature ----------
 
@@ -244,6 +257,29 @@ class CubedSphereGrid:
 
     # ---------- halo exchange ----------
 
+    def _stencil(self, points):
+        """Degree-7 interpolation stencils at points (P,3), directions of any length.
+
+        Returns the owner face (P,), the owner-chart coordinates (P,2), the
+        NSTEN x NSTEN owner-chart patch as flat node indices (P,NSTEN,NSTEN)
+        and the Lagrange weight rows along chart axes 1 and 2 (P,NSTEN) each.
+        The degree keeps a halo ghost's error below the h^4 stencil truncation
+        even after a second differentiation (see d1_face).
+        """
+        M = self.M
+        dots = points @ self.axes.T
+        owner = np.argmax(dots, axis=1)
+        alpha = np.take_along_axis(dots, owner[:, None], axis=1)[:, 0]
+        yq = np.einsum("pk,pck->pc", points, self.tangents[owner]) / alpha[:, None]
+        start = np.clip(np.floor((yq + 1.0) / self.h).astype(np.int64)
+                        - (NSTEN // 2 - 1), 0, M - NSTEN)
+        pi = start[:, 0, None] + np.arange(NSTEN)
+        pj = start[:, 1, None] + np.arange(NSTEN)
+        src = (owner[:, None, None] * M + pi[:, :, None]) * M + pj[:, None, :]
+        w1 = _lagrange_weights(self.ys[pi], yq[:, 0])
+        w2 = _lagrange_weights(self.ys[pj], yq[:, 1])
+        return owner, yq, src, w1, w2
+
     def _build_halo_tables(self):
         M, h, H = self.M, self.h, HALO
         E = M + 2 * H
@@ -253,49 +289,19 @@ class CubedSphereGrid:
         gi, gj = np.meshgrid(np.arange(E), np.arange(E), indexing="ij")
         ghost_mask = (gi < H) | (gi >= M + H) | (gj < H) | (gj >= M + H)
         gi, gj = gi[ghost_mask], gj[ghost_mask]            # per-face ghost positions
-        G = gi.size
 
-        owner = np.empty((6, G), dtype=np.int64)
-        start = np.empty((6, G, 2), dtype=np.int64)
-        lagw = np.empty((6, G, 2, NSTEN))
-        znorm = np.empty((6, G))
-
-        for f in range(6):
-            a = self.axes[f]
-            t = self.tangents[f]
-            z = a[None, :] + yg[gi][:, None] * t[0] + yg[gj][:, None] * t[1]
-            znorm[f] = np.linalg.norm(z, axis=1)
-            dots = z @ self.axes.T                          # (G,6)
-            owner[f] = np.argmax(dots, axis=1)
-            if np.any(owner[f] == f):
-                raise GridError("halo ghost mapped to its own face")
-            ao = self.axes[owner[f]]                        # (G,3)
-            to = self.tangents[owner[f]]                    # (G,2,3)
-            alpha = np.einsum("gk,gk->g", z, ao)
-            yp = np.einsum("gk,gck->gc", z, to) / alpha[:, None]
-            if np.any(np.abs(yp) > 1.0 + 1e-12):
-                raise GridError("halo ghost fell outside the owner chart")
-            # high-order interpolation stencils in the owner chart; the ghost
-            # value error must stay below the h^4 stencil truncation even
-            # after a second differentiation (see d1_face)
-            idx = np.clip(np.floor((yp + 1.0) / h).astype(np.int64)
-                          - (NSTEN // 2 - 1), 0, M - NSTEN)
-            start[f] = idx
-            for c in range(2):
-                xs = self.ys[idx[:, c][:, None] + np.arange(NSTEN)[None, :]]
-                lagw[f, :, c, :] = _lagrange_weights(xs, yp[:, c])
-
-        # one flat table over all 6*G ghosts: the NSTEN x NSTEN owner-chart
-        # patch as flat node indices, the ghost's flat slot in the extended
-        # array, the two Lagrange weight rows and the deg1 rescale |z|
-        pi = start[..., 0, None] + np.arange(NSTEN)          # (6,G,NSTEN)
-        pj = start[..., 1, None] + np.arange(NSTEN)
-        src = (owner[..., None, None] * M + pi[..., :, None]) * M + pj[..., None, :]
-        self._halo_src = src.reshape(6 * G, NSTEN, NSTEN)
+        # one flat table over all 6*G ghosts, face-major: the owner-chart
+        # stencil, the ghost's flat slot in the extended array and the deg1
+        # rescale |z|
+        z = (self.axes[:, None, :] + yg[gi][None, :, None] * self.tangents[:, None, 0, :]
+             + yg[gj][None, :, None] * self.tangents[:, None, 1, :]).reshape(-1, 3)
+        owner, yp, self._halo_src, self._halo_w1, self._halo_w2 = self._stencil(z)
+        if np.any(owner == np.repeat(np.arange(6), gi.size)):
+            raise GridError("halo ghost mapped to its own face")
+        if np.any(np.abs(yp) > 1.0 + 1e-12):
+            raise GridError("halo ghost fell outside the owner chart")
         self._halo_dst = ((np.arange(6)[:, None] * E + gi) * E + gj).reshape(-1)
-        self._halo_w1 = lagw[:, :, 0].reshape(6 * G, NSTEN)
-        self._halo_w2 = lagw[:, :, 1].reshape(6 * G, NSTEN)
-        self._halo_znorm = znorm.reshape(-1)
+        self._halo_znorm = np.linalg.norm(z, axis=1)
 
     def extend(self, values, kind="scalar"):
         """Pad a per-face field with a width-2 halo filled from neighbor faces.
@@ -329,50 +335,40 @@ class CubedSphereGrid:
 
     # ---------- stencils ----------
 
+    @staticmethod
+    def _taps(ext, axis):
+        """The five offset views ext[k : k + len - 4] (k = 0..4) along axis."""
+        L = ext.shape[axis] - 4
+        lead = (slice(None),) * (axis % ext.ndim)
+        return [ext[lead + (slice(k, k + L),)] for k in range(5)]
+
     def d1(self, ext, axis):
-        """4th-order first derivative along chart axis (1 or 2), consumes the halo."""
-        c = 1.0 / (12.0 * self.h)
-        if axis == 1:
-            return c * (ext[:, :-4] - 8 * ext[:, 1:-3] + 8 * ext[:, 3:-1] - ext[:, 4:])
-        return c * (ext[:, :, :-4] - 8 * ext[:, :, 1:-3]
-                    + 8 * ext[:, :, 3:-1] - ext[:, :, 4:])
+        """4th-order first derivative along array axis (chart axis 1 or 2), consumes the halo."""
+        a, b, _, d, e = self._taps(ext, axis)
+        return (1.0 / (12.0 * self.h)) * (a - 8 * b + 8 * d - e)
 
     def d2(self, ext, axis):
-        c = 1.0 / (12.0 * self.h ** 2)
-        if axis == 1:
-            return c * (-ext[:, :-4] + 16 * ext[:, 1:-3] - 30 * ext[:, 2:-2]
-                        + 16 * ext[:, 3:-1] - ext[:, 4:])
-        return c * (-ext[:, :, :-4] + 16 * ext[:, :, 1:-3] - 30 * ext[:, :, 2:-2]
-                    + 16 * ext[:, :, 3:-1] - ext[:, :, 4:])
+        a, b, m, d, e = self._taps(ext, axis)
+        return (1.0 / (12.0 * self.h ** 2)) * (-a + 16 * b - 30 * m + 16 * d - e)
 
     def chart_derivs_from_ext(self, ext):
         """(f_1, f_2, f_11, f_12, f_22) on the interior nodes from an extended field."""
         H = HALO
-        f1 = self.d1(ext, 1)[:, :, H:-H]
+        e1 = self.d1(ext, 1)
         f2 = self.d1(ext, 2)[:, H:-H]
         f11 = self.d2(ext, 1)[:, :, H:-H]
         f22 = self.d2(ext, 2)[:, H:-H]
-        f12 = self.d1(self.d1(ext, 1), 2)
-        return f1, f2, f11, f12, f22
+        return e1[:, :, H:-H], f2, f11, self.d1(e1, 2), f22
 
     def chart_derivs(self, values, kind="scalar"):
         return self.chart_derivs_from_ext(self.extend(values, kind))
 
     def graph_hessian(self, u):
         """Chart Hessian D^2 u of graph values, shape (6,M,M,2,2)."""
-        _, _, u11, u12, u22 = self.chart_derivs(u, kind="deg1")
-        D2 = np.empty(u11.shape + (2, 2))
-        D2[..., 0, 0] = u11
-        D2[..., 0, 1] = u12
-        D2[..., 1, 0] = u12
-        D2[..., 1, 1] = u22
-        return D2
+        return _sym2(*self.chart_derivs(u, kind="deg1")[2:])
 
     sym_eigs = staticmethod(hessian_eigs)
-
-    @staticmethod
-    def sym_det(D2):
-        return D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
+    sym_det = staticmethod(sym_det)
 
     def to_frame(self, D2):
         """Orthonormal-frame components of b = hess s + s id: w P^{-T} D2 P^{-1}.
@@ -389,17 +385,11 @@ class CubedSphereGrid:
 
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), halo stencils."""
-        M = self.M
         f1, f2, f11, f12, f22 = self.chart_derivs(X, kind="scalar")
-        Xi = np.empty((6, M, M, 2, 3))
-        Xij = np.empty((6, M, M, 2, 2, 3))
+        Xi = np.empty((6, self.M, self.M, 2, 3))
         Xi[..., 0, :] = f1
         Xi[..., 1, :] = f2
-        Xij[..., 0, 0, :] = f11
-        Xij[..., 0, 1, :] = f12
-        Xij[..., 1, 0, :] = f12
-        Xij[..., 1, 1, :] = f22
-        return Xi, Xij
+        return Xi, _sym2(f11, f12, f22)
 
     def d1_face(self, values, axis):
         """4th-order chart derivative from same-face values only.
@@ -415,8 +405,7 @@ class CubedSphereGrid:
         v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
         out = np.empty_like(v)
         c = 1.0 / (12.0 * self.h)
-        out[..., 2:-2] = c * (v[..., :-4] - 8 * v[..., 1:-3]
-                              + 8 * v[..., 3:-1] - v[..., 4:])
+        out[..., 2:-2] = self.d1(v, -1)
         out[..., 0] = c * (-25 * v[..., 0] + 48 * v[..., 1] - 36 * v[..., 2]
                            + 16 * v[..., 3] - 3 * v[..., 4])
         out[..., 1] = c * (-3 * v[..., 0] - 10 * v[..., 1] + 18 * v[..., 2]
@@ -493,22 +482,9 @@ class CubedSphereGrid:
     def interpolate_at_directions(self, values, dirs):
         """Evaluate a per-node scalar field at unit directions (Q,3)."""
         dirs = np.asarray(dirs, dtype=float)
-        single = dirs.ndim == 1
-        p = np.atleast_2d(dirs)
-        dots = p @ self.axes.T
-        own = np.argmax(dots, axis=1)
-        alpha = np.take_along_axis(dots, own[:, None], axis=1)[:, 0]
-        to = self.tangents[own]
-        yq = np.einsum("qk,qck->qc", p, to) / alpha[:, None]
-        idx = np.clip(np.floor((yq + 1.0) / self.h).astype(np.int64)
-                      - (NSTEN // 2 - 1), 0, self.M - NSTEN)
-        w1 = _lagrange_weights(self.ys[idx[:, 0][:, None] + np.arange(NSTEN)], yq[:, 0])
-        w2 = _lagrange_weights(self.ys[idx[:, 1][:, None] + np.arange(NSTEN)], yq[:, 1])
-        s1 = idx[:, 0][:, None, None] + np.arange(NSTEN)[None, :, None]
-        s2 = idx[:, 1][:, None, None] + np.arange(NSTEN)[None, None, :]
-        patch = values[own[:, None, None], s1, s2]
-        out = np.einsum("qa,qb,qab->q", w1, w2, patch)
-        return float(out[0]) if single else out
+        _, _, src, w1, w2 = self._stencil(np.atleast_2d(dirs))
+        out = np.einsum("qa,qb,qab->q", w1, w2, np.reshape(values, -1)[src])
+        return float(out[0]) if dirs.ndim == 1 else out
 
 
 def make_grid(n, resolution):

@@ -96,7 +96,7 @@ def load_snapshot(path, grid=None):
     return t, SupportField(grid, s=values), doc.get("config_hash")
 
 
-def write_trajectory(outdir, traj, config, cfg_hash, wall_time, extra_meta=None):
+def write_trajectory(outdir, traj, config, cfg_hash, wall_time):
     """Snapshot directory + metadata; returns the snapshot dir path."""
     snapdir = os.path.join(outdir, SNAP_DIR)
     os.makedirs(snapdir, exist_ok=True)
@@ -112,8 +112,6 @@ def write_trajectory(outdir, traj, config, cfg_hash, wall_time, extra_meta=None)
         "snapshot_count": len(traj.snapshots),
         "wall_time_s": wall_time,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     with open(os.path.join(outdir, META_NAME), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -143,7 +141,7 @@ def load_trajectory(outdir):
         if snap_hash is not None and snap_hash != meta.get("config_hash"):
             raise ConfigError(f"snapshot {name} hash does not match metadata")
         grid = field.grid
-        states.append(FlowState(t=t, field=field, step_count=0, last_dt=0.0))
+        states.append(FlowState(t=t, field=field, step_count=0))
     if any(b.t <= a.t for a, b in zip(states, states[1:])):
         raise ConfigError("snapshot times are not strictly increasing")
     factors = meta.get("renorm_factors") or [1.0] * len(states)
@@ -189,11 +187,9 @@ def read_csv_rows(path):
     return rows, cfg_hash
 
 
-def write_report(path, report, cfg_hash, summary_extra=None):
+def write_report(path, report, cfg_hash):
     doc = report.to_dict()
     doc["config_hash"] = cfg_hash
-    if summary_extra:
-        doc["summary"].update(summary_extra)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -10,7 +10,9 @@ right-hand side need; on the circle w = 1 and u = s.
 import numpy as np
 
 from .errors import ConfigError, ConvexityLost, GridError
-from .grids import hessian_eigs  # noqa: F401  (re-exported)
+
+# smallest graph-Hessian eigenvalue require_convex accepts
+CONVEXITY_EPS = 1e-10
 
 
 class SupportField:
@@ -90,30 +92,26 @@ def embed(field):
             + (field.u - g.Y1[None] * u1 - g.Y2[None] * u2)[..., None] * a)
 
 
-def curvature_matrix(field, D2=None):
+def curvature_matrix(field):
     """Frame components of b = hess s + s id (SPD iff the body is convex).
 
     n=1 returns the scalar b = s + s''.  n=2 returns (6,M,M,2,2) in the
     orthonormal tangent frame: b = w * P^{-T} (D^2 u) P^{-1}.
     """
     g = field.grid
-    if D2 is None:
-        D2 = g.graph_hessian(field.u)
-    return g.to_frame(D2)
+    return g.to_frame(g.graph_hessian(field.u))
 
 
-def convexity_margin(field, D2=None):
+def convexity_margin(field):
     """Smallest graph-Hessian eigenvalue over the grid; > 0 means strictly convex."""
     g = field.grid
-    if D2 is None:
-        D2 = g.graph_hessian(field.u)
-    lo, _ = g.sym_eigs(D2)
+    lo, _ = g.sym_eigs(g.graph_hessian(field.u))
     return float(np.min(lo))
 
 
-def require_convex(field, D2=None, eps=1e-10):
-    m = convexity_margin(field, D2)
-    if not np.isfinite(m) or m <= eps:
+def require_convex(field):
+    m = convexity_margin(field)
+    if not np.isfinite(m) or m <= CONVEXITY_EPS:
         raise ConvexityLost("curvature matrix lost positivity", value=m)
     return m
 

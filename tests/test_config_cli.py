@@ -30,6 +30,30 @@ def flower_cfg(**over):
     return cfg
 
 
+RADIUS = {"kind": "ellipsoid", "params": {"radius": 1.0}}
+
+# (initial datum or None for FLOWER's, dotted path of a numeric field, a value
+# that is not a finite number: JSON booleans, and an int beyond the float range)
+NON_NUMBERS = [
+    (None, "n", True),
+    (None, "cfl", True),
+    (None, "dt_max", True),
+    (None, "t_end", True),
+    (None, "snapshot_interval", True),
+    (RADIUS, "stops.extinction_radius", True),
+    (RADIUS, "stops.blowup_radius", True),
+    (RADIUS, "stops.convexity_floor", True),
+    (RADIUS, "initial.params.radius", True),
+    ({"kind": "ellipsoid", "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+     "initial.params.matrix.0.0", True),
+    (None, "initial.params.c0", True),
+    (None, "initial.params.a.0", False),
+    ({"kind": "fourier", "params": {"c0": 1.0, "b": [0.0, 0.02]}},
+     "initial.params.b.0", False),
+    (None, "dt_max", 10 ** 400),
+]
+
+
 def write_cfg(path, cfg):
     with open(path, "w") as fh:
         json.dump(cfg, fh)
@@ -351,6 +375,16 @@ class TestCLI:
                              initial={"kind": "file", "params": {"path": str(path)}})
             argv = [command, "--config", write_cfg(tmp_path / "file.json", cfg)]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("initial, path, value", NON_NUMBERS,
+                             ids=[f"{path}={v if isinstance(v, bool) else '10**400'}"
+                                  for _, path, v in NON_NUMBERS])
+    def test_non_number_exits_2(self, tmp_path, initial, path, value):
+        cfg = validate(flower_cfg(**({"initial": initial} if initial else {})))
+        assert main(["validate-config", "--config", write_cfg(tmp_path / "ok.json", cfg)]) == 0
+        set_by_path(cfg, path, value)
+        bad = write_cfg(tmp_path / "bad.json", cfg)
+        assert main(["validate-config", "--config", bad]) == 2
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CENTROFLOW_OUTPUT_ROOT", str(tmp_path))

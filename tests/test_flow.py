@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from centroflow import flow
+from centroflow.errors import NumericalBlowup, OriginCrossed
 from centroflow.flow import (
     FlowState,
     StepControl,
@@ -129,6 +131,40 @@ class TestEvolveBookkeeping:
         traj = evolve(sphere_field(1, 0.5, 64), ctl)
         assert traj.termination == "ConvexityLost"
         assert 0 < traj.snapshots[-1].t < 1.0
+
+
+class TestGuardTermination:
+    @pytest.mark.parametrize("target, error, termination", [
+        ("step", OriginCrossed, "Extinction"),
+        ("step", NumericalBlowup, "NumericalBlowup"),
+        ("stable_dt", NumericalBlowup, "NumericalBlowup"),
+    ])
+    def test_guard_error_ends_at_last_state(self, monkeypatch, flower256,
+                                            target, error, termination):
+        # after three real steps, `target` raises the guard error; the run
+        # must end with the mapped termination at the third step's state
+        reached = []
+        real_step, real_stable_dt = flow.step, flow.stable_dt
+
+        def fake_step(*args):
+            if target == "step" and len(reached) == 3:
+                raise error("injected")
+            reached.append(real_step(*args))
+            return reached[-1]
+
+        def fake_stable_dt(*args):
+            if target == "stable_dt" and len(reached) == 3:
+                raise error("injected")
+            return real_stable_dt(*args)
+
+        monkeypatch.setattr(flow, "step", fake_step)
+        monkeypatch.setattr(flow, "stable_dt", fake_stable_dt)
+        traj = evolve(flower256, StepControl(t_end=1.0, snapshot_interval=0.5))
+        assert traj.termination == termination
+        assert traj.step_count == 3 and len(traj) == 2
+        last = traj.snapshots[-1]
+        assert last.step_count == 3 and last.t == reached[-1].t
+        assert np.array_equal(last.field.u, reached[-1].field.u)
 
 
 class TestRenormalization:

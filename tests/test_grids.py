@@ -246,6 +246,27 @@ class TestHaloTable:
         for c in range(3):
             assert np.array_equal(ext[..., c], g.extend(X[..., c]))
 
+    def test_ghosts_and_directions_match_a_smooth_field(self, sphere33):
+        # the halo table and interpolate_at_directions share one stencil
+        # builder, so both are checked against the field itself. Degree-7
+        # error measured at M=33 for this field: ghosts 1.8e-9, 2000 random
+        # directions 9.1e-9 (about 40 h^8); 3e-8 leaves a factor 3
+        def field(p):
+            x, y, z = p[..., 0], p[..., 1], p[..., 2]
+            return np.exp(0.4 * x) * (1.0 + 0.3 * y * z) + 0.2 * y ** 3
+
+        g = sphere33
+        s = field(g.nodes)
+        ghost, z = ghost_directions(g)
+        znorm = np.linalg.norm(z, axis=-1)
+        want = field(z / znorm[..., None])
+        assert np.max(np.abs(g.extend(s)[:, ghost] - want)) < 3e-8
+        assert np.max(np.abs(g.extend(g.w * s, kind="deg1")[:, ghost]
+                             - znorm * want)) < 3e-8
+        dirs = np.random.default_rng(11).standard_normal((2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        assert np.max(np.abs(g.interpolate_at_directions(s, dirs) - field(dirs))) < 3e-8
+
     def test_unknown_kind_rejected(self, sphere17):
         with pytest.raises(GridError):
             sphere17.extend(sphere17.w, kind="cov")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from centroflow.errors import ConfigError, ConvexityLost
+from centroflow.grids import hessian_eigs
 from centroflow.support import (
     SupportField,
     apply_linear_map,
@@ -11,7 +12,6 @@ from centroflow.support import (
     embed,
     fourier_support,
     gradient_norm,
-    hessian_eigs,
     homogeneity_residual,
     require_convex,
 )
