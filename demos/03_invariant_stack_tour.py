@@ -31,7 +31,7 @@ def stats(name, arr):
 
 
 def residuals(iv):
-    print(f"  frame cross-check     {iv.residual_gauss_cross:.3e}")
+    print(f"  Gauss reconstruction  {iv.residual_gauss_cross:.3e}")
     print(f"  C total symmetry      {iv.residual_C_symmetry:.3e}")
     print(f"  T vs grad log psi/rho {iv.residual_relsupport:.3e}")
 

@@ -234,10 +234,9 @@ def validate_sweep(raw):
                  "each axis needs a 'path' and a nonempty 'values' list")
         _walk_path(base, ax["path"])  # path must resolve in the base config
         size *= len(ax["values"])
-    _require(isinstance(spec["parallelism"], int) and spec["parallelism"] >= 1,
-             "'parallelism' must be a positive integer")
-    _require(isinstance(spec["max_cells"], int) and spec["max_cells"] >= 1,
-             "'max_cells' must be a positive integer")
+    for key in ("parallelism", "max_cells"):
+        _require(isinstance(spec[key], int) and not isinstance(spec[key], bool)
+                 and spec[key] >= 1, f"'{key}' must be a positive integer")
     _require(size <= spec["max_cells"],
              f"sweep would run {size} cells, cap is {spec['max_cells']}")
     spec["base"] = base

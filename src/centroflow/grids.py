@@ -446,15 +446,20 @@ class CubedSphereGrid:
 
     def _build_duplicate_map(self):
         # nodes sharing a rounded direction form a group; its lowest flat index
-        # is the source. "+ 0.0" turns -0.0 into 0.0: np.unique compares rows
-        # by their bytes, so the two zeros would otherwise split a group
-        key = np.round(self.nodes.reshape(-1, 3), 12) + 0.0
+        # is the source. Only chart-boundary nodes can share a direction, so
+        # only they are grouped. "+ 0.0" turns -0.0 into 0.0: np.unique compares
+        # rows by their bytes, so the two zeros would otherwise split a group
+        edge = np.zeros((6, self.M, self.M), dtype=bool)
+        edge[:, [0, -1], :] = True
+        edge[:, :, [0, -1]] = True
+        flat = np.flatnonzero(edge)
+        key = np.round(self.nodes.reshape(-1, 3)[flat], 12) + 0.0
         _, first, inverse = np.unique(key, axis=0, return_index=True,
                                       return_inverse=True)
-        src = first[inverse.reshape(-1)]
-        dup = src != np.arange(src.size)
+        src = flat[first[inverse.reshape(-1)]]
+        dup = src != flat
         self._dup_src = src[dup]
-        self._dup_dst = np.flatnonzero(dup)
+        self._dup_dst = flat[dup]
 
     def sync_duplicates(self, u):
         """Copy the first-face s onto duplicate edge/corner nodes of graph values u.
@@ -485,6 +490,22 @@ class CubedSphereGrid:
         _, _, src, w1, w2 = self._stencil(np.atleast_2d(dirs))
         out = np.einsum("qa,qb,qab->q", w1, w2, np.reshape(values, -1)[src])
         return float(out[0]) if dirs.ndim == 1 else out
+
+
+def grid_shape(n, resolution):
+    """Node-array shape of make_grid(n, resolution), found without building the grid.
+
+    Rejects an n or resolution that is not an integer (JSON true loads as a
+    bool, which is an int) and an n other than 1 or 2 with ConfigError.
+    """
+    for name, v in (("n", n), ("resolution", resolution)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{name} must be an integer, got {v!r}")
+    if n == 1:
+        return (resolution,)
+    if n == 2:
+        return (6, resolution, resolution)
+    raise ConfigError(f"n must be 1 or 2, got {n}")
 
 
 def make_grid(n, resolution):

@@ -22,11 +22,12 @@ those component-first arrays. levi_civita, cubic_form and tchebychev take
 and return component-first fields.
 
 The metric's inverse and determinant are computed once per call in closed
-form (inv_det). The primary Gauss route is LU (np.linalg.solve on the frame);
-the frame bracket [X_1..X_n, X] and the Cramer cross-check
-g_ij = -[X_1..X_n, X_ij] / [X_1..X_n, X] are dot products with the
-generalized cross product of X_1..X_n (cross_normal), an independent route
-whose disagreement with the solve is residual_gauss_cross.
+form (inv_det). The Gauss decomposition is solved by Cramer's rule in
+brackets: every bracket is a dot product with a generalized cross product
+(cross_normal), so the frame's dual basis (frame_dual) costs a few products
+per node and no LAPACK call. residual_gauss_cross is the reconstruction
+residual max|X_ij - Ghat^k_ij X_k + g_ij X| / max|X_ij|: it checks the
+decomposition against its definition, whatever route solved it.
 """
 
 import numpy as np
@@ -89,36 +90,57 @@ def cross_normal(Xi):
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def gauss_decompose(X, X_i, X_ij):
-    """Solve X_ij = Ghat^k_ij X_k - g_ij X in the moving frame {X_1..X_n, X}.
+def frame_dual(cols):
+    """Dual basis of the frame by brackets, and the frame bracket [X_1..X_n, X].
 
-    Takes node-first X (..., n+1), X_i (..., n, n+1), X_ij (..., n, n, n+1).
-    Returns (g, Ghat, frame, frame_det, crosscheck_residual):
-      g: (n, n, ...) and Ghat: (n, n, n, ...) [k, i, j], component-first;
-      frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its bracket.
-    The metric is also recovered through the determinant (Cramer) formula
-    g_ij = -[X_1..X_n, X_ij] / [X_1..X_n, X] as a cross-check.
+    cols: component-first (n+1, n+1, ...) [r, a], frame column r = X_1..X_n, X.
+    Returns dual (n+1, n+1, ...) with dual[r] . cols[s] = delta_rs, so dual[r] . Y
+    is the coefficient of Y on column r. Cramer: that coefficient is the bracket
+    with Y in place of column r over the frame bracket, which is
+    (-1)^(n-r) [columns without r, Y] / [X_1..X_n, X], a cross_normal dot Y.
     """
-    n = X_i.shape[-2]
-    lead = X.shape[:-1]
-    normal = cross_normal(_comp_first(X_i, 2))
-    frame_det = np.einsum("a...,a...->...", normal, _comp_first(X, 1))
+    n = len(cols) - 1
+    normal = cross_normal(cols[:n])
+    frame_det = np.einsum("a...,a...->...", normal, cols[n])
     if np.min(np.abs(frame_det)) < EPS_FRAME:
         raise TransversalityLost("frame [X_1..X_n, X] became degenerate",
                                  value=float(np.min(np.abs(frame_det))))
-    frame = np.concatenate([np.moveaxis(X_i, -2, -1), X[..., None]], axis=-1)
-    # right-hand sides: all second derivatives at once, columns indexed by (i,j)
-    rhs = X_ij.reshape(lead + (n * n, n + 1))
-    coef = np.linalg.solve(frame, np.moveaxis(rhs, -2, -1))   # (..., n+1, n*n)
-    coef = _comp_first(coef, 2).reshape((n + 1, n, n) + lead)
-    Ghat = coef[:n]                                            # [k, i, j]
-    gmat = -coef[n]
-    gmat = 0.5 * (gmat + gmat.swapaxes(0, 1))
-    # Cramer cross-check from the brackets, independent of the LU solve
-    alt = np.einsum("a...,ija...->ij...", normal, _comp_first(X_ij, 3))
-    alt /= -frame_det
-    cross = float(np.max(np.abs(alt - gmat)))
-    return gmat, Ghat, frame, frame_det, cross
+    dual = np.stack([(-1) ** (n - r) * cross_normal(np.delete(cols, r, axis=0))
+                     for r in range(n)] + [normal])
+    dual /= frame_det
+    return dual, frame_det
+
+
+def gauss_decompose(X, X_i, X_ij):
+    """Solve X_ij = Ghat^k_ij X_k - g_ij X in the moving frame {X_1..X_n, X}.
+
+    Takes node-first X (..., n+1), X_i (..., n, n+1), X_ij (..., n, n, n+1),
+    X_ij symmetric in (i, j). Returns (g, Ghat, frame, frame_det, residual):
+      g: (n, n, ...) and Ghat: (n, n, n, ...) [k, i, j], component-first;
+      frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its bracket;
+      residual: max|X_ij - Ghat^k_ij X_k + g_ij X| / max|X_ij|, the
+      decomposition checked against its definition.
+    """
+    n = X_i.shape[-2]
+    lead = X.shape[:-1]
+    cols = np.empty((n + 1, n + 1) + lead)
+    cols[:n] = _comp_first(X_i, 2)
+    cols[n] = _comp_first(X, 1)
+    dual, frame_det = frame_dual(cols)
+    # coefficients (Ghat^1_ij..Ghat^n_ij, -g_ij), one (i, j) pair at a time:
+    # the transient peak stays at a few node fields
+    coef = np.empty((n + 1, n, n) + lead)
+    err = scale = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            Y = np.ascontiguousarray(np.moveaxis(X_ij[..., i, j, :], -1, 0))
+            scale = max(scale, float(np.max(np.abs(Y))))
+            c = np.einsum("ra...,a...->r...", dual, Y, out=coef[:, i, j])
+            coef[:, j, i] = c
+            Y -= np.einsum("r...,ra...->a...", c, cols)
+            err = max(err, float(np.max(np.abs(Y))))
+    frame = _node_first(cols, 2).swapaxes(-1, -2)
+    return -coef[n], coef[:n], frame, frame_det, err / scale
 
 
 def levi_civita(grid, gmat, ginv):

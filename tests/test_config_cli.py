@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import os
 
@@ -16,6 +17,8 @@ from centroflow.config import (
     validate_sweep,
 )
 from centroflow.errors import ConfigError
+from centroflow.grids import make_grid
+from centroflow.support import SupportField
 
 FLOWER = {
     "n": 1, "resolution": 64,
@@ -190,6 +193,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="cap is 4"):
             validate_sweep(spec)
 
+    @pytest.mark.parametrize("key", ["parallelism", "max_cells"])
+    def test_bool_count_exits_2(self, tmp_path, key):
+        spec = dict(self.base_spec(), **{key: True})
+        with pytest.raises(ConfigError, match=key):
+            validate_sweep(spec)
+        assert main(["sweep", "--spec", write_cfg(tmp_path / "s.json", spec)]) == 2
+
     def test_set_by_path_list_index(self):
         cfg = flower_cfg()
         set_by_path(cfg, "initial.params.a.2", 0.07)
@@ -354,10 +364,14 @@ class TestCLI:
         ("diagnose", "metadata", None, 3),
         ("evolve", "snapshot", "values", [[1.0, 1.0], [1.0]]),
         ("validate-config", "snapshot", "time", [0.0]),
+        ("diagnose", "snapshot", "n", True),
+        ("diagnose", "snapshot", "resolution", 64.9),
+        ("diagnose", "snapshot", "resolution", 128),
     ], ids=["ragged-values", "text-values", "text-time", "null-time",
             "text-renorm-factors", "scalar-renorm-factors", "number-snapshot",
             "number-metadata", "evolve-from-ragged-file",
-            "validate-list-time-file"])
+            "validate-list-time-file", "bool-n", "float-resolution",
+            "resolution-not-values"])
     def test_corrupt_artifact_exits_2(self, tmp_path, command, artifact, key, value):
         out = self.run_dir(tmp_path, flower_cfg())
         path = out / ("metadata.json" if artifact == "metadata"
@@ -375,6 +389,33 @@ class TestCLI:
                              initial={"kind": "file", "params": {"path": str(path)}})
             argv = [command, "--config", write_cfg(tmp_path / "file.json", cfg)]
         assert main(argv) == 2
+
+    def test_mismatched_header_builds_no_grid(self, tmp_path, monkeypatch):
+        out = self.run_dir(tmp_path, flower_cfg())
+        path = out / "snapshots" / "snap_000000.json"
+        doc = json.loads(path.read_text())
+        doc["resolution"] = 128   # the file holds 64 values
+        path.write_text(json.dumps(doc))
+        built = []
+        monkeypatch.setattr(iomod, "make_grid", lambda *a: built.append(a))
+        with pytest.raises(ConfigError, match="shape"):
+            iomod.load_snapshot(str(path))
+        assert built == []
+
+    @pytest.mark.parametrize("n, resolution", [(1, 16), (2, 17)])
+    def test_snapshot_bytes_match_json_dump(self, tmp_path, n, resolution):
+        grid = make_grid(n, resolution)
+        values = np.resize([0.1, 1.0 / 3.0, 5e-324, 1e16], grid.shape)
+        field = SupportField(grid, s=values)
+        path = tmp_path / "snap.json"
+        iomod.write_snapshot(path, field, 0.1, "abc")
+        doc = {"n": n, "resolution": resolution, "time": 0.1,
+               "values": field.s.tolist(), "config_hash": "abc"}
+        want = io.StringIO()
+        json.dump(doc, want)
+        want.write("\n")
+        assert path.read_text() == want.getvalue()
+        assert {5e-324, 1e16} <= set(field.s.reshape(-1).tolist())
 
     @pytest.mark.parametrize("initial, path, value", NON_NUMBERS,
                              ids=[f"{path}={v if isinstance(v, bool) else '10**400'}"
