@@ -8,7 +8,7 @@ config: float fields use repr round-tripping and rows follow input order.
 """
 
 import argparse
-import json
+import math
 import os
 import sys
 import time
@@ -74,9 +74,7 @@ def _run_config(cfg, outdir):
 
 
 def cmd_evolve(args):
-    cfg = cfgmod.load_config_file(args.config)
-    _apply_overrides(cfg, args)
-    cfg = cfgmod.validate(cfg)
+    cfg = cfgmod.validate(_apply_overrides(cfgmod.load_config_file(args.config), args))
     outdir = iomod.resolve_outdir(cfg["output"])
     traj, _, _ = _run_config(cfg, outdir)
     print(f"evolve: termination={traj.termination} steps={traj.step_count} "
@@ -85,20 +83,21 @@ def cmd_evolve(args):
 
 
 def cmd_diagnose(args):
+    ratio = args.decay_ratio
+    if ratio is not None and not (math.isfinite(ratio) and ratio >= 0):
+        raise ConfigError(f"--decay-ratio must be a finite number >= 0, got {ratio}")
     outdir = iomod.resolve_outdir(args.trajectory)
     traj, meta = iomod.load_trajectory(outdir)
     cfg_hash = meta.get("config_hash")
     if cfg_hash != iomod.config_hash(meta.get("config", {})):
         raise ConfigError("metadata config hash does not match its config echo")
-    report, bundle = diag.run_report(traj, decay_ratio=args.decay_ratio)
+    report, bundle = diag.run_report(traj, decay_ratio=ratio)
     iomod.write_report(os.path.join(outdir, iomod.REPORT_NAME), report, cfg_hash)
     iomod.write_series_csv(os.path.join(outdir, iomod.SERIES_NAME),
                            bundle.rows(), cfg_hash)
-    dump = [dict(t=float(t), **iomod.invariant_summary(iv))
-            for t, iv in zip(bundle.t, bundle.inv)]
-    with open(os.path.join(outdir, "invariants.json"), "w") as fh:
-        json.dump(dump, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    iomod.write_json(os.path.join(outdir, "invariants.json"),
+                     [dict(t=float(t), **iomod.invariant_summary(iv))
+                      for t, iv in zip(bundle.t, bundle.inv)])
     for c in report.checks:
         print(f"diagnose: {c.name}: {c.verdict} (worst margin {c.worst_margin:.3e})")
     print(f"diagnose: classification={report.summary['classification']}")
@@ -106,9 +105,7 @@ def cmd_diagnose(args):
 
 
 def cmd_oracle_compare(args):
-    cfg = cfgmod.load_config_file(args.config)
-    _apply_overrides(cfg, args)
-    cfg = cfgmod.validate(cfg)
+    cfg = cfgmod.validate(_apply_overrides(cfgmod.load_config_file(args.config), args))
     if cfg["initial"]["kind"] != "ellipsoid":
         raise ConfigError("oracle-compare needs an ellipsoid initial datum")
     if cfg["renormalize"]:
@@ -161,12 +158,7 @@ def _sweep_cell(idx, overrides, cfg, outroot):
 
 
 def cmd_sweep(args):
-    try:
-        with open(args.spec) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read sweep spec {args.spec}: {exc}")
-    spec = cfgmod.validate_sweep(raw)
+    spec = cfgmod.validate_sweep(iomod.read_json(args.spec, "sweep spec"))
     cells = cfgmod.sweep_cells(spec)
     outroot = iomod.resolve_outdir(args.output or spec["base"]["output"])
     os.makedirs(outroot, exist_ok=True)
@@ -185,7 +177,7 @@ def cmd_sweep(args):
 
 
 def cmd_validate_config(args):
-    cfg = cfgmod.load_config_file(args.config)
+    cfg = cfgmod.validate(cfgmod.load_config_file(args.config))
     cfgmod.build_initial(cfg)  # also exercises the convexity validator
     print(f"validate-config: ok (hash {iomod.config_hash(cfg)})")
     return 0

@@ -8,7 +8,6 @@ trip halfway through a run.
 """
 
 import copy
-import json
 import math
 import os
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import make_grid
+from .io import load_snapshot, read_json
 from .support import convexity_margin, ellipsoid_support, fourier_support
 
 SCHEMES = ("rk4", "heun")
@@ -172,7 +172,6 @@ def build_initial(cfg):
                 f"fourier initial datum is not uniformly convex (min curvature "
                 f"eigenvalue {bmin:.3e})")
     else:  # file
-        from .io import load_snapshot
         path = params["path"]
         if not os.path.exists(path):
             raise ConfigError(f"initial snapshot file not found: {path}")
@@ -181,12 +180,8 @@ def build_initial(cfg):
 
 
 def load_config_file(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    return validate(raw)
+    """The raw config mapping at path; callers fold in overrides, then validate."""
+    return read_json(path, "config")
 
 
 # ---------- sweeps ----------
@@ -244,7 +239,7 @@ def validate_sweep(raw):
 
 
 def sweep_cells(spec):
-    """Cartesian product of the axes: list of (overrides dict, config dict)."""
+    """Cartesian product of the axes: list of (overrides dict, validated config)."""
     axes = spec.get("axes", [])
     cells = [({}, copy.deepcopy(spec["base"]))]
     for ax in axes:
@@ -256,6 +251,6 @@ def sweep_cells(spec):
                 set_by_path(c2, ax["path"], v)
                 nxt.append((o2, c2))
         cells = nxt
-    for _, cfg in cells:
-        validate(cfg)  # value substitution must leave the config valid
-    return cells
+    # value substitution must leave the config valid; each cell runs and
+    # hashes the canonical form, as evolve does
+    return [(overrides, validate(cfg)) for overrides, cfg in cells]

@@ -32,6 +32,11 @@ SERIES_COLUMNS = ("t", "area", "area_rhs", "supT2", "supC2", "min_s", "max_s",
                   "residual_relsupport", "residual_prop21")
 
 
+def _centred(y, t):
+    """Centred differences (y[k+1] - y[k-1]) / (t[k+1] - t[k-1]) at interior k."""
+    return (y[2:] - y[:-2]) / (t[2:] - t[:-2])
+
+
 def _eig_range(grid, b):
     """(min, max) curvature eigenvalue over the grid."""
     lo, hi = grid.sym_eigs(b)
@@ -111,26 +116,17 @@ class SeriesBundle:
         # the node offset costs O(h^2 rhs'') which dominates the residual floor
         sup_rhs = np.array([iv.grid.value_at(te, where)
                             for iv, te, (where, _) in zip(self.inv, tevo, self._T2_max)])
-        for k in range(1, K - 1):
-            dt2 = self.t[k + 1] - self.t[k - 1]
-            dA = (self.area[k + 1] - self.area[k - 1]) / dt2
-            self.r_area[k] = abs(dA - self.area_rhs[k]) / max(abs(self.area_rhs[k]), 1e-12)
-            dI = (self.int_T2[k + 1] - self.int_T2[k - 1]) / dt2
-            self.r_intT2[k] = abs(dI - int_rhs[k]) / max(abs(int_rhs[k]), 1e-12)
-            dS = (self.supT2[k + 1] - self.supT2[k - 1]) / dt2
-            self.r_supT2[k] = abs(dS - sup_rhs[k]) / max(abs(sup_rhs[k]), 1e-12)
+        for r, y, rhs in ((self.r_area, self.area, self.area_rhs),
+                          (self.r_intT2, self.int_T2, int_rhs),
+                          (self.r_supT2, self.supT2, sup_rhs)):
+            r[1:-1] = np.abs(_centred(y, self.t) - rhs[1:-1]) / np.maximum(
+                np.abs(rhs[1:-1]), 1e-12)
         self.residual_prop21 = np.fmax(np.fmax(self.r_area, self.r_intT2), self.r_supT2)
         self.residual_prop21[0] = self.residual_prop21[-1] = np.nan
 
     def rows(self):
-        cols = dict(t=self.t, area=self.area, area_rhs=self.area_rhs,
-                    supT2=self.supT2, supC2=self.supC2, min_s=self.min_s,
-                    max_s=self.max_s, eig_min_b=self.eig_min_b,
-                    eig_max_b=self.eig_max_b, rho_min=self.rho_min,
-                    rho_max=self.rho_max, roundness=self.roundness,
-                    residual_relsupport=self.residual_relsupport,
-                    residual_prop21=self.residual_prop21)
-        return [{c: float(cols[c][k]) for c in SERIES_COLUMNS}
+        """One dict per snapshot, keyed by SERIES_COLUMNS (each an attribute)."""
+        return [{c: float(getattr(self, c)[k]) for c in SERIES_COLUMNS}
                 for k in range(len(self.t))]
 
 
@@ -164,58 +160,54 @@ def check_c0(traj):
             BoundCheck("support_upper_growth_bound", hi_m, BOUND_TOL))
 
 
-def check_c1(traj, bundle=None):
+def check_c1(bundle):
     """max |grad s| <= running max of s (gradient bound from convexity).
 
-    With a bundle, each snapshot's embedding comes from its invariants.
+    Each snapshot's embedding comes from its invariants.
     """
     margins = []
     run_max = -np.inf
-    for k, st in enumerate(traj.snapshots):
-        X = bundle.inv[k].X if bundle is not None else None
+    for st, iv in zip(bundle.traj.snapshots, bundle.inv):
         run_max = max(run_max, st.field.max_s())
-        margins.append(run_max - float(np.max(gradient_norm(st.field, X))))
+        margins.append(run_max - float(np.max(gradient_norm(st.field, iv.X))))
     return BoundCheck("gradient_bound", margins, BOUND_TOL)
 
 
-def check_pinch(traj, bundle=None):
+def check_pinch(bundle):
     """Positivity of the curvature matrix over the run; reports empirical L."""
-    if bundle is None:
-        bundle = SeriesBundle(traj)
     lo, hi = bundle.eig_min_b, bundle.eig_max_b
     L = max(float(np.max(hi)), 1.0 / float(np.min(lo))) if np.min(lo) > 0 else np.inf
     margins = [v - PINCH_EPS for v in lo]
     return float(L), BoundCheck("curvature_pinch_positive", margins, 0.0)
 
 
-def check_area_law(traj, bundle):
+def check_area_law(bundle):
     """(monotone, identity, isoperimetric) verdicts for the area series."""
     A = bundle.area
     mono = BoundCheck("area_monotone", A[1:] - A[:-1] if len(A) > 1 else [0.0],
                       AREA_MONO_TOL)
     # identity margin convention: tol*max(1, rhs) - |diff| >= 0 means holds
-    idm = []
-    for k in range(1, len(A) - 1):
-        dt2 = bundle.t[k + 1] - bundle.t[k - 1]
-        dA = (A[k + 1] - A[k - 1]) / dt2
-        idm.append(AREA_IDENT_TOL * max(1.0, bundle.area_rhs[k])
-                   - abs(dA - bundle.area_rhs[k]))
-    ident = BoundCheck("area_identity", idm if idm else [0.0], 0.0)
+    rhs = bundle.area_rhs[1:-1]
+    idm = AREA_IDENT_TOL * np.maximum(1.0, rhs) - np.abs(_centred(A, bundle.t) - rhs)
+    ident = BoundCheck("area_identity", idm if idm.size else [0.0], 0.0)
     iso = BoundCheck("area_isoperimetric",
                      SPHERE_AREA[bundle.n] + AREA_ISO_TOL - A, 0.0)
     return mono, ident, iso
 
 
-def check_tchebychev_laws(traj, bundle, decay_ratio=0.1):
-    """A-priori sup |T|^2 bound, pointwise evolution identity, decay trend."""
+def check_tchebychev_laws(bundle, decay_ratio=None):
+    """A-priori sup |T|^2 bound, pointwise evolution identity, decay trend.
+
+    The decay check is None unless a ratio is given.
+    """
     n = bundle.n
     bound = max((n + 3.0) / n, bundle.supT2[0])
     bcheck = BoundCheck("tchebychev_sup_bound", bound + BOUND_TOL - bundle.supT2, 0.0)
-    interior = bundle.r_supT2[1:-1] if len(bundle.t) >= 3 else np.array([])
+    interior = bundle.r_supT2[1:-1]
     ident = BoundCheck("tchebychev_identity",
                        TCHEBYCHEV_IDENT_TOL - interior if interior.size else [0.0], 0.0)
-    decay = BoundCheck("tchebychev_decay",
-                       [decay_ratio * bundle.supT2[0] - bundle.supT2[-1]], 0.0)
+    decay = None if decay_ratio is None else BoundCheck(
+        "tchebychev_decay", [decay_ratio * bundle.supT2[0] - bundle.supT2[-1]], 0.0)
     return bcheck, ident, decay
 
 
@@ -263,15 +255,10 @@ def run_report(traj, bundle=None, decay_ratio=None):
     """All checks on one trajectory; decay check only when a ratio is given."""
     if bundle is None:
         bundle = SeriesBundle(traj)
-    lo, hi = check_c0(traj)
-    c1 = check_c1(traj, bundle)
-    L, pinch = check_pinch(traj, bundle)
-    mono, ident, iso = check_area_law(traj, bundle)
-    tb, tident, tdecay = check_tchebychev_laws(
-        traj, bundle, decay_ratio=decay_ratio if decay_ratio else 0.1)
-    checks = [lo, hi, c1, pinch, mono, ident, iso, tb, tident]
-    if decay_ratio is not None:
-        checks.append(tdecay)
+    L, pinch = check_pinch(bundle)
+    checks = [*check_c0(traj), check_c1(bundle), pinch, *check_area_law(bundle),
+              *check_tchebychev_laws(bundle, decay_ratio)]
+    checks = [c for c in checks if c is not None]
     residuals = {"r_area": bundle.r_area, "r_intT2": bundle.r_intT2,
                  "r_supT2": bundle.r_supT2, "residual_prop21": bundle.residual_prop21}
     summary = {

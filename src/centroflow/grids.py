@@ -492,6 +492,11 @@ class CubedSphereGrid:
         return float(out[0]) if dirs.ndim == 1 else out
 
 
+# n -> (grid class, node-array shape at a resolution)
+_GRIDS = {1: (CircleGrid, lambda r: (r,)),
+         2: (CubedSphereGrid, lambda r: (6, r, r))}
+
+
 def grid_shape(n, resolution):
     """Node-array shape of make_grid(n, resolution), found without building the grid.
 
@@ -501,17 +506,12 @@ def grid_shape(n, resolution):
     for name, v in (("n", n), ("resolution", resolution)):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{name} must be an integer, got {v!r}")
-    if n == 1:
-        return (resolution,)
-    if n == 2:
-        return (6, resolution, resolution)
-    raise ConfigError(f"n must be 1 or 2, got {n}")
+    if n not in _GRIDS:
+        raise ConfigError(f"n must be 1 or 2, got {n}")
+    return _GRIDS[n][1](resolution)
 
 
 def make_grid(n, resolution):
     """Grid factory; resolution is N for n=1 and per-face M for n=2."""
-    if n == 1:
-        return CircleGrid(resolution)
-    if n == 2:
-        return CubedSphereGrid(resolution)
-    raise ConfigError(f"n must be 1 or 2, got {n}")
+    grid_shape(n, resolution)
+    return _GRIDS[n][0](resolution)

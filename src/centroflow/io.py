@@ -59,6 +59,25 @@ def resolve_outdir(path):
     return path
 
 
+def read_json(path, what):
+    """The JSON object stored at path; ConfigError names `what` when it is not one."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable {what} {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return doc
+
+
+def write_json(path, doc):
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_snapshot(path, field, t, cfg_hash):
     doc = {"n": field.n, "resolution": field.grid.resolution, "time": float(t),
            "values": field.s.tolist(), "config_hash": cfg_hash}
@@ -70,13 +89,7 @@ def write_snapshot(path, field, t, cfg_hash):
 
 def load_snapshot(path, grid=None):
     """Read one snapshot; returns (t, SupportField). Corrupt data -> ConfigError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"unreadable snapshot {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"snapshot {path} is not a JSON object")
+    doc = read_json(path, "snapshot")
     for key in ("n", "resolution", "time", "values"):
         if key not in doc:
             raise ConfigError(f"snapshot {path} missing field '{key}'")
@@ -118,22 +131,13 @@ def write_trajectory(outdir, traj, config, cfg_hash, wall_time):
         "snapshot_count": len(traj.snapshots),
         "wall_time_s": wall_time,
     }
-    with open(os.path.join(outdir, META_NAME), "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, META_NAME), meta)
     return snapdir
 
 
 def load_trajectory(outdir):
     """Rebuild a Trajectory (and its metadata) from a run directory."""
-    meta_path = os.path.join(outdir, META_NAME)
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"unreadable metadata {meta_path}: {exc}")
-    if not isinstance(meta, dict):
-        raise ConfigError(f"metadata {meta_path} is not a JSON object")
+    meta = read_json(os.path.join(outdir, META_NAME), "metadata")
     snapdir = os.path.join(outdir, SNAP_DIR)
     if not os.path.isdir(snapdir):
         raise ConfigError(f"missing snapshot directory {snapdir}")
@@ -194,11 +198,7 @@ def read_csv_rows(path):
 
 
 def write_report(path, report, cfg_hash):
-    doc = report.to_dict()
-    doc["config_hash"] = cfg_hash
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dict(report.to_dict(), config_hash=cfg_hash))
 
 
 def invariant_summary(inv):

@@ -117,18 +117,13 @@ def require_convex(field):
 
 
 def gradient_norm(field, X=None):
-    """Per-node |grad s| on the sphere (tangential gradient).
+    """Per-node |grad s| = |X - s p| on the sphere (tangential gradient).
 
-    X is the field's embedding when the caller already has it (as
-    curvature_matrix takes D2); the circle reads |s'| and ignores it.
+    X is the field's embedding when the caller already has it.
     """
-    g = field.grid
-    if field.n == 1:
-        return np.abs(g.deriv(field.s, 1))
     if X is None:
         X = embed(field)
-    gr = X - field.s[..., None] * g.nodes
-    return np.linalg.norm(gr, axis=-1)
+    return np.linalg.norm(X - field.s[..., None] * field.grid.nodes, axis=-1)
 
 
 def homogeneity_residual(field):

@@ -248,6 +248,33 @@ class TestCLI:
         assert meta["config"]["t_end"] == 0.01
         assert meta["config"]["scheme"] == "heun"
 
+    @pytest.mark.parametrize("command", ["evolve", "oracle-compare"])
+    def test_override_completes_config(self, tmp_path, command):
+        # the flags are folded into the raw config before it is validated
+        cfg = {"n": 1, "initial": RADIUS, "t_end": 0.02, "snapshot_interval": 0.01,
+               "output": str(tmp_path / "o")}
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path, "--resolution", "64"]) == 0
+        meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+        assert meta["config"]["resolution"] == 64
+
+    @pytest.mark.parametrize("command", ["evolve", "oracle-compare"])
+    def test_override_leaving_invalid_config_exits_2(self, tmp_path, command):
+        cfg = {"n": 2, "initial": RADIUS, "t_end": 0.02, "output": str(tmp_path / "o")}
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path, "--resolution", "18"]) == 2
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_sweep_cell_hashes_canonical_config(self, tmp_path):
+        spec = {"base": flower_cfg(output=str(tmp_path / "sweep")),
+                "axes": [{"path": "cfl", "values": [1]}]}
+        assert main(["sweep", "--spec", write_cfg(tmp_path / "s.json", spec)]) == 0
+        cell = json.loads((tmp_path / "sweep" / "cell_000" / "metadata.json").read_text())
+        run = json.loads((self.run_dir(tmp_path, flower_cfg(cfl=1)) / "metadata.json")
+                         .read_text())
+        assert cell["config"]["cfl"] == 1.0 and isinstance(cell["config"]["cfl"], float)
+        assert cell["config_hash"] == run["config_hash"]
+
     def test_deterministic_across_output_dirs(self, tmp_path):
         a = self.run_dir(tmp_path, flower_cfg(), "a")
         b = self.run_dir(tmp_path, flower_cfg(), "b")
@@ -267,6 +294,19 @@ class TestCLI:
         # an unreachable decay target must flip the exit code
         assert main(["diagnose", "--trajectory", str(out),
                      "--decay-ratio", "1e-6"]) == 1
+
+    def test_diagnose_decay_ratio_zero(self, tmp_path):
+        out = self.run_dir(tmp_path, flower_cfg())
+        assert main(["diagnose", "--trajectory", str(out), "--decay-ratio", "0"]) == 1
+        rep = json.loads((out / "report.json").read_text())
+        decay = [c for c in rep["checks"] if c["name"] == "tchebychev_decay"]
+        assert decay[0]["margins"] == [-rep["summary"]["supT2_final"]]
+
+    @pytest.mark.parametrize("ratio", ["nan", "-0.5", "inf"])
+    def test_diagnose_rejects_bad_decay_ratio(self, tmp_path, ratio):
+        out = self.run_dir(tmp_path, flower_cfg())
+        assert main(["diagnose", "--trajectory", str(out), f"--decay-ratio={ratio}"]) == 2
+        assert not os.path.exists(out / "report.json")
 
     def test_diagnose_rejects_corrupted_snapshot(self, tmp_path):
         out = self.run_dir(tmp_path, flower_cfg())

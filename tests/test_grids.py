@@ -152,6 +152,12 @@ def test_make_grid_dispatch():
         make_grid(3, 17)
 
 
+@pytest.mark.parametrize("n, resolution", [(True, 64), (1, 64.9), (2, 17.5)])
+def test_make_grid_rejects_non_integers(n, resolution):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        make_grid(n, resolution)
+
+
 class TestSharedInterface:
     @pytest.mark.parametrize("name", SHARED)
     def test_both_grids_expose(self, circle64, sphere17, name):

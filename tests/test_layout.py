@@ -23,7 +23,6 @@ ALLOWED = {
     ("invariants", "pick_and_chi"),
     ("support", "embed"),
     ("support", "fourier_support"),
-    ("support", "gradient_norm"),
 }
 
 

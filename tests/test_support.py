@@ -87,6 +87,11 @@ class TestGeometry:
         want = np.abs(-0.3 * np.sin(3 * circle256.thetas))
         assert np.max(np.abs(gradient_norm(flower256) - want)) < 1e-10
 
+    def test_gradient_norm_circle_is_abs_derivative(self, flower256):
+        # |X - s p| with X = s p + s' p^perp
+        want = np.abs(flower256.grid.deriv(flower256.s, 1))
+        assert np.max(np.abs(gradient_norm(flower256) - want)) < 1e-12
+
     def test_gradient_norm_sphere(self, sphere33):
         g = sphere33
         f = SupportField(g, s=1.0 + 0.3 * g.nodes[..., 2])
