@@ -135,16 +135,19 @@ def _sync(field):
     return field
 
 
-def step(state, dt, control, _hessian=None):
+def step(state, dt, control, _hessian=None, _bound=None):
     """One explicit step (rk4 or heun); every stage is convexity-guarded.
 
     _hessian is the chart Hessian of the state's u when the caller already has
-    it; it serves both the stability bound and the first stage.
+    it; it serves both the stability bound and the first stage. _bound is
+    stable_dt of the state when the caller already has it.
     """
     f0 = state.field
     if _hessian is None:
         _hessian = f0.grid.graph_hessian(f0.u)
-    if dt > stable_dt(f0, control, _hessian) * (1.0 + 1e-9):
+    if _bound is None:
+        _bound = stable_dt(f0, control, _hessian)
+    if dt > _bound * (1.0 + 1e-9):
         raise ValueError("step size exceeds the stability bound")
     floor = control.convexity_floor
     k1 = _rhs_values(f0, floor, _hessian)
@@ -209,14 +212,14 @@ def evolve(field0, control, renormalize=False):
             break
         D2 = state.field.grid.graph_hessian(state.field.u)
         try:
-            dt = stable_dt(state.field, control, D2)
+            dt = bound = stable_dt(state.field, control, D2)
             target = control.t_end
             if interval and interval > 0:
                 target = min(target, next_idx * interval)
             landed = state.t + dt >= target - 1e-13
             if landed:
                 dt = target - state.t
-            state = step(state, dt, control, D2)
+            state = step(state, dt, control, D2, bound)
         except tuple(_GUARD_TERMINATION) as exc:
             termination = _GUARD_TERMINATION[type(exc)]
             break

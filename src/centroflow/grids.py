@@ -38,9 +38,10 @@ class CircleGrid:
     n = 1
 
     def __init__(self, resolution):
+        grid_shape(self.n, resolution)
         if resolution < 16:
             raise ConfigError(f"n=1 resolution must be >= 16, got {resolution}")
-        N = int(resolution)
+        N = resolution
         self.N = N
         self.resolution = N
         self.h = 2 * np.pi / N
@@ -50,15 +51,21 @@ class CircleGrid:
         self.shape = (N,)
         self.w = np.ones(N)  # graph factor of the circle chart: u = s
         self._dup_src = self._dup_dst = np.empty(0, dtype=np.int64)
-        self._k = np.arange(N // 2 + 1)  # rfft wavenumbers
+        # Fourier multipliers (i k)^order on the rfft wavenumbers, per order
+        k = np.arange(N // 2 + 1)
+        self._deriv_mult = {order: (1j * k) ** order for order in (1, 2)}
+        if N % 2 == 0:
+            # odd derivative of the Nyquist mode is not representable
+            self._deriv_mult[1][-1] = 0.0
 
     def deriv(self, values, order=1):
-        """Spectral d^order/dtheta^order of a real periodic nodal field (node axis first)."""
+        """Spectral d^order/dtheta^order (order 1 or 2) of a real periodic nodal
+        field (node axis first)."""
+        if order not in self._deriv_mult:
+            raise GridError(f"derivative order must be 1 or 2, got {order!r}")
         values = np.asarray(values)
         vhat = np.fft.rfft(values, axis=0)
-        mult = (1j * self._k) ** order
-        if order % 2 == 1 and self.N % 2 == 0:
-            mult[-1] = 0.0  # odd derivative of the Nyquist mode is not representable
+        mult = self._deriv_mult[order]
         mult = mult.reshape(mult.shape + (1,) * (values.ndim - 1))
         return np.fft.irfft(vhat * mult, n=self.N, axis=0)
 
@@ -193,7 +200,8 @@ class CubedSphereGrid:
     n = 2
 
     def __init__(self, resolution):
-        M = int(resolution)
+        grid_shape(self.n, resolution)
+        M = resolution
         if M < 17 or M % 2 == 0:
             raise ConfigError(f"n=2 per-face resolution must be odd and >= 17, got {M}")
         self.M = M
@@ -292,14 +300,19 @@ class CubedSphereGrid:
 
         # one flat table over all 6*G ghosts, face-major: the owner-chart
         # stencil, the ghost's flat slot in the extended array and the deg1
-        # rescale |z|
+        # rescale |z|. The stencil is stored tap-first, (NSTEN^2, 6G): the
+        # source indices and the weight products w1[a] * w2[b], in the (a, b)
+        # order einsum("ga,gb,gab->g") accumulates them
         z = (self.axes[:, None, :] + yg[gi][None, :, None] * self.tangents[:, None, 0, :]
              + yg[gj][None, :, None] * self.tangents[:, None, 1, :]).reshape(-1, 3)
-        owner, yp, self._halo_src, self._halo_w1, self._halo_w2 = self._stencil(z)
+        owner, yp, src, w1, w2 = self._stencil(z)
         if np.any(owner == np.repeat(np.arange(6), gi.size)):
             raise GridError("halo ghost mapped to its own face")
         if np.any(np.abs(yp) > 1.0 + 1e-12):
             raise GridError("halo ghost fell outside the owner chart")
+        self._halo_srck = np.ascontiguousarray(src.reshape(len(z), -1).T)
+        self._halo_wk = np.ascontiguousarray(
+            (w1[:, :, None] * w2[:, None, :]).reshape(len(z), -1).T)
         self._halo_dst = ((np.arange(6)[:, None] * E + gi) * E + gj).reshape(-1)
         self._halo_znorm = np.linalg.norm(z, axis=1)
 
@@ -320,12 +333,15 @@ class CubedSphereGrid:
             svals = values / self.w.reshape((6, M, M) + trail)
         else:
             raise GridError(f"unknown halo kind {kind!r}")
-        # one gather and one contraction per component: with a trailing
-        # component axis einsum takes a generic loop about 3x slower
+        # one gather and one sum over the tap axis per component. numpy adds
+        # the rows of the outer axis of a C-contiguous array one by one, in
+        # tap order: the accumulation order of einsum("ga,gb,gab->g") over
+        # (w1, w2, patch), which the tests hold the ghosts to bit for bit. A
+        # pairwise (inner-axis) or separable contraction would move them, and
+        # every stored artifact, at round-off
         cols = svals.reshape(6 * M * M, -1).T
-        ghosts = np.stack([np.einsum("ga,gb,gab->g", self._halo_w1, self._halo_w2,
-                                     col[self._halo_src]) for col in cols],
-                          axis=-1).reshape((-1,) + comp)
+        ghosts = np.stack([(self._halo_wk * col[self._halo_srck]).sum(axis=0)
+                           for col in cols], axis=-1).reshape((-1,) + comp)
         if kind == "deg1":
             ghosts = ghosts * self._halo_znorm.reshape((-1,) + trail)
         ext = np.empty((6, E, E) + comp, dtype=float)
@@ -342,30 +358,47 @@ class CubedSphereGrid:
         lead = (slice(None),) * (axis % ext.ndim)
         return [ext[lead + (slice(k, k + L),)] for k in range(5)]
 
+    # d1 and d2 accumulate in place, term by term from the left: the same IEEE
+    # operations as c * (a - 8 b + 8 d - e) and c * (-a + 16 b - 30 m + 16 d - e)
+    # (16 b - a rounds as -a + 16 b)
+
     def d1(self, ext, axis):
         """4th-order first derivative along array axis (chart axis 1 or 2), consumes the halo."""
         a, b, _, d, e = self._taps(ext, axis)
-        return (1.0 / (12.0 * self.h)) * (a - 8 * b + 8 * d - e)
+        out = a - 8 * b
+        out += 8 * d
+        out -= e
+        out *= 1.0 / (12.0 * self.h)
+        return out
 
     def d2(self, ext, axis):
         a, b, m, d, e = self._taps(ext, axis)
-        return (1.0 / (12.0 * self.h ** 2)) * (-a + 16 * b - 30 * m + 16 * d - e)
+        out = 16 * b - a
+        out -= 30 * m
+        out += 16 * d
+        out -= e
+        out *= 1.0 / (12.0 * self.h ** 2)
+        return out
 
-    def chart_derivs_from_ext(self, ext):
-        """(f_1, f_2, f_11, f_12, f_22) on the interior nodes from an extended field."""
+    def _second_derivs(self, ext, e1):
+        """(f_11, f_12, f_22) on the interior nodes from an extended field and its d1 along axis 1."""
         H = HALO
-        e1 = self.d1(ext, 1)
-        f2 = self.d1(ext, 2)[:, H:-H]
-        f11 = self.d2(ext, 1)[:, :, H:-H]
-        f22 = self.d2(ext, 2)[:, H:-H]
-        return e1[:, :, H:-H], f2, f11, self.d1(e1, 2), f22
+        return self.d2(ext, 1)[:, :, H:-H], self.d1(e1, 2), self.d2(ext, 2)[:, H:-H]
 
     def chart_derivs(self, values, kind="scalar"):
-        return self.chart_derivs_from_ext(self.extend(values, kind))
+        """(f_1, f_2, f_11, f_12, f_22) on the interior nodes, through the halo of `kind`."""
+        H = HALO
+        ext = self.extend(values, kind)
+        e1 = self.d1(ext, 1)
+        return (e1[:, :, H:-H], self.d1(ext, 2)[:, H:-H]) + self._second_derivs(ext, e1)
 
     def graph_hessian(self, u):
-        """Chart Hessian D^2 u of graph values, shape (6,M,M,2,2)."""
-        return _sym2(*self.chart_derivs(u, kind="deg1")[2:])
+        """Chart Hessian D^2 u of graph values, shape (6,M,M,2,2).
+
+        Builds only the second derivatives (f_1 and f_2 are not needed).
+        """
+        ext = self.extend(u, kind="deg1")
+        return _sym2(*self._second_derivs(ext, self.d1(ext, 1)))
 
     sym_eigs = staticmethod(hessian_eigs)
     sym_det = staticmethod(sym_det)
@@ -501,7 +534,8 @@ def grid_shape(n, resolution):
     """Node-array shape of make_grid(n, resolution), found without building the grid.
 
     Rejects an n or resolution that is not an integer (JSON true loads as a
-    bool, which is an int) and an n other than 1 or 2 with ConfigError.
+    bool, which is an int) and an n other than 1 or 2 with ConfigError. The
+    grid constructors run the same check.
     """
     for name, v in (("n", n), ("resolution", resolution)):
         if isinstance(v, bool) or not isinstance(v, int):

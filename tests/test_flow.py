@@ -167,6 +167,29 @@ class TestGuardTermination:
         assert np.array_equal(last.field.u, reached[-1].field.u)
 
 
+class TestStepBound:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_stable_dt_per_attempted_step(self, monkeypatch, flower256, n):
+        # evolve hands its bound to step, which does not recompute it
+        field = flower256 if n == 1 else bumpy_sphere(CubedSphereGrid(17))
+        calls = {"step": 0, "stable_dt": 0}
+        real_step, real_stable_dt = flow.step, flow.stable_dt
+
+        def counting_step(*args):
+            calls["step"] += 1
+            return real_step(*args)
+
+        def counting_stable_dt(*args):
+            calls["stable_dt"] += 1
+            return real_stable_dt(*args)
+
+        monkeypatch.setattr(flow, "step", counting_step)
+        monkeypatch.setattr(flow, "stable_dt", counting_stable_dt)
+        traj = evolve(field, StepControl(t_end=0.01, snapshot_interval=0.005))
+        assert traj.termination == "ReachedTEnd" and traj.step_count >= 2
+        assert calls["stable_dt"] == calls["step"] == traj.step_count
+
+
 class TestRenormalization:
     def test_factors_record_scale(self, flower256):
         ctl = StepControl(t_end=0.15, snapshot_interval=0.05)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from centroflow.errors import ConfigError, GridError
-from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, make_grid
+from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, _sym2, make_grid
 from centroflow.support import SupportField, homogeneity_residual
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
@@ -52,6 +52,23 @@ class TestCircleGrid:
     def test_resolution_floor(self):
         with pytest.raises(ConfigError):
             CircleGrid(8)
+
+    @pytest.mark.parametrize("N", [64, 65])
+    def test_deriv_equals_per_call_multiplier(self, N):
+        # the multipliers built with the grid hold the values deriv formed
+        # per call before: (i k)^order, the odd-order Nyquist mode zeroed
+        g = CircleGrid(N)
+        v = np.exp(np.cos(g.thetas)) + 0.1 * np.sin(3 * g.thetas)
+        vv = np.stack([v, v ** 2], axis=-1)
+        for order in (1, 2):
+            mult = (1j * np.arange(N // 2 + 1)) ** order
+            if order % 2 == 1 and N % 2 == 0:
+                mult[-1] = 0.0
+            want = np.fft.irfft(np.fft.rfft(vv, axis=0) * mult[:, None], n=N, axis=0)
+            assert np.array_equal(g.deriv(vv, order), want)
+            assert np.array_equal(g.deriv(v, order), want[:, 0])
+        with pytest.raises(GridError):
+            g.deriv(v, 3)
 
 
 class TestCubedSphereGrid:
@@ -156,6 +173,14 @@ def test_make_grid_dispatch():
 def test_make_grid_rejects_non_integers(n, resolution):
     with pytest.raises(ConfigError, match="must be an integer"):
         make_grid(n, resolution)
+
+
+@pytest.mark.parametrize("cls, resolution", [(CircleGrid, 64.9), (CircleGrid, True),
+                                             (CubedSphereGrid, 17.5),
+                                             (CubedSphereGrid, True)])
+def test_constructors_reject_non_integers(cls, resolution):
+    with pytest.raises(ConfigError, match="resolution must be an integer"):
+        cls(resolution)
 
 
 class TestSharedInterface:
@@ -276,6 +301,56 @@ class TestHaloTable:
     def test_unknown_kind_rejected(self, sphere17):
         with pytest.raises(GridError):
             sphere17.extend(sphere17.w, kind="cov")
+
+
+@pytest.fixture(scope="module", params=[17, 33, 65])
+def cube(request):
+    return CubedSphereGrid(request.param)
+
+
+def einsum_extend(g, values, kind):
+    """The halo extend as a 3-operand einsum over Lagrange rows w1, w2 and the
+    8x8 patch P, rebuilt from the stencil builder: the reference the tap-first
+    table must reproduce bit for bit."""
+    ghost, z = ghost_directions(g)
+    z = z.reshape(-1, 3)
+    _, _, src, w1, w2 = g._stencil(z)
+    comp = values.shape[3:]
+    svals = values / g.w.reshape(g.shape + (1,) * len(comp)) if kind == "deg1" else values
+    cols = svals.reshape(svals.shape[:3] + (-1,))
+    ghosts = np.stack([np.einsum("ga,gb,gab->g", w1, w2, cols[..., c].reshape(-1)[src])
+                       for c in range(cols.shape[-1])], axis=-1).reshape((-1,) + comp)
+    if kind == "deg1":
+        ghosts = ghosts * np.linalg.norm(z, axis=1).reshape((-1,) + (1,) * len(comp))
+    return ghost, ghosts.reshape((6, -1) + comp)
+
+
+class TestBitwiseKernels:
+    def test_extend_equals_einsum_contraction(self, cube):
+        g = cube
+        s = 1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2]
+        X = s[..., None] * g.nodes
+        for values, kind in ((s, "scalar"), (g.w * s, "deg1"), (X, "scalar")):
+            ghost, want = einsum_extend(g, values, kind)
+            ext = g.extend(values, kind)
+            assert np.array_equal(ext[:, ghost], want)
+            assert np.array_equal(ext[:, HALO:-HALO, HALO:-HALO], values)
+
+    def test_graph_hessian_equals_chart_derivs(self, cube):
+        g = cube
+        u = g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2])
+        assert np.array_equal(g.graph_hessian(u), _sym2(*g.chart_derivs(u, "deg1")[2:]))
+
+    def test_stencils_equal_their_expressions(self, cube):
+        g = cube
+        ext = g.extend(g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1)), "deg1")
+        h = g.h
+        for axis in (1, 2):
+            a, b, m, d, e = g._taps(ext, axis)
+            assert np.array_equal(g.d1(ext, axis),
+                                  (1.0 / (12.0 * h)) * (a - 8 * b + 8 * d - e))
+            assert np.array_equal(g.d2(ext, axis), (1.0 / (12.0 * h ** 2))
+                                  * (-a + 16 * b - 30 * m + 16 * d - e))
 
 
 @pytest.mark.parametrize("M", [17, 33, 65])

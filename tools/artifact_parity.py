@@ -3,7 +3,7 @@
     python tools/artifact_parity.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). The script runs the same 17 CLI commands
+(the `src/` of two checkouts). The script runs the same 19 CLI commands
 against each tree, in a fresh working directory per tree, and compares
 every file the commands write, in two stability classes:
 
@@ -50,6 +50,11 @@ INPUTS = {
         "n": 2, "resolution": 17,
         "initial": {"kind": "file", "params": {"path": "body17.json"}},
         "t_end": 0.01, "snapshot_interval": 0.0025, "output": "runs/file2"},
+    # the resolution of the surface-evolve benchmark workload
+    "file33.json": {
+        "n": 2, "resolution": 33,
+        "initial": {"kind": "file", "params": {"path": "body33.json"}},
+        "t_end": 0.005, "snapshot_interval": 0.0025, "output": "runs/file33"},
     "oracle1.json": {
         "n": 1, "resolution": 128,
         "initial": {"kind": "ellipsoid", "params": {"matrix": [[1.69, 0.2], [0.2, 1.0]]}},
@@ -89,6 +94,8 @@ COMMANDS = (
     ("validate-config", "--config", "file2.json"),
     ("evolve", "--config", "file2.json", "--renormalize"),
     ("diagnose", "--trajectory", "runs/file2"),
+    ("evolve", "--config", "file33.json"),
+    ("diagnose", "--trajectory", "runs/file33"),
     ("oracle-compare", "--config", "oracle1.json", "--tolerance", "1e-5"),
     ("oracle-compare", "--config", "oracle2.json", "--tolerance", "1e-3"),
     ("oracle-compare", "--config", "radius2.json", "--tolerance", "1e-3"),
@@ -100,9 +107,9 @@ COMMANDS = (
 )
 
 
-def _body17():
-    """n=2 M=17 snapshot of s = 1 + 0.04 xyz + 0.02 x, built without the package."""
-    M = 17
+def _body(M):
+    """n=2 snapshot of s = 1 + 0.04 xyz + 0.02 x at per-face resolution M,
+    built without the package (the 0.02 x term moves the body off-centre)."""
     ys = [-1.0 + 2.0 * i / (M - 1) for i in range(M)]
     frames = (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((-1, 0, 0), (0, 0, 1), (0, 1, 0)),
               ((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, -1, 0), (1, 0, 0), (0, 0, 1)),
@@ -124,7 +131,8 @@ def _body17():
 
 def run_tree(src, workdir):
     """Write the inputs, run every command; returns [(argv, exit code, stdout)]."""
-    for name, doc in dict(INPUTS, **{"body17.json": _body17()}).items():
+    bodies = {"body17.json": _body(17), "body33.json": _body(33)}
+    for name, doc in dict(INPUTS, **bodies).items():
         with open(os.path.join(workdir, name), "w") as fh:
             json.dump(doc, fh)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
