@@ -95,9 +95,7 @@ def cmd_diagnose(args):
     iomod.write_report(os.path.join(outdir, iomod.REPORT_NAME), report, cfg_hash)
     iomod.write_series_csv(os.path.join(outdir, iomod.SERIES_NAME),
                            bundle.rows(), cfg_hash)
-    iomod.write_json(os.path.join(outdir, "invariants.json"),
-                     [dict(t=float(t), **iomod.invariant_summary(iv))
-                      for t, iv in zip(bundle.t, bundle.inv)])
+    iomod.write_json(os.path.join(outdir, "invariants.json"), bundle.summaries)
     for c in report.checks:
         print(f"diagnose: {c.name}: {c.verdict} (worst margin {c.worst_margin:.3e})")
     print(f"diagnose: classification={report.summary['classification']}")

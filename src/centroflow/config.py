@@ -14,9 +14,10 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .grids import make_grid
+from .grids import grid_shape, make_grid
 from .io import load_snapshot, read_json
-from .support import convexity_margin, ellipsoid_support, fourier_support
+from .support import (convexity_margin, ellipsoid_shape_matrix, ellipsoid_support,
+                      fourier_support)
 
 SCHEMES = ("rk4", "heun")
 
@@ -77,12 +78,7 @@ def validate(raw):
     _require(_is_number(cfg.get("n")) and cfg["n"] in (1, 2), "'n' must be 1 or 2")
     n = cfg["n"]
     res = cfg.get("resolution")
-    _require(isinstance(res, int) and not isinstance(res, bool),
-             "'resolution' must be an integer")
-    if n == 1:
-        _require(res >= 16, "n=1 needs resolution >= 16")
-    else:
-        _require(res >= 17 and res % 2 == 1, "n=2 needs odd resolution >= 17")
+    grid_shape(n, res)
 
     _require(cfg["scheme"] in SCHEMES, f"'scheme' must be one of {SCHEMES}")
     cfg["cfl"] = _positive_real(cfg, "cfl", upper=1.0)
@@ -120,12 +116,7 @@ def validate(raw):
             _require(isinstance(rows, list)
                      and all(isinstance(r, list) and all(_is_number(x) for x in r)
                              for r in rows), "'matrix' must be a list of rows of numbers")
-            Q = np.asarray(rows, dtype=float)
-            _require(Q.shape == (n + 1, n + 1),
-                     f"'matrix' must be {(n + 1)}x{(n + 1)}")
-            _require(np.allclose(Q, Q.T, atol=1e-12), "'matrix' must be symmetric")
-            _require(np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) > 0,
-                     "'matrix' must be positive definite")
+            ellipsoid_shape_matrix(rows, n + 1)
     elif kind == "fourier":
         _require(n == 1, "fourier initial data is only defined for n=1")
         _require("c0" in params, "fourier initial needs 'c0'")

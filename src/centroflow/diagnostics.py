@@ -37,12 +37,6 @@ def _centred(y, t):
     return (y[2:] - y[:-2]) / (t[2:] - t[:-2])
 
 
-def _eig_range(grid, b):
-    """(min, max) curvature eigenvalue over the grid."""
-    lo, hi = grid.sym_eigs(b)
-    return float(np.min(lo)), float(np.max(hi))
-
-
 class BoundCheck:
     """Named inequality verdict: margin[k] = bound_k - observed_k (>= 0 holds)."""
 
@@ -65,57 +59,85 @@ class BoundCheck:
                 "margins": [float(m) for m in self.margins]}
 
 
+# per-node fields invariants.json digests per snapshot; J and chi are None for n=1
+DIGEST_FIELDS = ("norm_T2", "norm_C2", "psi", "rho", "H", "det_g", "J", "chi")
+
+
+def invariant_summary(inv):
+    """Per-snapshot min/max/mean digest of every scalar invariant field."""
+    out = {name: {"min": float(arr.min()), "max": float(arr.max()),
+                  "mean": float(arr.mean())}
+           for name in DIGEST_FIELDS if (arr := getattr(inv, name)) is not None}
+    for name in ("area", "residual_C_symmetry", "residual_relsupport",
+                 "residual_gauss_cross"):
+        out[name] = getattr(inv, name)
+    return out
+
+
+def _snapshot_row(state, with_rhs):
+    """One snapshot's scalars, reduced from its invariant stack, and its digest.
+
+    with_rhs adds the integral and refined-max values of the |T|^2 right side.
+    """
+    field, grid = state.field, state.field.grid
+    iv = inva.compute_invariants(field)
+    where, supT2 = grid.refine_max(iv.norm_T2)
+    lo, hi = grid.sym_eigs(iv.curvature)
+    row = {"area": iv.area,
+           "int_T2": inva.integrate_mu(grid, iv.norm_T2, iv.sqrt_det_g),
+           "supT2": supT2,
+           "supC2": grid.refine_max(iv.norm_C2)[1],
+           "min_s": field.min_s(), "max_s": field.max_s(),
+           "eig_min_b": float(np.min(lo)), "eig_max_b": float(np.max(hi)),
+           "rho_min": float(np.min(iv.rho)), "rho_max": float(np.max(iv.rho)),
+           "roundness": oracles.best_fit_ellipsoid(field)[1],
+           "residual_relsupport": iv.residual_relsupport,
+           "grad_max": float(np.max(gradient_norm(field, iv.X)))}
+    if with_rhs:
+        te = inva.t2_evolution_rhs(iv)
+        row["int_rhs"] = inva.integrate_mu(
+            grid, te + 0.5 * field.n * iv.norm_T2 ** 2, iv.sqrt_det_g)
+        # evaluate at the grid's refined max, not the nearest node: on the circle
+        # the node offset costs O(h^2 rhs'') which dominates the residual floor
+        row["sup_rhs"] = grid.value_at(te, where)
+    return row, dict(t=float(state.t), **invariant_summary(iv))
+
+
 class SeriesBundle:
-    """Per-snapshot invariant stacks and the derived scalar series."""
+    """Per-snapshot scalar series of a trajectory and the residuals built on them.
+
+    Each snapshot's invariant stack is computed once, reduced to one row of
+    scalars and its invariants.json digest (summaries), and dropped: no
+    per-node field outlives the constructor. Each row key is a series
+    attribute; grad_max is max |grad s|.
+    """
 
     def __init__(self, traj):
-        self.traj = traj
-        self.inv = [inva.compute_invariants(st.field) for st in traj.snapshots]
         self.t = traj.times
-        n = traj.snapshots[0].field.n
-        self.n = n
-        self.area = np.array([iv.area for iv in self.inv])
-        self.int_T2 = np.array(
-            [inva.integrate_mu(iv.grid, iv.norm_T2, iv.sqrt_det_g) for iv in self.inv])
-        self.area_rhs = 0.5 * n * self.int_T2
-        self._T2_max = [iv.grid.refine_max(iv.norm_T2) for iv in self.inv]
-        self.supT2 = np.array([v for _, v in self._T2_max])
-        self.supC2 = np.array([iv.grid.refine_max(iv.norm_C2)[1] for iv in self.inv])
-        self.min_s = np.array([st.field.min_s() for st in traj.snapshots])
-        self.max_s = np.array([st.field.max_s() for st in traj.snapshots])
-        eigs = np.array([_eig_range(iv.grid, iv.curvature) for iv in self.inv])
-        self.eig_min_b = eigs[:, 0]
-        self.eig_max_b = eigs[:, 1]
-        self.rho_min = np.array([float(np.min(iv.rho)) for iv in self.inv])
-        self.rho_max = np.array([float(np.max(iv.rho)) for iv in self.inv])
-        self.roundness = np.array(
-            [oracles.best_fit_ellipsoid(st.field)[1] for st in traj.snapshots])
-        self.residual_relsupport = np.array(
-            [iv.residual_relsupport for iv in self.inv])
-        self._evolution_residuals()
+        self.n = traj.snapshots[0].field.n
+        rows, summaries = zip(*[_snapshot_row(st, with_rhs=len(self.t) >= 3)
+                                for st in traj.snapshots])
+        self.summaries = list(summaries)
+        series = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+        int_rhs, sup_rhs = series.pop("int_rhs", None), series.pop("sup_rhs", None)
+        vars(self).update(series)
+        self.area_rhs = 0.5 * self.n * self.int_T2
+        self._evolution_residuals(int_rhs, sup_rhs)
 
-    def _evolution_residuals(self):
+    def _evolution_residuals(self, int_rhs, sup_rhs):
         """Centered-difference residuals of the scalar evolution contractions.
 
         r_area: d(Area)/dt vs (n/2) int |T|^2 dmu            [metric trace law]
         r_intT2: d/dt int |T|^2 dmu vs int (rhs + (n/2)|T|^4) dmu
         r_supT2: d/dt |T|^2 at its spatial max vs the pointwise rhs
-        All are relative; endpoints carry nan.
+        All are relative; endpoints carry nan, and every entry does below
+        three snapshots (no right sides then).
         """
-        K = len(self.t)
-        nan = np.full(K, np.nan)
+        nan = np.full(len(self.t), np.nan)
         self.r_area, self.r_intT2, self.r_supT2 = nan.copy(), nan.copy(), nan.copy()
-        if K < 3:
+        if int_rhs is None:
             self.residual_prop21 = nan
             return
-        tevo = [inva.t2_evolution_rhs(iv) for iv in self.inv]
-        int_rhs = np.array([
-            inva.integrate_mu(iv.grid, te + 0.5 * self.n * iv.norm_T2 ** 2, iv.sqrt_det_g)
-            for iv, te in zip(self.inv, tevo)])
-        # evaluate at the grid's refined max, not the nearest node: on the circle
-        # the node offset costs O(h^2 rhs'') which dominates the residual floor
-        sup_rhs = np.array([iv.grid.value_at(te, where)
-                            for iv, te, (where, _) in zip(self.inv, tevo, self._T2_max)])
         for r, y, rhs in ((self.r_area, self.area, self.area_rhs),
                           (self.r_intT2, self.int_T2, int_rhs),
                           (self.r_supT2, self.supT2, sup_rhs)):
@@ -161,16 +183,9 @@ def check_c0(traj):
 
 
 def check_c1(bundle):
-    """max |grad s| <= running max of s (gradient bound from convexity).
-
-    Each snapshot's embedding comes from its invariants.
-    """
-    margins = []
-    run_max = -np.inf
-    for st, iv in zip(bundle.traj.snapshots, bundle.inv):
-        run_max = max(run_max, st.field.max_s())
-        margins.append(run_max - float(np.max(gradient_norm(st.field, iv.X))))
-    return BoundCheck("gradient_bound", margins, BOUND_TOL)
+    """max |grad s| <= running max of s (gradient bound from convexity)."""
+    return BoundCheck("gradient_bound",
+                      np.maximum.accumulate(bundle.max_s) - bundle.grad_max, BOUND_TOL)
 
 
 def check_pinch(bundle):

@@ -18,11 +18,11 @@ class GridError(CentroflowError):
     """Malformed grid or failed halo exchange."""
 
 
-class ConvexityLost(CentroflowError):
-    """Uniform convexity failed: det(b) or an eigenvalue dropped to <= 0.
+class GuardError(CentroflowError):
+    """A runtime guard tripped on the geometry.
 
     where: node identifier (index for n=1, (face, i, j) for n=2)
-    value: the offending determinant / eigenvalue
+    value: the offending quantity
     """
 
     def __init__(self, message, where=None, value=None):
@@ -31,26 +31,20 @@ class ConvexityLost(CentroflowError):
         self.value = value
 
 
-class OriginCrossed(CentroflowError):
-    """Support function hit zero: the origin is no longer interior."""
+class ConvexityLost(GuardError):
+    """Uniform convexity failed: det(b) or an eigenvalue dropped to <= 0."""
 
-    def __init__(self, message, where=None, value=None):
-        super().__init__(message)
-        self.where = where
-        self.value = value
+
+class OriginCrossed(GuardError):
+    """Support function hit zero: the origin is no longer interior."""
 
 
 class NumericalBlowup(CentroflowError):
     """Non-finite values appeared during time stepping."""
 
 
-class TransversalityLost(CentroflowError):
+class TransversalityLost(GuardError):
     """Frame determinant [X_1,...,X_n,X] too close to zero."""
-
-    def __init__(self, message, where=None, value=None):
-        super().__init__(message)
-        self.where = where
-        self.value = value
 
 
 class FitDegenerate(CentroflowError):

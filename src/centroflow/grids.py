@@ -39,8 +39,6 @@ class CircleGrid:
 
     def __init__(self, resolution):
         grid_shape(self.n, resolution)
-        if resolution < 16:
-            raise ConfigError(f"n=1 resolution must be >= 16, got {resolution}")
         N = resolution
         self.N = N
         self.resolution = N
@@ -202,8 +200,6 @@ class CubedSphereGrid:
     def __init__(self, resolution):
         grid_shape(self.n, resolution)
         M = resolution
-        if M < 17 or M % 2 == 0:
-            raise ConfigError(f"n=2 per-face resolution must be odd and >= 17, got {M}")
         self.M = M
         self.resolution = M
         self.h = 2.0 / (M - 1)
@@ -525,24 +521,30 @@ class CubedSphereGrid:
         return float(out[0]) if dirs.ndim == 1 else out
 
 
-# n -> (grid class, node-array shape at a resolution)
-_GRIDS = {1: (CircleGrid, lambda r: (r,)),
-         2: (CubedSphereGrid, lambda r: (6, r, r))}
+# n -> (grid class, smallest resolution, odd resolution only, node-array shape)
+_GRIDS = {1: (CircleGrid, 16, False, lambda r: (r,)),
+         2: (CubedSphereGrid, 17, True, lambda r: (6, r, r))}
 
 
 def grid_shape(n, resolution):
     """Node-array shape of make_grid(n, resolution), found without building the grid.
 
-    Rejects an n or resolution that is not an integer (JSON true loads as a
-    bool, which is an int) and an n other than 1 or 2 with ConfigError. The
-    grid constructors run the same check.
+    The one statement of the resolution rule: ConfigError for an n or
+    resolution that is not an integer (JSON true loads as a bool, which is an
+    int), an n other than 1 or 2, and a resolution below the grid's floor or,
+    on the cubed sphere, even. The grid constructors, config validation and
+    snapshot headers all run it.
     """
     for name, v in (("n", n), ("resolution", resolution)):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{name} must be an integer, got {v!r}")
     if n not in _GRIDS:
         raise ConfigError(f"n must be 1 or 2, got {n}")
-    return _GRIDS[n][1](resolution)
+    _, least, odd, shape = _GRIDS[n]
+    if resolution < least or (odd and resolution % 2 == 0):
+        raise ConfigError(f"n={n} needs {'odd ' if odd else ''}resolution >= {least}, "
+                          f"got {resolution}")
+    return shape(resolution)
 
 
 def make_grid(n, resolution):

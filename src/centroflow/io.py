@@ -200,21 +200,3 @@ def read_csv_rows(path):
 def write_report(path, report, cfg_hash):
     write_json(path, dict(report.to_dict(), config_hash=cfg_hash))
 
-
-def invariant_summary(inv):
-    """Per-snapshot min/max/mean digest of every scalar invariant field."""
-    out = {}
-    for name in ("norm_T2", "norm_C2", "psi", "rho", "H", "det_g"):
-        arr = getattr(inv, name)
-        out[name] = {"min": float(np.min(arr)), "max": float(np.max(arr)),
-                     "mean": float(np.mean(arr))}
-    if inv.J is not None:
-        for name in ("J", "chi"):
-            arr = getattr(inv, name)
-            out[name] = {"min": float(np.min(arr)), "max": float(np.max(arr)),
-                         "mean": float(np.mean(arr))}
-    out["area"] = inv.area
-    out["residual_C_symmetry"] = inv.residual_C_symmetry
-    out["residual_relsupport"] = inv.residual_relsupport
-    out["residual_gauss_cross"] = inv.residual_gauss_cross
-    return out

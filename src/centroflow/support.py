@@ -39,20 +39,31 @@ class SupportField:
         return float(np.max(self.s))
 
 
+def ellipsoid_shape_matrix(Q, dim):
+    """Q as a float array; ConfigError unless Q is a dim x dim SPD matrix.
+
+    Symmetric means equal to its transpose within 1e-12 of its largest entry
+    (or of 1).
+    """
+    try:
+        Q = np.asarray(Q, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows
+        raise ConfigError(f"ellipsoid matrix must be {dim}x{dim}: {exc}")
+    if Q.shape != (dim, dim):
+        raise ConfigError(f"ellipsoid matrix must be {dim}x{dim}, got {Q.shape}")
+    if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, np.max(np.abs(Q))):
+        raise ConfigError("ellipsoid matrix must be symmetric")
+    if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) <= 0:
+        raise ConfigError("ellipsoid matrix must be positive definite")
+    return Q
+
+
 def ellipsoid_support(grid, Q):
     """Support field of the ellipsoid with s(p) = sqrt(p^T Q p), Q SPD.
 
     For semi-axes a_i along the coordinate axes, Q = diag(a_i^2).
     """
-    dim = grid.n + 1
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (dim, dim):
-        raise ConfigError(f"ellipsoid matrix must be {dim}x{dim}, got {Q.shape}")
-    if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, np.max(np.abs(Q))):
-        raise ConfigError("ellipsoid matrix must be symmetric")
-    evals = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    if np.min(evals) <= 0:
-        raise ConfigError("ellipsoid matrix must be positive definite")
+    Q = ellipsoid_shape_matrix(Q, grid.n + 1)
     p = grid.nodes
     s = np.sqrt(np.einsum("...i,ij,...j->...", p, Q, p))
     return SupportField(grid, s=s)

@@ -17,8 +17,8 @@ from centroflow.config import (
     validate_sweep,
 )
 from centroflow.errors import ConfigError
-from centroflow.grids import make_grid
-from centroflow.support import SupportField
+from centroflow.grids import CircleGrid, CubedSphereGrid, make_grid
+from centroflow.support import SupportField, ellipsoid_support
 
 FLOWER = {
     "n": 1, "resolution": 64,
@@ -121,10 +121,45 @@ class TestValidate:
         with pytest.raises(ConfigError, match="positive definite"):
             validate(dict(base, initial={"kind": "ellipsoid",
                                          "params": {"matrix": [[1.0, 2.0], [2.0, 1.0]]}}))
+        with pytest.raises(ConfigError, match="2x2"):
+            validate(dict(base, initial={"kind": "ellipsoid",
+                                         "params": {"matrix": [[1.0, 0.0], [0.0]]}}))
         with pytest.raises(ConfigError, match="exactly one"):
             validate(dict(base, initial={"kind": "ellipsoid",
                                          "params": {"radius": 1.0,
                                                     "matrix": [[1.0, 0.0], [0.0, 1.0]]}}))
+
+    def test_one_ellipsoid_matrix_rule(self, tmp_path):
+        # asymmetric at 1e-7 relative: refused before the run, as at run time
+        matrix = [[4.0, 1.0 + 1e-7], [1.0, 4.0]]
+        cfg = {"n": 1, "resolution": 64, "output": str(tmp_path / "sweep"),
+               "initial": {"kind": "ellipsoid", "params": {"matrix": matrix}}}
+        with pytest.raises(ConfigError, match="symmetric") as at_validate:
+            validate(cfg)
+        with pytest.raises(ConfigError) as at_run:
+            ellipsoid_support(make_grid(1, 64), matrix)
+        assert str(at_validate.value) == str(at_run.value)
+        spec = {"base": cfg, "axes": [{"path": "cfl", "values": [0.1, 0.2]}]}
+        assert main(["sweep", "--spec", write_cfg(tmp_path / "s.json", spec)]) == 2
+        assert not os.path.exists(tmp_path / "sweep")
+
+    @pytest.mark.parametrize("n, resolution", [(1, 15), (2, 15), (2, 18)])
+    def test_one_resolution_rule(self, tmp_path, n, resolution):
+        # config, grid constructor and snapshot header give the same error
+        with pytest.raises(ConfigError) as at_config:
+            validate({"n": n, "resolution": resolution, "initial": RADIUS})
+        with pytest.raises(ConfigError) as at_grid:
+            {1: CircleGrid, 2: CubedSphereGrid}[n](resolution)
+        shape = (resolution,) if n == 1 else (6, resolution, resolution)
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps({"n": n, "resolution": resolution, "time": 0.0,
+                                    "values": np.ones(shape).tolist()}))
+        with pytest.raises(ConfigError) as at_header:
+            iomod.load_snapshot(str(path))
+        message = str(at_config.value)
+        assert "resolution >= " in message
+        assert str(at_grid.value) == message
+        assert str(at_header.value) == f"snapshot {path}: {message}"
 
     def test_unknown_initial_kind(self):
         with pytest.raises(ConfigError, match="unknown initial kind"):

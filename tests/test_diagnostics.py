@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from centroflow.diagnostics import (
     classify,
     run_report,
 )
-from centroflow.flow import StepControl, evolve
+from centroflow.flow import FlowState, StepControl, Trajectory, evolve
 from centroflow.grids import CircleGrid, CubedSphereGrid
 from centroflow.support import SupportField, fourier_support
 from centroflow import invariants as inva
-from centroflow import support
+from centroflow import oracles, support
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,122 @@ class TestSeriesBundle:
         traj = evolve(f, StepControl(t_end=0.01, snapshot_interval=0.01))
         b = SeriesBundle(traj)
         assert np.all(np.isnan(b.residual_prop21))
+
+
+def _bundle_memory(traj):
+    """(bundle, bytes still held after construction, peak bytes during it)."""
+    tracemalloc.start()
+    try:
+        bundle = SeriesBundle(traj)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return bundle, retained, peak
+
+
+class TestSeriesBundleMemory:
+    @staticmethod
+    def _still_trajectory(grid, K):
+        field = SupportField(grid, s=1.0 + 0.05 * np.prod(grid.nodes, axis=-1))
+        states = [FlowState(t=1e-3 * k, field=field, step_count=0) for k in range(K)]
+        return Trajectory(states, "ReachedTEnd", 0)
+
+    def test_only_scalar_series_outlive_construction(self, sphere33):
+        SeriesBundle(self._still_trajectory(sphere33, 3))  # warm any grid caches
+        peaks = {}
+        for K in (3, 9):
+            bundle, retained, peaks[K] = _bundle_memory(self._still_trajectory(sphere33, K))
+            # one M=33 invariant stack alone holds about 3.6 MB of node fields
+            assert retained < 1e6, (K, retained)
+            for name, value in vars(bundle).items():
+                if isinstance(value, np.ndarray):
+                    assert value.shape == (K,), name
+        # one stack at a time: the peak does not grow with the snapshot count
+        assert peaks[9] - peaks[3] < 1e6, peaks
+
+
+def _reference_digest(iv):
+    """invariants.json's per-snapshot digest, field by field."""
+    names = ("norm_T2", "norm_C2", "psi", "rho", "H", "det_g")
+    out = {}
+    for name in names + (("J", "chi") if iv.J is not None else ()):
+        arr = getattr(iv, name)
+        out[name] = {"min": float(np.min(arr)), "max": float(np.max(arr)),
+                     "mean": float(np.mean(arr))}
+    out.update(area=iv.area, residual_C_symmetry=iv.residual_C_symmetry,
+               residual_relsupport=iv.residual_relsupport,
+               residual_gauss_cross=iv.residual_gauss_cross)
+    return out
+
+
+def _reference_series(traj):
+    """Every series, digest and gradient margin reduced from all stacks kept at once."""
+    inv = [inva.compute_invariants(st.field) for st in traj.snapshots]
+    t, n, K = traj.times, inv[0].n, len(inv)
+    ref = {"area": np.array([iv.area for iv in inv]),
+           "int_T2": np.array([inva.integrate_mu(iv.grid, iv.norm_T2, iv.sqrt_det_g)
+                               for iv in inv])}
+    ref["area_rhs"] = 0.5 * n * ref["int_T2"]
+    t2max = [iv.grid.refine_max(iv.norm_T2) for iv in inv]
+    ref["supT2"] = np.array([v for _, v in t2max])
+    ref["supC2"] = np.array([iv.grid.refine_max(iv.norm_C2)[1] for iv in inv])
+    ref["min_s"] = np.array([st.field.min_s() for st in traj.snapshots])
+    ref["max_s"] = np.array([st.field.max_s() for st in traj.snapshots])
+    eigs = [iv.grid.sym_eigs(iv.curvature) for iv in inv]
+    ref["eig_min_b"] = np.array([float(np.min(lo)) for lo, _ in eigs])
+    ref["eig_max_b"] = np.array([float(np.max(hi)) for _, hi in eigs])
+    ref["rho_min"] = np.array([float(np.min(iv.rho)) for iv in inv])
+    ref["rho_max"] = np.array([float(np.max(iv.rho)) for iv in inv])
+    ref["roundness"] = np.array([oracles.best_fit_ellipsoid(st.field)[1]
+                                 for st in traj.snapshots])
+    ref["residual_relsupport"] = np.array([iv.residual_relsupport for iv in inv])
+    for key in ("r_area", "r_intT2", "r_supT2", "residual_prop21"):
+        ref[key] = np.full(K, np.nan)
+    if K >= 3:
+        tevo = [inva.t2_evolution_rhs(iv) for iv in inv]
+        int_rhs = np.array([inva.integrate_mu(iv.grid, te + 0.5 * n * iv.norm_T2 ** 2,
+                                              iv.sqrt_det_g) for iv, te in zip(inv, tevo)])
+        sup_rhs = np.array([iv.grid.value_at(te, where)
+                            for iv, te, (where, _) in zip(inv, tevo, t2max)])
+        for key, y, rhs in (("r_area", ref["area"], ref["area_rhs"]),
+                            ("r_intT2", ref["int_T2"], int_rhs),
+                            ("r_supT2", ref["supT2"], sup_rhs)):
+            diff = (y[2:] - y[:-2]) / (t[2:] - t[:-2])
+            ref[key][1:-1] = np.abs(diff - rhs[1:-1]) / np.maximum(np.abs(rhs[1:-1]), 1e-12)
+        ref["residual_prop21"] = np.fmax(np.fmax(ref["r_area"], ref["r_intT2"]),
+                                         ref["r_supT2"])
+        ref["residual_prop21"][0] = ref["residual_prop21"][-1] = np.nan
+    ref["t"] = t
+    digests = [dict(t=float(tk), **_reference_digest(iv)) for tk, iv in zip(t, inv)]
+    margins, run_max = [], -np.inf
+    for st, iv in zip(traj.snapshots, inv):
+        run_max = max(run_max, st.field.max_s())
+        margins.append(run_max - float(np.max(support.gradient_norm(st.field, iv.X))))
+    return ref, digests, margins
+
+
+@pytest.fixture(scope="module")
+def two_snapshot_runs(circle64, sphere17):
+    curve = fourier_support(circle64, 1.0, a=[0.0, 0.0, 0.05])
+    surface = SupportField(sphere17, s=1.0 + 0.05 * np.prod(sphere17.nodes, axis=-1))
+    return (evolve(curve, StepControl(t_end=0.01, snapshot_interval=0.01)),
+            evolve(surface, StepControl(t_end=0.001, snapshot_interval=0.001)))
+
+
+class TestSeriesBundleBitwise:
+    @pytest.mark.parametrize("which", ["curve-K9", "surface-K3", "curve-K2", "surface-K2"])
+    def test_matches_reductions_of_kept_stacks(self, which, gentle_run, sphere_run,
+                                               two_snapshot_runs):
+        traj = {"curve-K9": gentle_run, "surface-K3": sphere_run,
+                "curve-K2": two_snapshot_runs[0], "surface-K2": two_snapshot_runs[1]}[which]
+        assert len(traj) == int(which.split("K")[1])
+        bundle = SeriesBundle(traj)
+        ref, digests, margins = _reference_series(traj)
+        assert set(SERIES_COLUMNS) <= set(ref)
+        for key, want in ref.items():
+            assert np.array_equal(getattr(bundle, key), want, equal_nan=True), key
+        assert bundle.summaries == digests
+        assert np.array_equal(check_c1(bundle).margins, margins)
 
 
 class TestChecks:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from centroflow import flow
-from centroflow.errors import NumericalBlowup, OriginCrossed
+from centroflow.errors import (ConvexityLost, GuardError, NumericalBlowup,
+                               OriginCrossed, TransversalityLost)
 from centroflow.flow import (
     FlowState,
     StepControl,
@@ -265,3 +266,10 @@ class TestHessianReuse:
         assert traj.step_count == 1
         alone = step(FlowState(0.0, f), dt, ctl)
         assert np.array_equal(alone.field.u, traj.snapshots[-1].field.u)
+
+
+@pytest.mark.parametrize("cls", [ConvexityLost, OriginCrossed, TransversalityLost])
+def test_guard_errors_share_one_constructor(cls):
+    exc = cls("lost", where=(1, 2, 3), value=-0.5)
+    assert isinstance(exc, GuardError) and "__init__" not in vars(cls)
+    assert (str(exc), exc.where, exc.value) == ("lost", (1, 2, 3), -0.5)

@@ -3,7 +3,7 @@
     python tools/artifact_parity.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). The script runs the same 19 CLI commands
+(the `src/` of two checkouts). The script runs the same 21 CLI commands
 against each tree, in a fresh working directory per tree, and compares
 every file the commands write, in two stability classes:
 
@@ -55,6 +55,8 @@ INPUTS = {
         "n": 2, "resolution": 33,
         "initial": {"kind": "file", "params": {"path": "body33.json"}},
         "t_end": 0.005, "snapshot_interval": 0.0025, "output": "runs/file33"},
+    # two snapshots: the diagnostics without the |T|^2 right sides
+    "two1.json": dict(FOURIER, t_end=0.01, snapshot_interval=0.01, output="runs/two1"),
     "oracle1.json": {
         "n": 1, "resolution": 128,
         "initial": {"kind": "ellipsoid", "params": {"matrix": [[1.69, 0.2], [0.2, 1.0]]}},
@@ -96,6 +98,8 @@ COMMANDS = (
     ("diagnose", "--trajectory", "runs/file2"),
     ("evolve", "--config", "file33.json"),
     ("diagnose", "--trajectory", "runs/file33"),
+    ("evolve", "--config", "two1.json"),
+    ("diagnose", "--trajectory", "runs/two1"),
     ("oracle-compare", "--config", "oracle1.json", "--tolerance", "1e-5"),
     ("oracle-compare", "--config", "oracle2.json", "--tolerance", "1e-3"),
     ("oracle-compare", "--config", "radius2.json", "--tolerance", "1e-3"),
