@@ -52,7 +52,7 @@ def main():
           f"{bundle.supT2[-1] / bb.supT2[0]:.3e}")
 
     # the full verdict sheet, including the opt-in decay check
-    report, _ = run_report(traj, bundle, decay_ratio=0.1)
+    report = run_report(bundle, decay_ratio=0.1)
     print("\nverdicts on the settled run:")
     for check in report.checks:
         print(f"  {check.name:28s} {check.verdict:15s} "

@@ -21,7 +21,7 @@ from . import diagnostics as diag
 from . import io as iomod
 from . import oracles
 from .errors import CentroflowError, ConfigError
-from .flow import StepControl, evolve
+from .flow import SCHEMES, StepControl, evolve
 
 GUARD_TERMINATIONS = {"ConvexityLost", "NumericalBlowup"}
 
@@ -49,7 +49,7 @@ def _apply_overrides(cfg, args):
 
 def _add_override_flags(p):
     p.add_argument("--resolution", type=int)
-    p.add_argument("--scheme", choices=cfgmod.SCHEMES)
+    p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--cfl", type=float)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--snapshot-interval", dest="snapshot_interval", type=float)
@@ -91,7 +91,8 @@ def cmd_diagnose(args):
     cfg_hash = meta.get("config_hash")
     if cfg_hash != iomod.config_hash(meta.get("config", {})):
         raise ConfigError("metadata config hash does not match its config echo")
-    report, bundle = diag.run_report(traj, decay_ratio=ratio)
+    bundle = diag.SeriesBundle(traj)
+    report = diag.run_report(bundle, decay_ratio=ratio)
     iomod.write_report(os.path.join(outdir, iomod.REPORT_NAME), report, cfg_hash)
     iomod.write_series_csv(os.path.join(outdir, iomod.SERIES_NAME),
                            bundle.rows(), cfg_hash)
@@ -144,7 +145,7 @@ def _sweep_cell(idx, overrides, cfg, outroot):
         cfg = dict(cfg, output=outdir)
         traj, bundle, _ = _run_config(cfg, outdir)
         row.update(termination=traj.termination,
-                   classification=diag.classify(traj),
+                   classification=diag.classify(bundle),
                    final_roundness=iomod._fmt(bundle.roundness[-1]),
                    final_supT2=iomod._fmt(bundle.supT2[-1]),
                    status="completed")

@@ -14,12 +14,11 @@ import os
 import numpy as np
 
 from .errors import ConfigError
+from .flow import SCHEMES
 from .grids import grid_shape, make_grid
 from .io import load_snapshot, read_json
 from .support import (convexity_margin, ellipsoid_shape_matrix, ellipsoid_support,
                       fourier_support)
-
-SCHEMES = ("rk4", "heun")
 
 DEFAULTS = {
     "scheme": "rk4",

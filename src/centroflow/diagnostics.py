@@ -74,10 +74,11 @@ def invariant_summary(inv):
     return out
 
 
-def _snapshot_row(state, with_rhs):
+def _snapshot_row(state, s0, with_rhs):
     """One snapshot's scalars, reduced from its invariant stack, and its digest.
 
-    with_rhs adds the integral and refined-max values of the |T|^2 right side.
+    drift is max |s - s0| against the first snapshot's s0. with_rhs adds the
+    integral and refined-max values of the |T|^2 right side.
     """
     field, grid = state.field, state.field.grid
     iv = inva.compute_invariants(field)
@@ -88,6 +89,7 @@ def _snapshot_row(state, with_rhs):
            "supT2": supT2,
            "supC2": grid.refine_max(iv.norm_C2)[1],
            "min_s": field.min_s(), "max_s": field.max_s(),
+           "drift": float(np.max(np.abs(field.s - s0))),
            "eig_min_b": float(np.min(lo)), "eig_max_b": float(np.max(hi)),
            "rho_min": float(np.min(iv.rho)), "rho_max": float(np.max(iv.rho)),
            "roundness": oracles.best_fit_ellipsoid(field)[1],
@@ -106,16 +108,21 @@ def _snapshot_row(state, with_rhs):
 class SeriesBundle:
     """Per-snapshot scalar series of a trajectory and the residuals built on them.
 
-    Each snapshot's invariant stack is computed once, reduced to one row of
-    scalars and its invariants.json digest (summaries), and dropped: no
-    per-node field outlives the constructor. Each row key is a series
-    attribute; grad_max is max |grad s|.
+    The only reader of a Trajectory in this module: every check takes the
+    bundle. Each snapshot's invariant stack is computed once, reduced to one
+    row of scalars and its invariants.json digest (summaries), and dropped:
+    no per-node field outlives the constructor. Each row key is a series
+    attribute; grad_max is max |grad s| and drift is max |s - s_0|. The
+    trajectory's termination and renorm_factors are kept alongside.
     """
 
     def __init__(self, traj):
         self.t = traj.times
+        self.termination = traj.termination
+        self.renorm_factors = np.array(traj.renorm_factors, dtype=float)
+        s0 = traj.snapshots[0].field.s
         self.n = traj.snapshots[0].field.n
-        rows, summaries = zip(*[_snapshot_row(st, with_rhs=len(self.t) >= 3)
+        rows, summaries = zip(*[_snapshot_row(st, s0, with_rhs=len(self.t) >= 3)
                                 for st in traj.snapshots])
         self.summaries = list(summaries)
         series = {key: np.array([row[key] for row in rows]) for key in rows[0]}
@@ -152,32 +159,24 @@ class SeriesBundle:
                 for k in range(len(self.t))]
 
 
-def check_c0(traj):
+def check_c0(bundle):
     """Double-exponential growth bounds on min/max of s.
 
     Anchored at snapshot 0 for plain runs; for renormalized runs each interval
-    re-anchors at the previous snapshot divided by its recorded factor.
+    re-anchors at the previous snapshot divided by its recorded factor. Plain
+    runs record factors of exactly 1.0, so dividing leaves their anchor as is.
     """
-    n = traj.snapshots[0].field.n
-    c = (n + 1.0) / n
-    renorm = any(abs(f - 1.0) > 0 for f in traj.renorm_factors)
+    c = (bundle.n + 1.0) / bundle.n
+    t, factors = bundle.t, bundle.renorm_factors
+    renorm = np.any(factors != 1.0)
     lo_m, hi_m = [0.0], [0.0]
-    for k in range(1, len(traj.snapshots)):
-        if renorm:
-            a_min = traj.snapshots[k - 1].field.min_s() / traj.renorm_factors[k - 1]
-            a_max = traj.snapshots[k - 1].field.max_s() / traj.renorm_factors[k - 1]
-            dt = traj.snapshots[k].t - traj.snapshots[k - 1].t
-        else:
-            a_min = traj.snapshots[0].field.min_s()
-            a_max = traj.snapshots[0].field.max_s()
-            dt = traj.snapshots[k].t - traj.snapshots[0].t
-        grow = np.exp(c * dt)
-        lower = min(a_min ** grow, 1.0)
-        upper = max(a_max ** grow, 1.0)
-        smin = traj.snapshots[k].field.min_s()
-        smax = traj.snapshots[k].field.max_s()
-        lo_m.append((smin - lower) / max(abs(lower), 1e-300))
-        hi_m.append((upper - smax) / max(abs(upper), 1e-300))
+    for k in range(1, len(t)):
+        j = k - 1 if renorm else 0
+        grow = np.exp(c * (t[k] - t[j]))
+        lower = min((bundle.min_s[j] / factors[j]) ** grow, 1.0)
+        upper = max((bundle.max_s[j] / factors[j]) ** grow, 1.0)
+        lo_m.append((bundle.min_s[k] - lower) / max(abs(lower), 1e-300))
+        hi_m.append((upper - bundle.max_s[k]) / max(abs(upper), 1e-300))
     return (BoundCheck("support_lower_growth_bound", lo_m, BOUND_TOL),
             BoundCheck("support_upper_growth_bound", hi_m, BOUND_TOL))
 
@@ -226,18 +225,16 @@ def check_tchebychev_laws(bundle, decay_ratio=None):
     return bcheck, ident, decay
 
 
-def classify(traj):
+def classify(bundle):
     """Shrinking / Expanding / Stationary / Undetermined from the s series."""
-    if traj.termination == "Extinction":
+    if bundle.termination == "Extinction":
         return "Shrinking"
-    if traj.termination == "Blowup":
+    if bundle.termination == "Blowup":
         return "Expanding"
-    s0 = traj.snapshots[0].field.s
-    drift = max(float(np.max(np.abs(st.field.s - s0))) for st in traj.snapshots)
-    if drift / max(float(np.max(np.abs(s0))), 1e-300) <= STATIONARY_DRIFT_TOL:
+    max_s, min_s = bundle.max_s, bundle.min_s
+    s0_scale = max(abs(max_s[0]), abs(min_s[0]), 1e-300)  # max |s_0|
+    if float(np.max(bundle.drift)) / s0_scale <= STATIONARY_DRIFT_TOL:
         return "Stationary"
-    max_s = np.array([st.field.max_s() for st in traj.snapshots])
-    min_s = np.array([st.field.min_s() for st in traj.snapshots])
     if np.all(np.diff(max_s) <= 1e-12) and max_s[-1] <= 0.5 * max_s[0]:
         return "Shrinking"
     if min_s[-1] >= 2.0 * min_s[0]:
@@ -266,22 +263,20 @@ class DiagnosticsReport:
         }
 
 
-def run_report(traj, bundle=None, decay_ratio=None):
-    """All checks on one trajectory; decay check only when a ratio is given."""
-    if bundle is None:
-        bundle = SeriesBundle(traj)
+def run_report(bundle, decay_ratio=None):
+    """All checks on one bundle; decay check only when a ratio is given."""
     L, pinch = check_pinch(bundle)
-    checks = [*check_c0(traj), check_c1(bundle), pinch, *check_area_law(bundle),
+    checks = [*check_c0(bundle), check_c1(bundle), pinch, *check_area_law(bundle),
               *check_tchebychev_laws(bundle, decay_ratio)]
     checks = [c for c in checks if c is not None]
     residuals = {"r_area": bundle.r_area, "r_intT2": bundle.r_intT2,
                  "r_supT2": bundle.r_supT2, "residual_prop21": bundle.residual_prop21}
     summary = {
-        "classification": classify(traj),
-        "termination": traj.termination,
+        "classification": classify(bundle),
+        "termination": bundle.termination,
         "roundness_initial": float(bundle.roundness[0]),
         "roundness_final": float(bundle.roundness[-1]),
         "supT2_initial": float(bundle.supT2[0]),
         "supT2_final": float(bundle.supT2[-1]),
     }
-    return DiagnosticsReport(checks, residuals, summary, L), bundle
+    return DiagnosticsReport(checks, residuals, summary, L)

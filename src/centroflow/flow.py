@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ConvexityLost, NumericalBlowup, OriginCrossed
 from .support import SupportField
 
+SCHEMES = ("rk4", "heun")
+
 
 class StepControl:
     """Time-stepping parameters and stop thresholds."""
@@ -23,8 +25,8 @@ class StepControl:
                  convexity_floor=1e-10):
         if not (0 < cfl <= 1):
             raise ValueError(f"cfl must be in (0,1], got {cfl}")
-        if scheme not in ("rk4", "heun"):
-            raise ValueError(f"scheme must be rk4 or heun, got {scheme!r}")
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
         if extinction_radius <= 0 or blowup_radius <= extinction_radius:
             raise ValueError("need 0 < extinction_radius < blowup_radius")
         self.cfl = cfl
@@ -77,7 +79,7 @@ def _rhs_values(field, convexity_floor=0.0, D2=None):
     u = field.u
     if np.min(u) <= 0.0:
         raise OriginCrossed("support function lost positivity",
-                            value=float(np.min(u / g.w)))
+                            value=field.min_s())
     if D2 is None:
         D2 = g.graph_hessian(u)
     lo, _ = g.sym_eigs(D2)
@@ -88,7 +90,7 @@ def _rhs_values(field, convexity_floor=0.0, D2=None):
         out = 0.5 * u * np.log(u**3 * D2)
     else:
         ratio = g.sym_det(D2) / g.ref_det
-        srel = u / g.w
+        srel = field.s
         out = 0.25 * u * np.log(ratio) + u * np.log(srel)
         # same value grouped as w * s_t; the two must agree to rounding
         alt = 0.25 * u * np.log(ratio * srel**4)

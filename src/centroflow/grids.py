@@ -204,7 +204,6 @@ class CubedSphereGrid:
         self.resolution = M
         self.h = 2.0 / (M - 1)
         self.ys = np.linspace(-1.0, 1.0, M)
-        self.face_names = tuple(f[0] for f in FACE_FRAMES)
         self.axes = np.array([f[1] for f in FACE_FRAMES], dtype=float)       # (6,3)
         self.tangents = np.array([[f[2], f[3]] for f in FACE_FRAMES], dtype=float)  # (6,2,3)
 

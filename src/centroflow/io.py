@@ -161,6 +161,8 @@ def load_trajectory(outdir):
         raise ConfigError(f"renorm_factors must be numbers: {exc}")
     if len(factors) != len(states):
         raise ConfigError("renorm_factors length does not match snapshots")
+    if not all(np.isfinite(f) and f > 0 for f in factors):
+        raise ConfigError("renorm_factors must be finite and positive")
     traj = Trajectory(states, meta.get("termination", "ReachedTEnd"),
                       meta.get("step_count", 0), factors)
     return traj, meta

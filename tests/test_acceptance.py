@@ -199,7 +199,8 @@ def test_08_radius_classification(circle64):
     got = {}
     for R0 in want:
         f = SupportField(circle64, s=np.full(64, R0))
-        got[R0] = classify(evolve(f, StepControl(t_end=1.3, snapshot_interval=0.1)))
+        traj = evolve(f, StepControl(t_end=1.3, snapshot_interval=0.1))
+        got[R0] = classify(SeriesBundle(traj))
     ok = got == want
     verdict(8, "radius sweep classifies each fate", ok, f"{got}")
 

@@ -465,6 +465,16 @@ class TestCLI:
             argv = [command, "--config", write_cfg(tmp_path / "file.json", cfg)]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_renorm_factor_exits_2(self, tmp_path, factor):
+        # check_c0 divides each anchor by its factor
+        out = self.run_dir(tmp_path, flower_cfg())
+        path = out / "metadata.json"
+        doc = json.loads(path.read_text())
+        doc["renorm_factors"][0] = factor
+        path.write_text(json.dumps(doc))
+        assert main(["diagnose", "--trajectory", str(out)]) == 2
+
     def test_mismatched_header_builds_no_grid(self, tmp_path, monkeypatch):
         out = self.run_dir(tmp_path, flower_cfg())
         path = out / "snapshots" / "snap_000000.json"

@@ -42,6 +42,23 @@ def sphere_run(sphere17):
     return evolve(f, StepControl(t_end=0.002, snapshot_interval=0.001))
 
 
+@pytest.fixture(scope="module")
+def renorm_run(circle192):
+    f = fourier_support(circle192, 1.0, a=[0.0, 0.0, 0.02])
+    return evolve(f, StepControl(t_end=0.02, snapshot_interval=0.005), renormalize=True)
+
+
+@pytest.fixture(scope="module")
+def circle_fates(circle64):
+    """Round n=1 runs: the unit circle, and circles stopped by each radius."""
+    def run(R, **stops):
+        f = SupportField(circle64, s=np.full(64, R))
+        return evolve(f, StepControl(snapshot_interval=0.1, **stops))
+    return {"unit": run(1.0, t_end=0.3),
+            "shrinking": run(0.5, t_end=2.0, extinction_radius=0.3),
+            "expanding": run(2.0, t_end=2.0, blowup_radius=3.0)}
+
+
 class TestBoundCheck:
     def test_holds(self):
         c = BoundCheck("x", [0.5, 0.0, 1.0], 1e-8)
@@ -216,15 +233,12 @@ class TestSeriesBundleBitwise:
 
 
 class TestChecks:
-    def test_growth_bounds_hold(self, gentle_run):
-        lo, hi = check_c0(gentle_run)
+    def test_growth_bounds_hold(self, gentle_bundle):
+        lo, hi = check_c0(gentle_bundle)
         assert lo.verdict == "Holds" and hi.verdict == "Holds"
 
-    def test_growth_bounds_renormalized(self, circle192):
-        f = fourier_support(circle192, 1.0, a=[0.0, 0.0, 0.02])
-        traj = evolve(f, StepControl(t_end=0.02, snapshot_interval=0.005),
-                      renormalize=True)
-        lo, hi = check_c0(traj)
+    def test_growth_bounds_renormalized(self, renorm_run):
+        lo, hi = check_c0(SeriesBundle(renorm_run))
         assert lo.verdict in ("Holds", "HoldsWithinTol")
         assert hi.verdict in ("Holds", "HoldsWithinTol")
 
@@ -249,7 +263,7 @@ class TestChecks:
         calls = []
         embed = support.embed
         monkeypatch.setattr(support, "embed", lambda field: calls.append(1) or embed(field))
-        run_report(sphere_run)
+        run_report(SeriesBundle(sphere_run))
         assert len(calls) == len(sphere_run.snapshots) >= 3
 
     def test_pinch(self, gentle_bundle):
@@ -272,41 +286,84 @@ class TestChecks:
 
 
 class TestClassify:
-    def test_stationary(self, circle64):
-        f = SupportField(circle64, s=np.ones(64))
-        traj = evolve(f, StepControl(t_end=0.3, snapshot_interval=0.1))
-        assert classify(traj) == "Stationary"
+    def test_stationary(self, circle_fates):
+        assert classify(SeriesBundle(circle_fates["unit"])) == "Stationary"
 
-    def test_shrinking_by_extinction(self, circle64):
-        f = SupportField(circle64, s=np.full(64, 0.5))
-        ctl = StepControl(t_end=2.0, snapshot_interval=0.1,
-                          extinction_radius=0.3)
-        assert classify(evolve(f, ctl)) == "Shrinking"
+    def test_shrinking_by_extinction(self, circle_fates):
+        assert circle_fates["shrinking"].termination == "Extinction"
+        assert classify(SeriesBundle(circle_fates["shrinking"])) == "Shrinking"
 
-    def test_expanding_by_blowup(self, circle64):
-        f = SupportField(circle64, s=np.full(64, 2.0))
-        ctl = StepControl(t_end=2.0, snapshot_interval=0.1, blowup_radius=3.0)
-        assert classify(evolve(f, ctl)) == "Expanding"
+    def test_expanding_by_blowup(self, circle_fates):
+        assert circle_fates["expanding"].termination == "Blowup"
+        assert classify(SeriesBundle(circle_fates["expanding"])) == "Expanding"
 
-    def test_undetermined(self, gentle_run):
-        assert classify(gentle_run) == "Undetermined"
+    def test_undetermined(self, gentle_bundle):
+        assert classify(gentle_bundle) == "Undetermined"
+
+
+def _c0_margins_from_snapshots(traj):
+    """check_c0's margins by the per-snapshot loop over the trajectory's fields."""
+    n = traj.snapshots[0].field.n
+    c = (n + 1.0) / n
+    renorm = any(abs(f - 1.0) > 0 for f in traj.renorm_factors)
+    lo_m, hi_m = [0.0], [0.0]
+    for k in range(1, len(traj.snapshots)):
+        if renorm:
+            a_min = traj.snapshots[k - 1].field.min_s() / traj.renorm_factors[k - 1]
+            a_max = traj.snapshots[k - 1].field.max_s() / traj.renorm_factors[k - 1]
+            dt = traj.snapshots[k].t - traj.snapshots[k - 1].t
+        else:
+            a_min = traj.snapshots[0].field.min_s()
+            a_max = traj.snapshots[0].field.max_s()
+            dt = traj.snapshots[k].t - traj.snapshots[0].t
+        grow = np.exp(c * dt)
+        lower = min(a_min ** grow, 1.0)
+        upper = max(a_max ** grow, 1.0)
+        smin = traj.snapshots[k].field.min_s()
+        smax = traj.snapshots[k].field.max_s()
+        lo_m.append((smin - lower) / max(abs(lower), 1e-300))
+        hi_m.append((upper - smax) / max(abs(upper), 1e-300))
+    return np.array(lo_m), np.array(hi_m)
+
+
+class TestChecksReadOnlyTheBundle:
+    @pytest.mark.parametrize("which, label", [
+        ("flower", "Undetermined"), ("renorm", "Undetermined"),
+        ("unit", "Stationary"), ("shrinking", "Shrinking"),
+        ("expanding", "Expanding"), ("surface", "Undetermined")])
+    def test_c0_and_classify_match_snapshot_loops(self, which, label, gentle_run,
+                                                  renorm_run, circle_fates, sphere_run):
+        traj = dict(circle_fates, flower=gentle_run, renorm=renorm_run,
+                    surface=sphere_run)[which]
+        bundle = SeriesBundle(traj)
+        lo, hi = check_c0(bundle)
+        want_lo, want_hi = _c0_margins_from_snapshots(traj)
+        assert np.array_equal(lo.margins, want_lo) and np.array_equal(hi.margins, want_hi)
+        assert classify(bundle) == label
+
+    def test_report_and_class_survive_dropping_the_snapshots(self, circle64):
+        traj = evolve(fourier_support(circle64, 1.0, a=[0.0, 0.0, 0.02]),
+                      StepControl(t_end=0.01, snapshot_interval=0.0025))
+        bundle = SeriesBundle(traj)
+        before = (json.dumps(run_report(bundle).to_dict()), classify(bundle))
+        traj.snapshots.clear()
+        assert (json.dumps(run_report(bundle).to_dict()), classify(bundle)) == before
 
 
 class TestReport:
-    def test_all_checks_pass_on_gentle_run(self, gentle_run, gentle_bundle):
-        report, bundle = run_report(gentle_run, gentle_bundle)
-        assert bundle is gentle_bundle
+    def test_all_checks_pass_on_gentle_run(self, gentle_bundle):
+        report = run_report(gentle_bundle)
         assert report.violated == []
         names = {c.name for c in report.checks}
         assert "tchebychev_decay" not in names  # absent without a ratio
 
-    def test_decay_check_opt_in(self, gentle_run, gentle_bundle):
-        report, _ = run_report(gentle_run, gentle_bundle, decay_ratio=0.1)
+    def test_decay_check_opt_in(self, gentle_bundle):
+        report = run_report(gentle_bundle, decay_ratio=0.1)
         assert "tchebychev_decay" in {c.name for c in report.checks}
         assert report.violated == ["tchebychev_decay"]
 
-    def test_to_dict_json_safe(self, gentle_run, gentle_bundle):
-        report, _ = run_report(gentle_run, gentle_bundle)
+    def test_to_dict_json_safe(self, gentle_bundle):
+        report = run_report(gentle_bundle)
         d = report.to_dict()
         # endpoint nans must serialize as null, not NaN
         assert d["residuals"]["r_area"][0] is None

@@ -3,7 +3,7 @@
     python tools/artifact_parity.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). The script runs the same 21 CLI commands
+(the `src/` of two checkouts). The script runs the same 25 CLI commands
 against each tree, in a fresh working directory per tree, and compares
 every file the commands write, in two stability classes:
 
@@ -37,6 +37,13 @@ FOURIER = {"n": 1, "resolution": 128,
            "initial": {"kind": "fourier",
                        "params": {"c0": 1.0, "a": [0.0, 0.0, 0.05], "b": [0.0, 0.02]}},
            "t_end": 0.05, "snapshot_interval": 0.01, "output": "runs/fourier"}
+
+# round circles stopped by each radius: classify's termination branches and
+# exact-law growth margins at round-off
+SHRINK = {"n": 1, "resolution": 64,
+          "initial": {"kind": "ellipsoid", "params": {"radius": 0.5}},
+          "stops": {"extinction_radius": 0.3},
+          "t_end": 0.5, "snapshot_interval": 0.1, "output": "runs/shrink1"}
 
 INPUTS = {
     "fourier.json": FOURIER,
@@ -84,6 +91,9 @@ INPUTS = {
         "parallelism": 2},
     "nonconvex.json": dict(FOURIER, initial={"kind": "fourier",
                                              "params": {"c0": 1.0, "a": [0.0, 0.9]}}),
+    "shrink1.json": SHRINK,
+    "expand1.json": dict(SHRINK, initial={"kind": "ellipsoid", "params": {"radius": 2.0}},
+                         stops={"blowup_radius": 3.0}, t_end=1.0, output="runs/expand1"),
 }
 
 COMMANDS = (
@@ -108,6 +118,10 @@ COMMANDS = (
     ("diagnose", "--trajectory", "runs/sweep_c0/cell_001"),
     ("validate-config", "--config", "nonconvex.json"),
     ("evolve", "--config", "fourier.json", "--scheme", "heun", "--output", "runs/heun"),
+    ("evolve", "--config", "shrink1.json"),
+    ("diagnose", "--trajectory", "runs/shrink1"),
+    ("evolve", "--config", "expand1.json"),
+    ("diagnose", "--trajectory", "runs/expand1"),
 )
 
 
