@@ -21,19 +21,9 @@ from . import diagnostics as diag
 from . import io as iomod
 from . import oracles
 from .errors import CentroflowError, ConfigError
-from .flow import SCHEMES, StepControl, evolve
+from .flow import SCHEMES, evolve
 
 GUARD_TERMINATIONS = {"ConvexityLost", "NumericalBlowup"}
-
-
-def _control_from(cfg):
-    stops = cfg["stops"]
-    return StepControl(cfl=cfg["cfl"], dt_max=cfg["dt_max"], t_end=cfg["t_end"],
-                       snapshot_interval=cfg["snapshot_interval"],
-                       scheme=cfg["scheme"],
-                       extinction_radius=stops["extinction_radius"],
-                       blowup_radius=stops["blowup_radius"],
-                       convexity_floor=stops["convexity_floor"])
 
 
 def _apply_overrides(cfg, args):
@@ -63,7 +53,7 @@ def _run_config(cfg, outdir):
     cfg_hash = iomod.config_hash(cfg)
     t0 = time.perf_counter()
     _, field = cfgmod.build_initial(cfg)
-    traj = evolve(field, _control_from(cfg), renormalize=cfg["renormalize"])
+    traj = evolve(field, cfgmod.step_control(cfg), renormalize=cfg["renormalize"])
     wall = time.perf_counter() - t0
     os.makedirs(outdir, exist_ok=True)
     iomod.write_trajectory(outdir, traj, cfg, cfg_hash, wall)

@@ -8,30 +8,22 @@ trip halfway through a run.
 """
 
 import copy
-import math
 import os
 
 import numpy as np
 
 from .errors import ConfigError
-from .flow import SCHEMES
+from .flow import StepControl, is_number
 from .grids import grid_shape, make_grid
 from .io import load_snapshot, read_json
 from .support import (convexity_margin, ellipsoid_shape_matrix, ellipsoid_support,
                       fourier_support)
 
-DEFAULTS = {
-    "scheme": "rk4",
-    "cfl": 0.2,
-    "dt_max": 1e-2,
-    "t_end": 1.0,
-    "snapshot_interval": 0.05,
-    "stops": {"extinction_radius": 1e-3, "blowup_radius": 1e3,
-              "convexity_floor": 1e-10},
-    "seed": 0,
-    "output": "run",
-    "renormalize": False,
-}
+DEFAULTS = {"seed": 0, "output": "run", "renormalize": False}
+
+# config fields that hold StepControl values: top level, and under 'stops'
+STEPPING = ("scheme", "cfl", "dt_max", "t_end", "snapshot_interval")
+STOPS = ("extinction_radius", "blowup_radius", "convexity_floor")
 
 
 def _require(cond, msg):
@@ -39,57 +31,30 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-def _is_number(v):
-    """A JSON number with a finite float value; true/false load as bool, an int."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _positive_real(cfg, key, upper=None):
-    v = cfg[key]
-    _require(_is_number(v) and v > 0,
-             f"'{key}' must be a positive finite number, got {v!r}")
-    if upper is not None:
-        _require(v <= upper, f"'{key}' must be <= {upper}, got {v!r}")
-    return float(v)
-
-
 def validate(raw):
     """Normalize and validate a config mapping; returns the canonical dict."""
     _require(isinstance(raw, dict), "config must be a JSON object")
     cfg = copy.deepcopy(raw)
     for key, val in DEFAULTS.items():
-        if key == "stops":
-            stops = dict(val)
-            stops.update(cfg.get("stops", {}))
-            cfg["stops"] = stops
-        else:
-            cfg.setdefault(key, val)
+        cfg.setdefault(key, val)
 
-    known = {"n", "resolution", "initial"} | set(DEFAULTS)
+    known = {"n", "resolution", "initial", "stops", *STEPPING} | set(DEFAULTS)
     unknown = set(cfg) - known
     _require(not unknown, f"unknown config fields: {sorted(unknown)}")
 
-    _require(_is_number(cfg.get("n")) and cfg["n"] in (1, 2), "'n' must be 1 or 2")
+    _require(is_number(cfg.get("n")) and cfg["n"] in (1, 2), "'n' must be 1 or 2")
     n = cfg["n"]
     res = cfg.get("resolution")
     grid_shape(n, res)
 
-    _require(cfg["scheme"] in SCHEMES, f"'scheme' must be one of {SCHEMES}")
-    cfg["cfl"] = _positive_real(cfg, "cfl", upper=1.0)
-    for key in ("dt_max", "t_end", "snapshot_interval"):
-        cfg[key] = _positive_real(cfg, key)
-    stops = cfg["stops"]
-    extra = set(stops) - set(DEFAULTS["stops"])
+    stops = cfg.get("stops", {})
+    _require(isinstance(stops, dict), "'stops' must be an object")
+    extra = set(stops) - set(STOPS)
     _require(not extra, f"unknown stop thresholds: {sorted(extra)}")
-    for key in DEFAULTS["stops"]:
-        stops[key] = _positive_real(stops, key)
-    _require(stops["extinction_radius"] < stops["blowup_radius"],
-             "extinction_radius must be smaller than blowup_radius")
+    # StepControl checks the values and fills the defaults; its floats go back
+    control = StepControl(**{k: cfg[k] for k in STEPPING if k in cfg}, **stops)
+    cfg.update((k, getattr(control, k)) for k in STEPPING)
+    cfg["stops"] = {k: getattr(control, k) for k in STOPS}
 
     _require(isinstance(cfg["seed"], int) and not isinstance(cfg["seed"], bool)
              and cfg["seed"] >= 0, "'seed' must be a nonnegative integer")
@@ -108,22 +73,22 @@ def validate(raw):
         _require(has_m != has_r,
                  "ellipsoid initial takes exactly one of 'matrix' or 'radius'")
         if has_r:
-            _require(_is_number(params["radius"]) and params["radius"] > 0,
+            _require(is_number(params["radius"]) and params["radius"] > 0,
                      "'radius' must be positive")
         else:
             rows = params["matrix"]
             _require(isinstance(rows, list)
-                     and all(isinstance(r, list) and all(_is_number(x) for x in r)
+                     and all(isinstance(r, list) and all(is_number(x) for x in r)
                              for r in rows), "'matrix' must be a list of rows of numbers")
             ellipsoid_shape_matrix(rows, n + 1)
     elif kind == "fourier":
         _require(n == 1, "fourier initial data is only defined for n=1")
         _require("c0" in params, "fourier initial needs 'c0'")
-        _require(_is_number(params["c0"]) and params["c0"] > 0, "'c0' must be positive")
+        _require(is_number(params["c0"]) and params["c0"] > 0, "'c0' must be positive")
         for key in ("a", "b"):
             coeffs = params.get(key, [])
             _require(isinstance(coeffs, list)
-                     and all(_is_number(c) for c in coeffs),
+                     and all(is_number(c) for c in coeffs),
                      f"fourier '{key}' must be a list of numbers")
             _require(len(coeffs) < res // 2,
                      f"fourier '{key}' has more modes than the grid resolves")
@@ -134,6 +99,11 @@ def validate(raw):
         raise ConfigError(f"unknown initial kind {kind!r}")
 
     return cfg
+
+
+def step_control(cfg):
+    """The StepControl of a validated config."""
+    return StepControl(**{k: cfg[k] for k in STEPPING}, **cfg["stops"])
 
 
 def ellipsoid_matrix(cfg):

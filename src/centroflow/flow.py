@@ -9,34 +9,51 @@ so every round sphere is a fixed point of the discrete operator to round-off,
 not merely to truncation order.
 """
 
+import math
+
 import numpy as np
 
-from .errors import ConvexityLost, NumericalBlowup, OriginCrossed
+from .errors import ConfigError, ConvexityLost, NumericalBlowup, OriginCrossed
 from .support import SupportField
 
 SCHEMES = ("rk4", "heun")
 
 
+def is_number(v):
+    """A JSON number with a finite float value; true/false load as bool, an int."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 class StepControl:
-    """Time-stepping parameters and stop thresholds."""
+    """Time-stepping parameters and stop thresholds, checked and stored as floats.
+
+    The one statement of every stepping default and range: a run config's
+    stepping fields and 'stops' are validated by building one.
+    """
 
     def __init__(self, cfl=0.2, dt_max=1e-2, t_end=1.0, snapshot_interval=0.05,
                  scheme="rk4", extinction_radius=1e-3, blowup_radius=1e3,
                  convexity_floor=1e-10):
-        if not (0 < cfl <= 1):
-            raise ValueError(f"cfl must be in (0,1], got {cfl}")
         if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-        if extinction_radius <= 0 or blowup_radius <= extinction_radius:
-            raise ValueError("need 0 < extinction_radius < blowup_radius")
-        self.cfl = cfl
-        self.dt_max = dt_max
-        self.t_end = t_end
-        self.snapshot_interval = snapshot_interval
+            raise ConfigError(f"'scheme' must be one of {SCHEMES}")
         self.scheme = scheme
-        self.extinction_radius = extinction_radius
-        self.blowup_radius = blowup_radius
-        self.convexity_floor = convexity_floor
+        for key, v in (("cfl", cfl), ("dt_max", dt_max), ("t_end", t_end),
+                       ("snapshot_interval", snapshot_interval),
+                       ("extinction_radius", extinction_radius),
+                       ("blowup_radius", blowup_radius),
+                       ("convexity_floor", convexity_floor)):
+            if not (is_number(v) and v > 0):
+                raise ConfigError(f"'{key}' must be a positive finite number, got {v!r}")
+            setattr(self, key, float(v))
+        if self.cfl > 1.0:
+            raise ConfigError(f"'cfl' must be <= 1.0, got {cfl!r}")
+        if self.extinction_radius >= self.blowup_radius:
+            raise ConfigError("extinction_radius must be smaller than blowup_radius")
 
 
 class FlowState:
@@ -70,18 +87,16 @@ class Trajectory:
         return len(self.snapshots)
 
 
-def _rhs_values(field, convexity_floor=0.0, D2=None):
+def _rhs_values(field, convexity_floor, D2):
     """Right-hand side on the graph values u (u = s on the circle).
 
-    D2 is the chart Hessian of u when the caller already has it.
+    D2 is the chart Hessian of u.
     """
     g = field.grid
     u = field.u
     if np.min(u) <= 0.0:
         raise OriginCrossed("support function lost positivity",
                             value=field.min_s())
-    if D2 is None:
-        D2 = g.graph_hessian(u)
     lo, _ = g.sym_eigs(D2)
     if np.min(lo) <= convexity_floor:
         raise ConvexityLost("graph Hessian lost positivity",
@@ -101,21 +116,21 @@ def _rhs_values(field, convexity_floor=0.0, D2=None):
     return out
 
 
-def rhs(field, convexity_floor=0.0):
+def rhs(field):
     """ds/dt per node (sphere values, both n)."""
-    return _rhs_values(field, convexity_floor) / field.grid.w
+    g = field.grid
+    return _rhs_values(field, 0.0, g.graph_hessian(field.u)) / g.w
 
 
-def stable_dt(field, control, _hessian=None):
+def stable_dt(field, control, D2):
     """Explicit step from the linearized diffusion coefficient (s/2n) b^{-1}.
 
     n=1: coefficient s/(2b) per node on the uniform theta grid.
     n=2: the chart-coordinate diffusion tensor is (u/4)(D^2 u)^{-1}; its trace
     bounds the symbol over both axes.
-    _hessian is the chart Hessian of field.u when the caller already has it.
+    D2 is the chart Hessian of field.u.
     """
     g = field.grid
-    D2 = g.graph_hessian(field.u) if _hessian is None else _hessian
     if field.n == 1:
         lam = np.max(field.s / (2.0 * D2))
     else:
@@ -126,55 +141,44 @@ def stable_dt(field, control, _hessian=None):
     return min(control.dt_max, control.cfl * g.h**2 / lam)
 
 
-def _advance(field, delta):
-    return SupportField(field.grid, u=field.u + delta)
+def step(state, control, t_stop):
+    """One explicit step (rk4 or heun) of size stable_dt, cut to land on t_stop.
 
-
-def _sync(field):
-    """Make duplicate edge/corner nodes agree across faces (owner-face copy)."""
-    field.grid.sync_duplicates(field.u)
-    field.s = field.u / field.grid.w
-    return field
-
-
-def step(state, dt, control, _hessian=None, _bound=None):
-    """One explicit step (rk4 or heun); every stage is convexity-guarded.
-
-    _hessian is the chart Hessian of the state's u when the caller already has
-    it; it serves both the stability bound and the first stage. _bound is
-    stable_dt of the state when the caller already has it.
+    Returns (new state, landed); landed is True when the step was cut to end
+    at t_stop. The state's chart Hessian serves both the bound and the first
+    stage; every stage is convexity-guarded.
     """
     f0 = state.field
-    if _hessian is None:
-        _hessian = f0.grid.graph_hessian(f0.u)
-    if _bound is None:
-        _bound = stable_dt(f0, control, _hessian)
-    if dt > _bound * (1.0 + 1e-9):
-        raise ValueError("step size exceeds the stability bound")
+    g = f0.grid
+    D2 = g.graph_hessian(f0.u)
+    dt = stable_dt(f0, control, D2)
+    landed = state.t + dt >= t_stop - 1e-13
+    if landed:
+        dt = t_stop - state.t
     floor = control.convexity_floor
-    k1 = _rhs_values(f0, floor, _hessian)
+
+    def rate(delta):
+        f = SupportField(g, u=f0.u + delta)
+        return _rhs_values(f, floor, g.graph_hessian(f.u))
+
+    k1 = _rhs_values(f0, floor, D2)
     if control.scheme == "heun":
-        f1 = _advance(f0, dt * k1)
-        k2 = _rhs_values(f1, floor)
-        fnew = _advance(f0, 0.5 * dt * (k1 + k2))
+        delta = 0.5 * dt * (k1 + rate(dt * k1))
     else:
-        k2 = _rhs_values(_advance(f0, 0.5 * dt * k1), floor)
-        k3 = _rhs_values(_advance(f0, 0.5 * dt * k2), floor)
-        k4 = _rhs_values(_advance(f0, dt * k3), floor)
-        fnew = _advance(f0, (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-    _sync(fnew)
-    if not np.all(np.isfinite(fnew.u)):
+        k2 = rate(0.5 * dt * k1)
+        k3 = rate(0.5 * dt * k2)
+        k4 = rate(dt * k3)
+        delta = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # duplicate edge/corner nodes take their owner face's value
+    u = g.sync_duplicates(f0.u + delta)
+    if not np.all(np.isfinite(u)):
         raise NumericalBlowup("non-finite state after step")
-    return FlowState(state.t + dt, fnew, state.step_count + 1)
+    return FlowState(state.t + dt, SupportField(g, u=u), state.step_count + 1), landed
 
 
-# the termination a guard error raised by stable_dt or step ends the run with
+# the termination a guard error raised by step ends the run with
 _GUARD_TERMINATION = {ConvexityLost: "ConvexityLost", OriginCrossed: "Extinction",
                       NumericalBlowup: "NumericalBlowup"}
-
-
-def _renormalize(field):
-    return SupportField(field.grid, u=field.u / field.max_s())
 
 
 def evolve(field0, control, renormalize=False):
@@ -186,19 +190,21 @@ def evolve(field0, control, renormalize=False):
     right after each snapshot is recorded (the recorded snapshot keeps the
     pre-rescaling values at t=0 and the working-scale values afterwards, so
     scale-invariant series are unaffected and c0-type bounds are applied per
-    rescaling interval).
+    rescaling interval). field0 is not modified; no field is modified after
+    it is built, so snapshots keep the states themselves.
     """
-    state = FlowState(0.0, field0.copy())
-    _sync(state.field)
+    g = field0.grid
+    state = FlowState(0.0, SupportField(g, u=g.sync_duplicates(field0.u.copy())))
     snapshots, factors = [], []
 
     def record():
         nonlocal state
-        snapshots.append(FlowState(state.t, state.field.copy(), state.step_count))
+        snapshots.append(state)
         factors.append(1.0)
         if renormalize:
             factors[-1] = state.field.max_s()
-            state = FlowState(state.t, _renormalize(state.field), state.step_count)
+            state = FlowState(state.t, SupportField(g, u=state.field.u / factors[-1]),
+                              state.step_count)
 
     record()
     interval = control.snapshot_interval
@@ -212,25 +218,18 @@ def evolve(field0, control, renormalize=False):
         if smax > control.blowup_radius:
             termination = "Blowup"
             break
-        D2 = state.field.grid.graph_hessian(state.field.u)
         try:
-            dt = bound = stable_dt(state.field, control, D2)
-            target = control.t_end
-            if interval and interval > 0:
-                target = min(target, next_idx * interval)
-            landed = state.t + dt >= target - 1e-13
-            if landed:
-                dt = target - state.t
-            state = step(state, dt, control, D2, bound)
+            state, landed = step(state, control,
+                                 min(control.t_end, next_idx * interval))
         except tuple(_GUARD_TERMINATION) as exc:
             termination = _GUARD_TERMINATION[type(exc)]
             break
         if landed:
-            if interval and interval > 0 and abs(state.t - next_idx * interval) < 1e-12:
+            if abs(state.t - next_idx * interval) < 1e-12:
                 next_idx += 1
             record()
     if abs(snapshots[-1].t - state.t) > 1e-13:
-        snapshots.append(FlowState(state.t, state.field.copy(), state.step_count))
+        snapshots.append(state)
         factors.append(1.0)
     return Trajectory(snapshots, termination, state.step_count, factors)
 

@@ -259,6 +259,18 @@ class TestCLI:
         ugly.write_text("{not json")
         assert main(["validate-config", "--config", str(ugly)]) == 2
 
+    @pytest.mark.parametrize("stops", [5, None, [["extinction_radius", 0.1]]])
+    @pytest.mark.parametrize("command", ["validate-config", "evolve", "sweep"])
+    def test_stops_not_an_object_exits_2(self, tmp_path, capsys, command, stops):
+        cfg = flower_cfg(stops=stops, output=str(tmp_path / "o"))
+        if command == "sweep":
+            argv = ["sweep", "--spec", write_cfg(tmp_path / "s.json", {"base": cfg})]
+        else:
+            argv = [command, "--config", write_cfg(tmp_path / "c.json", cfg)]
+        assert main(argv) == 2
+        assert "'stops' must be an object" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_evolve_artifacts(self, tmp_path):
         out = self.run_dir(tmp_path, flower_cfg())
         meta = json.loads((out / "metadata.json").read_text())

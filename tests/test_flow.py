@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from centroflow import flow
-from centroflow.errors import (ConvexityLost, GuardError, NumericalBlowup,
-                               OriginCrossed, TransversalityLost)
+from centroflow.errors import (ConfigError, ConvexityLost, GuardError,
+                               NumericalBlowup, OriginCrossed, TransversalityLost)
 from centroflow.flow import (
     FlowState,
     StepControl,
@@ -18,6 +18,10 @@ from centroflow.grids import CircleGrid, CubedSphereGrid
 from centroflow.invariants import compute_invariants
 from centroflow.oracles import exact_sphere_radius
 from centroflow.support import SupportField, fourier_support
+
+
+def hessian(field):
+    return field.grid.graph_hessian(field.u)
 
 
 def sphere_field(n, R, res):
@@ -36,7 +40,7 @@ class TestFixedPoint:
         # determinant is measured against the same stencils applied to the
         # exact sphere graph, so the unit sphere is a discrete fixed point
         f = sphere_field(2, 1.0, 17)
-        assert np.all(_rhs_values(f) == 0.0)
+        assert np.all(_rhs_values(f, 0.0, hessian(f)) == 0.0)
 
     def test_unit_sphere_bitwise_stationary(self):
         for n, res in ((1, 64), (2, 17)):
@@ -49,7 +53,7 @@ class TestFixedPoint:
 class TestTemporalAccuracy:
     def run_error(self, scheme, dt_max):
         ctl = StepControl(cfl=1.0, dt_max=dt_max, t_end=0.3,
-                          snapshot_interval=0.0, scheme=scheme)
+                          snapshot_interval=0.3, scheme=scheme)
         traj = evolve(sphere_field(1, 1.2, 64), ctl)
         return abs(traj.snapshots[-1].field.max_s()
                    - exact_sphere_radius(1.2, 0.3, 1))
@@ -64,27 +68,50 @@ class TestTemporalAccuracy:
         ratio = self.run_error("heun", 0.01) / self.run_error("heun", 0.005)
         assert 3.4 <= ratio <= 4.6
 
-    def test_step_refuses_unstable_dt(self):
-        f = sphere_field(1, 1.0, 64)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_step_takes_the_bound_or_lands(self, flower256, sphere17, n):
+        f = flower256 if n == 1 else bumpy_sphere(sphere17)
         ctl = StepControl()
-        bound = stable_dt(f, ctl)
-        with pytest.raises(ValueError):
-            step(FlowState(0.0, f), 2 * bound, ctl)
+        bound = stable_dt(f, ctl, hessian(f))
+        far, landed = step(FlowState(0.25, f, 7), ctl, 1.0)
+        assert far.t == 0.25 + bound and not landed and far.step_count == 8
+        near, landed = step(FlowState(0.25, f, 7), ctl, 0.25 + 0.5 * bound)
+        assert near.t == 0.25 + 0.5 * bound and landed
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("bad", [
+        {"dt_max": 0.0}, {"dt_max": -1e-3}, {"dt_max": float("nan")},
+        {"t_end": float("nan")}, {"t_end": float("inf")},
+        {"snapshot_interval": 0.0}, {"snapshot_interval": float("nan")},
+        {"convexity_floor": float("nan")}, {"extinction_radius": float("nan")},
+        {"cfl": True}, {"cfl": 1.5}, {"scheme": "euler"},
+        {"extinction_radius": 10.0, "blowup_radius": 2.0},
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_refuses_what_config_refuses(self, bad):
+        # construction only: a control that is refused never reaches evolve
+        with pytest.raises(ConfigError):
+            StepControl(**bad)
+
+    def test_stores_floats(self):
+        ctl = StepControl(cfl=1, t_end=2, blowup_radius=10 ** 3)
+        assert (ctl.cfl, ctl.t_end, ctl.blowup_radius) == (1.0, 2.0, 1e3)
+        assert all(isinstance(v, float) for v in (ctl.cfl, ctl.t_end, ctl.blowup_radius))
 
 
 class TestStableDt:
     def test_frozen_values(self, flower256, sphere33):
         ctl = StepControl()
-        assert stable_dt(flower256, ctl) == pytest.approx(
+        assert stable_dt(flower256, ctl, hessian(flower256)) == pytest.approx(
             4.381038885421847e-05, rel=1e-12)
         xyz = SupportField(sphere33,
                            s=1.0 + 0.3 * np.prod(sphere33.nodes, axis=-1))
-        assert stable_dt(xyz, ctl) == pytest.approx(
+        assert stable_dt(xyz, ctl, hessian(xyz)) == pytest.approx(
             0.00017512882223655581, rel=1e-12)
 
     def test_dt_max_binds(self):
         f = sphere_field(1, 1.0, 16)
-        assert stable_dt(f, StepControl(dt_max=1e-6)) == 1e-6
+        assert stable_dt(f, StepControl(dt_max=1e-6), hessian(f)) == 1e-6
 
 
 class TestLambdaRescaling:
@@ -150,8 +177,9 @@ class TestGuardTermination:
         def fake_step(*args):
             if target == "step" and len(reached) == 3:
                 raise error("injected")
-            reached.append(real_step(*args))
-            return reached[-1]
+            new, landed = real_step(*args)
+            reached.append(new)
+            return new, landed
 
         def fake_stable_dt(*args):
             if target == "stable_dt" and len(reached) == 3:
@@ -171,7 +199,7 @@ class TestGuardTermination:
 class TestStepBound:
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_stable_dt_per_attempted_step(self, monkeypatch, flower256, n):
-        # evolve hands its bound to step, which does not recompute it
+        # step computes the bound once; evolve does not compute one
         field = flower256 if n == 1 else bumpy_sphere(CubedSphereGrid(17))
         calls = {"step": 0, "stable_dt": 0}
         real_step, real_stable_dt = flow.step, flow.stable_dt
@@ -189,6 +217,22 @@ class TestStepBound:
         traj = evolve(field, StepControl(t_end=0.01, snapshot_interval=0.005))
         assert traj.termination == "ReachedTEnd" and traj.step_count >= 2
         assert calls["stable_dt"] == calls["step"] == traj.step_count
+
+
+class TestEvolveInput:
+    def test_input_never_written(self):
+        # duplicate edge/corner nodes disagree until evolve syncs its own copy
+        g = CubedSphereGrid(17)
+        u = bumpy_sphere(g).u * (1.0 + 1e-9 * np.arange(6))[:, None, None]
+        field0 = SupportField(g, u=u)
+        before = field0.u.copy()
+        synced = g.sync_duplicates(field0.u.copy())
+        assert not np.array_equal(synced, before)
+        traj = evolve(field0, StepControl(t_end=0.002, snapshot_interval=0.001),
+                      renormalize=True)
+        assert traj.termination == "ReachedTEnd" and len(traj) == 3
+        assert np.array_equal(field0.u, before)
+        assert np.array_equal(traj.snapshots[0].field.u, synced)
 
 
 class TestRenormalization:
@@ -259,12 +303,13 @@ class TestHessianReuse:
     @pytest.mark.parametrize("scheme", ["rk4", "heun"])
     def test_step_without_hessian_matches_evolve(self, sphere17, scheme):
         f = bumpy_sphere(sphere17)
-        ctl = StepControl(snapshot_interval=0.0, scheme=scheme)
-        dt = stable_dt(f, ctl)
+        ctl = StepControl(snapshot_interval=1.0, scheme=scheme)
+        dt = stable_dt(f, ctl, hessian(f))
         ctl.t_end = dt
         traj = evolve(f, ctl)
         assert traj.step_count == 1
-        alone = step(FlowState(0.0, f), dt, ctl)
+        alone, landed = step(FlowState(0.0, f), ctl, dt)
+        assert landed and alone.t == traj.snapshots[-1].t
         assert np.array_equal(alone.field.u, traj.snapshots[-1].field.u)
 
 

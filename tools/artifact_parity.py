@@ -3,7 +3,7 @@
     python tools/artifact_parity.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). The script runs the same 25 CLI commands
+(the `src/` of two checkouts). The script runs the same 28 CLI commands
 against each tree, in a fresh working directory per tree, and compares
 every file the commands write, in two stability classes:
 
@@ -44,6 +44,11 @@ SHRINK = {"n": 1, "resolution": 64,
           "initial": {"kind": "ellipsoid", "params": {"radius": 0.5}},
           "stops": {"extinction_radius": 0.3},
           "t_end": 0.5, "snapshot_interval": 0.1, "output": "runs/shrink1"}
+
+# a shrinking circle whose curvature radius crosses a raised convexity floor:
+# a guard-stopped run (exit 3) with partial outputs
+GUARD = dict(SHRINK, stops={"extinction_radius": 1e-8, "convexity_floor": 0.3},
+             t_end=1.0, output="runs/guard1")
 
 INPUTS = {
     "fourier.json": FOURIER,
@@ -92,6 +97,7 @@ INPUTS = {
     "nonconvex.json": dict(FOURIER, initial={"kind": "fourier",
                                              "params": {"c0": 1.0, "a": [0.0, 0.9]}}),
     "shrink1.json": SHRINK,
+    "guard1.json": GUARD,
     "expand1.json": dict(SHRINK, initial={"kind": "ellipsoid", "params": {"radius": 2.0}},
                          stops={"blowup_radius": 3.0}, t_end=1.0, output="runs/expand1"),
 }
@@ -122,6 +128,9 @@ COMMANDS = (
     ("diagnose", "--trajectory", "runs/shrink1"),
     ("evolve", "--config", "expand1.json"),
     ("diagnose", "--trajectory", "runs/expand1"),
+    ("evolve", "--config", "guard1.json"),
+    ("diagnose", "--trajectory", "runs/guard1"),
+    ("evolve", "--config", "ellipsoid2.json", "--scheme", "heun", "--output", "runs/heun2"),
 )
 
 
