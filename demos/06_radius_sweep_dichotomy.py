@@ -3,8 +3,8 @@
 A sphere of radius R evolves as R(t) = R0^(exp(((n+1)/n) t)): anything below
 the unit sphere collapses doubly-exponentially fast, anything above blows
 up, and R0 = 1 sits exactly on the razor's edge.  The sweep runner drives
-one flow per radius (in threads, with crash isolation per cell) and the
-classifier reads the verdict off each stored trajectory.
+one flow per radius (with crash isolation per cell) and the classifier reads
+the verdict off each stored trajectory.
 """
 
 import csv

@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -151,10 +150,8 @@ def cmd_sweep(args):
     cells = cfgmod.sweep_cells(spec)
     outroot = iomod.resolve_outdir(args.output or spec["base"]["output"])
     os.makedirs(outroot, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=spec["parallelism"]) as pool:
-        futures = [pool.submit(_sweep_cell, i, ov, cfg, outroot)
-                   for i, (ov, cfg) in enumerate(cells)]
-        rows = [f.result() for f in futures]  # input order, not completion order
+    # one cell after another on this thread, in input order: cells are GIL-bound
+    rows = [_sweep_cell(i, ov, cfg, outroot) for i, (ov, cfg) in enumerate(cells)]
     axis_paths = [ax["path"] for ax in spec.get("axes", [])]
     cols = axis_paths + ["termination", "classification", "final_roundness",
                          "final_supT2", "status"]

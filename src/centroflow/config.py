@@ -146,6 +146,8 @@ def load_config_file(path):
 
 # ---------- sweeps ----------
 
+# 'parallelism' is validated (an int >= 1) but does not change how cells run:
+# cmd_sweep runs them one after another, in input order
 SWEEP_DEFAULTS = {"parallelism": 4, "max_cells": 64}
 
 

@@ -94,13 +94,11 @@ def _rhs_values(field, convexity_floor, D2):
     """
     g = field.grid
     u = field.u
-    if np.min(u) <= 0.0:
-        raise OriginCrossed("support function lost positivity",
-                            value=field.min_s())
+    if u.min() <= 0.0:
+        raise OriginCrossed("support function lost positivity", value=field.min_s())
     lo, _ = g.sym_eigs(D2)
-    if np.min(lo) <= convexity_floor:
-        raise ConvexityLost("graph Hessian lost positivity",
-                            value=float(np.min(lo)))
+    if lo.min() <= convexity_floor:
+        raise ConvexityLost("graph Hessian lost positivity", value=float(lo.min()))
     if field.n == 1:
         out = 0.5 * u * np.log(u**3 * D2)
     else:
@@ -109,9 +107,9 @@ def _rhs_values(field, convexity_floor, D2):
         out = 0.25 * u * np.log(ratio) + u * np.log(srel)
         # same value grouped as w * s_t; the two must agree to rounding
         alt = 0.25 * u * np.log(ratio * srel**4)
-        if np.max(np.abs(out - alt)) > 1e-10:
+        if np.abs(out - alt).max() > 1e-10:
             raise NumericalBlowup("face/sphere right-hand sides disagree")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalBlowup("non-finite right-hand side")
     return out
 
@@ -132,11 +130,11 @@ def stable_dt(field, control, D2):
     """
     g = field.grid
     if field.n == 1:
-        lam = np.max(field.s / (2.0 * D2))
+        lam = (field.s / (2.0 * D2)).max()
     else:
         lo, hi = g.sym_eigs(D2)
-        lam = np.max(0.25 * field.u * (1.0 / lo + 1.0 / hi))
-    if not np.isfinite(lam) or lam <= 0:
+        lam = (0.25 * field.u * (1.0 / lo + 1.0 / hi)).max()
+    if not math.isfinite(lam) or lam <= 0:
         raise NumericalBlowup("no stable step: degenerate diffusion coefficient")
     return min(control.dt_max, control.cfl * g.h**2 / lam)
 
@@ -171,7 +169,7 @@ def step(state, control, t_stop):
         delta = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     # duplicate edge/corner nodes take their owner face's value
     u = g.sync_duplicates(f0.u + delta)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NumericalBlowup("non-finite state after step")
     return FlowState(state.t + dt, SupportField(g, u=u), state.step_count + 1), landed
 

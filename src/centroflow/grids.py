@@ -64,7 +64,8 @@ class CircleGrid:
         values = np.asarray(values)
         vhat = np.fft.rfft(values, axis=0)
         mult = self._deriv_mult[order]
-        mult = mult.reshape(mult.shape + (1,) * (values.ndim - 1))
+        if values.ndim > 1:
+            mult = mult.reshape(mult.shape + (1,) * (values.ndim - 1))
         return np.fft.irfft(vhat * mult, n=self.N, axis=0)
 
     def integrate(self, values):

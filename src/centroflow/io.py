@@ -154,7 +154,9 @@ def load_trajectory(outdir):
         states.append(FlowState(t=t, field=field, step_count=0))
     if any(b.t <= a.t for a, b in zip(states, states[1:])):
         raise ConfigError("snapshot times are not strictly increasing")
-    factors = meta.get("renorm_factors") or [1.0] * len(states)
+    factors = meta.get("renorm_factors", [1.0] * len(states))  # only a missing key
+    if not isinstance(factors, list):
+        raise ConfigError(f"renorm_factors must be a list, got {factors!r}")
     try:
         factors = [float(f) for f in factors]
     except (TypeError, ValueError) as exc:

@@ -33,10 +33,10 @@ class SupportField:
         return SupportField(self.grid, u=self.u.copy())
 
     def min_s(self):
-        return float(np.min(self.s))
+        return float(self.s.min())
 
     def max_s(self):
-        return float(np.max(self.s))
+        return float(self.s.max())
 
 
 def ellipsoid_shape_matrix(Q, dim):

@@ -3,10 +3,12 @@ import csv
 import io
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from centroflow import cli
 from centroflow import io as iomod
 from centroflow.cli import main
 from centroflow.config import (
@@ -440,6 +442,46 @@ class TestCLI:
             assert row["status"] == "completed"
             assert json.loads(row["initial.params.a"]) == want
 
+    def cell_sweep(self, tmp_path, name, parallelism):
+        # four flowers, the second not convex: its cell crashes and is recorded
+        spec = {"base": flower_cfg(output=str(tmp_path / name)),
+                "axes": [{"path": "initial.params.a",
+                          "values": [[0.0, 0.0, 0.05], [0.0, 0.9], [0.03], [0.0, 0.02]]}],
+                "parallelism": parallelism}
+        path = write_cfg(tmp_path / f"{name}.json", spec)
+        assert main(["sweep", "--spec", path]) == 1
+        return tmp_path / name
+
+    def test_sweep_runs_cells_on_the_calling_thread(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli._sweep_cell
+
+        def recording(idx, *args):
+            calls.append((threading.get_ident(), idx))
+            return real(idx, *args)
+
+        monkeypatch.setattr(cli, "_sweep_cell", recording)
+        self.cell_sweep(tmp_path, "sweep", 4)
+        assert calls == [(threading.get_ident(), i) for i in range(4)]
+
+    def test_sweep_artifacts_do_not_depend_on_parallelism(self, tmp_path):
+        one = self.cell_sweep(tmp_path, "one", 1)
+        four = self.cell_sweep(tmp_path, "four", 4)
+        files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(four) for p in four.rglob("*") if p.is_file())
+        assert "sweep.csv" in map(str, files) and not (one / "cell_001").exists()
+        assert sum(p.name == "metadata.json" for p in files) == 3
+        for rel in files:
+            a, b = (one / rel).read_bytes(), (four / rel).read_bytes()
+            if rel.name == "metadata.json":
+                a, b = json.loads(a), json.loads(b)
+                for meta in (a, b):
+                    del meta["wall_time_s"], meta["config"]["output"]
+            assert a == b, rel
+        rows = (one / "sweep.csv").read_text().splitlines()
+        assert [r.rsplit(",", 1)[-1].startswith("error: ") for r in rows[1:]] == [
+            False, True, False, False]
+
     @pytest.mark.parametrize("command, artifact, key, value", [
         ("diagnose", "snapshot", "values", [[1.0, 1.0], [1.0]]),
         ("diagnose", "snapshot", "values", ["x"] * 64),
@@ -477,15 +519,33 @@ class TestCLI:
             argv = [command, "--config", write_cfg(tmp_path / "file.json", cfg)]
         assert main(argv) == 2
 
-    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0, *[
+        pytest.param(("all", v), id=f"all-{json.dumps(v)}")
+        for v in ([], 0, False, "", {}, None, "111")]])
     def test_bad_renorm_factor_exits_2(self, tmp_path, factor):
-        # check_c0 divides each anchor by its factor
+        # check_c0 divides each anchor by its factor. ("all", v) replaces the
+        # whole list: only a missing key may default to factors of 1.0, and
+        # on this renormalized run they would make diagnose report Violated
+        out = self.run_dir(tmp_path, flower_cfg(renormalize=True))
+        assert main(["diagnose", "--trajectory", str(out)]) == 0
+        path = out / "metadata.json"
+        doc = json.loads(path.read_text())
+        assert len(doc["renorm_factors"]) == 3 and doc["renorm_factors"][0] != 1.0
+        if isinstance(factor, tuple):
+            doc["renorm_factors"] = factor[1]
+        else:
+            doc["renorm_factors"][0] = factor
+        path.write_text(json.dumps(doc))
+        assert main(["diagnose", "--trajectory", str(out)]) == 2
+
+    def test_missing_renorm_factors_default_to_one(self, tmp_path):
         out = self.run_dir(tmp_path, flower_cfg())
         path = out / "metadata.json"
         doc = json.loads(path.read_text())
-        doc["renorm_factors"][0] = factor
+        assert doc.pop("renorm_factors") == [1.0, 1.0, 1.0]
         path.write_text(json.dumps(doc))
-        assert main(["diagnose", "--trajectory", str(out)]) == 2
+        assert iomod.load_trajectory(str(out))[0].renorm_factors == [1.0, 1.0, 1.0]
+        assert main(["diagnose", "--trajectory", str(out)]) == 0
 
     def test_mismatched_header_builds_no_grid(self, tmp_path, monkeypatch):
         out = self.run_dir(tmp_path, flower_cfg())

@@ -287,6 +287,36 @@ def bumpy_sphere(g):
     return SupportField(g, u=g.sync_duplicates(u))
 
 
+def guard_body(n, convex):
+    """s = 1 + c cos 3 theta (n=1) or 1 + c xyz (n=2), positive everywhere;
+    c is small enough for a convex body, or large enough to lose convexity."""
+    c = {(1, True): 0.05, (1, False): 0.5, (2, True): 0.2, (2, False): 1.5}[n, convex]
+    if n == 1:
+        return fourier_support(CircleGrid(64), 1.0, a=[0.0, 0.0, c])
+    g = CubedSphereGrid(17)
+    return SupportField(g, u=g.sync_duplicates(g.w * (1.0 + c * np.prod(g.nodes, axis=-1))))
+
+
+class TestGuardsFailClosed:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_node_raises_blowup(self, n):
+        f = guard_body(n, convex=True)
+        u = f.u.copy()
+        u[(5,) if n == 1 else (0, 8, 8)] = np.nan
+        with pytest.raises(NumericalBlowup):
+            step(FlowState(0.0, SupportField(f.grid, u=u)), StepControl(), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nonconvex_raises_convexity_lost(self, n):
+        f = guard_body(n, convex=False)
+        g = f.grid
+        lowest = float(g.sym_eigs(g.graph_hessian(f.u))[0].min())
+        assert lowest < 0.0 < f.min_s()
+        with pytest.raises(ConvexityLost) as info:
+            step(FlowState(0.0, f), StepControl(), 1.0)
+        assert info.value.value == lowest
+
+
 class TestHessianReuse:
     @pytest.mark.parametrize("scheme, per_step", [("rk4", 4), ("heun", 2)])
     def test_hessians_per_step(self, monkeypatch, scheme, per_step):

@@ -3,7 +3,7 @@
     python tools/artifact_parity.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). The script runs the same 28 CLI commands
+(the `src/` of two checkouts). The script runs the same 29 CLI commands
 against each tree, in a fresh working directory per tree, and compares
 every file the commands write, in two stability classes:
 
@@ -94,6 +94,12 @@ INPUTS = {
         "axes": [{"path": "initial.params.radius", "values": [0.8, 1.0, 1.3]},
                  {"path": "scheme", "values": ["rk4", "heun"]}],
         "parallelism": 2},
+    # a serial sweep whose second cell is not convex: the bytes of its
+    # "error: ..." row in sweep.csv are compared too
+    "sweep_crash.json": {
+        "base": dict(FOURIER, output="runs/sweep_crash"),
+        "axes": [{"path": "initial.params.a", "values": [[0.0, 0.0, 0.05], [0.0, 0.9]]}],
+        "parallelism": 1},
     "nonconvex.json": dict(FOURIER, initial={"kind": "fourier",
                                              "params": {"c0": 1.0, "a": [0.0, 0.9]}}),
     "shrink1.json": SHRINK,
@@ -121,6 +127,7 @@ COMMANDS = (
     ("oracle-compare", "--config", "radius2.json", "--tolerance", "1e-3"),
     ("sweep", "--spec", "sweep_c0.json"),
     ("sweep", "--spec", "sweep_grid.json"),
+    ("sweep", "--spec", "sweep_crash.json"),
     ("diagnose", "--trajectory", "runs/sweep_c0/cell_001"),
     ("validate-config", "--config", "nonconvex.json"),
     ("evolve", "--config", "fourier.json", "--scheme", "heun", "--output", "runs/heun"),
