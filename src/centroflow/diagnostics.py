@@ -7,7 +7,20 @@ identities are checked through scalar contractions: the area law (trace of the
 metric evolution), the integral |T|^2 law, and the pointwise |T|^2 law at its
 spatial maximum, where tangential reparametrization of a scalar drops out to
 first order.
+
+SeriesBundle reduces the snapshots in blocks: one invariant stack, one |T|^2
+right side and one ellipsoid fit per block, on a batch field (grids) whose
+columns are the block's snapshots. A block holds as many snapshots as fit in
+BLOCK_NODES nodes, and at least one: 16 at N=256 and 2 at M=17, but 1 at
+M=33 and M=65. numpy's per-call overhead dominates the small n=1 stacks,
+which a block shares among its snapshots; a stack of 4096 nodes stays below
+one M=33 stack (6534 nodes), so the bundle's peak memory stays that of one
+M=33 snapshot. Every per-snapshot scalar is reduced column by column from
+contiguous rows, so the series equal those of one snapshot at a time, bit
+for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -15,7 +28,9 @@ from . import invariants as inva
 from . import oracles
 # curvature_matrix is not called here; the module keeps the binding because
 # perfbench/test_perfbench.py checks that the tracer rebinds it
-from .support import curvature_matrix, gradient_norm  # noqa: F401
+from .support import SupportField, curvature_matrix, gradient_norm  # noqa: F401
+
+BLOCK_NODES = 4096            # nodes of the batch field a block of snapshots makes
 
 BOUND_TOL = 1e-8              # c0 growth, gradient and sup |T|^2 bounds
 PINCH_EPS = 1e-10             # floor of the smallest curvature eigenvalue
@@ -63,24 +78,36 @@ class BoundCheck:
 DIGEST_FIELDS = ("norm_T2", "norm_C2", "psi", "rho", "H", "det_g", "J", "chi")
 
 
-def invariant_summary(inv):
-    """Per-snapshot min/max/mean digest of every scalar invariant field."""
-    out = {name: {"min": float(arr.min()), "max": float(arr.max()),
-                  "mean": float(arr.mean())}
-           for name in DIGEST_FIELDS if (arr := getattr(inv, name)) is not None}
-    for name in ("area", "residual_C_symmetry", "residual_relsupport",
-                 "residual_gauss_cross"):
-        out[name] = getattr(inv, name)
-    return out
+def invariant_summaries(inv, times):
+    """Per-snapshot min/max/mean digest of every scalar invariant field.
 
-
-def _snapshot_row(state, s0, with_rhs):
-    """One snapshot's scalars, reduced from its invariant stack, and its digest.
-
-    drift is max |s - s0| against the first snapshot's s0. with_rhs adds the
-    integral and refined-max values of the |T|^2 right side.
+    inv is the invariant stack of a batch field; one digest per column, at times.
     """
-    field, grid = state.field, state.field.grid
+    per = inv.grid.per_snapshot
+    cols = {name: {"min": per(np.min, arr), "max": per(np.max, arr),
+                   "mean": per(np.mean, arr)}
+            for name in DIGEST_FIELDS if (arr := getattr(inv, name)) is not None}
+    scalars = {name: getattr(inv, name) for name in
+               ("area", "residual_C_symmetry", "residual_relsupport",
+                "residual_gauss_cross")}
+    return [dict(t=float(t),
+                 **{name: {k: float(v[b]) for k, v in d.items()}
+                    for name, d in cols.items()},
+                 **{name: float(v[b]) for name, v in scalars.items()})
+            for b, t in enumerate(times)]
+
+
+def _block_rows(states, s0, with_rhs):
+    """A block of snapshots' scalars, one array (B,) per key, and their digests.
+
+    The block's snapshots are the columns of one batch field; its invariant
+    stack is reduced per column and dropped. drift is max |s - s0| against
+    the first snapshot's s0. with_rhs adds the integral and refined-max
+    values of the |T|^2 right side.
+    """
+    grid = states[0].field.grid
+    field = SupportField(grid, u=np.stack([st.field.u for st in states], axis=-1))
+    per = grid.per_snapshot
     iv = inva.compute_invariants(field)
     where, supT2 = grid.refine_max(iv.norm_T2)
     lo, hi = grid.sym_eigs(iv.curvature)
@@ -89,12 +116,12 @@ def _snapshot_row(state, s0, with_rhs):
            "supT2": supT2,
            "supC2": grid.refine_max(iv.norm_C2)[1],
            "min_s": field.min_s(), "max_s": field.max_s(),
-           "drift": float(np.max(np.abs(field.s - s0))),
-           "eig_min_b": float(np.min(lo)), "eig_max_b": float(np.max(hi)),
-           "rho_min": float(np.min(iv.rho)), "rho_max": float(np.max(iv.rho)),
+           "drift": per(np.max, np.abs(field.s - field.at_nodes(s0))),
+           "eig_min_b": per(np.min, lo), "eig_max_b": per(np.max, hi),
+           "rho_min": per(np.min, iv.rho), "rho_max": per(np.max, iv.rho),
            "roundness": oracles.best_fit_ellipsoid(field)[1],
            "residual_relsupport": iv.residual_relsupport,
-           "grad_max": float(np.max(gradient_norm(field, iv.X)))}
+           "grad_max": per(np.max, gradient_norm(field, iv.X))}
     if with_rhs:
         te = inva.t2_evolution_rhs(iv)
         row["int_rhs"] = inva.integrate_mu(
@@ -102,30 +129,34 @@ def _snapshot_row(state, s0, with_rhs):
         # evaluate at the grid's refined max, not the nearest node: on the circle
         # the node offset costs O(h^2 rhs'') which dominates the residual floor
         row["sup_rhs"] = grid.value_at(te, where)
-    return row, dict(t=float(state.t), **invariant_summary(iv))
+    return row, invariant_summaries(iv, [st.t for st in states])
 
 
 class SeriesBundle:
     """Per-snapshot scalar series of a trajectory and the residuals built on them.
 
     The only reader of a Trajectory in this module: every check takes the
-    bundle. Each snapshot's invariant stack is computed once, reduced to one
-    row of scalars and its invariants.json digest (summaries), and dropped:
-    no per-node field outlives the constructor. Each row key is a series
-    attribute; grad_max is max |grad s| and drift is max |s - s_0|. The
-    trajectory's termination and renorm_factors are kept alongside.
+    bundle. Each block of snapshots (BLOCK_NODES) gets one invariant stack,
+    computed once, reduced to one row of scalars per snapshot and to each
+    snapshot's invariants.json digest (summaries), and dropped: no per-node
+    field outlives the constructor. Each row key is a series attribute;
+    grad_max is max |grad s| and drift is max |s - s_0|. The trajectory's
+    termination and renorm_factors are kept alongside.
     """
 
     def __init__(self, traj):
         self.t = traj.times
         self.termination = traj.termination
         self.renorm_factors = np.array(traj.renorm_factors, dtype=float)
-        s0 = traj.snapshots[0].field.s
-        self.n = traj.snapshots[0].field.n
-        rows, summaries = zip(*[_snapshot_row(st, s0, with_rhs=len(self.t) >= 3)
-                                for st in traj.snapshots])
-        self.summaries = list(summaries)
-        series = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+        snaps = traj.snapshots
+        s0 = snaps[0].field.s
+        self.n = snaps[0].field.n
+        size = max(1, BLOCK_NODES // math.prod(snaps[0].field.grid.shape))
+        blocks, summaries = zip(*[_block_rows(snaps[i:i + size], s0,
+                                              with_rhs=len(self.t) >= 3)
+                                  for i in range(0, len(snaps), size)])
+        self.summaries = [d for block in summaries for d in block]
+        series = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
         int_rhs, sup_rhs = series.pop("int_rhs", None), series.pop("sup_rhs", None)
         vars(self).update(series)
         self.area_rhs = 0.5 * self.n * self.int_T2

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConvexityLost, NumericalBlowup, OriginCrossed
-from .support import SupportField
+from .support import SupportField, require_single
 
 SCHEMES = ("rk4", "heun")
 
@@ -144,9 +144,10 @@ def step(state, control, t_stop):
 
     Returns (new state, landed); landed is True when the step was cut to end
     at t_stop. The state's chart Hessian serves both the bound and the first
-    stage; every stage is convexity-guarded.
+    stage; every stage is convexity-guarded. A batch field raises GridError.
     """
     f0 = state.field
+    require_single(f0)
     g = f0.grid
     D2 = g.graph_hessian(f0.u)
     dt = stable_dt(f0, control, D2)
@@ -189,8 +190,10 @@ def evolve(field0, control, renormalize=False):
     pre-rescaling values at t=0 and the working-scale values afterwards, so
     scale-invariant series are unaffected and c0-type bounds are applied per
     rescaling interval). field0 is not modified; no field is modified after
-    it is built, so snapshots keep the states themselves.
+    it is built, so snapshots keep the states themselves. A batch field
+    raises GridError.
     """
+    require_single(field0)
     g = field0.grid
     state = FlowState(0.0, SupportField(g, u=g.sync_duplicates(field0.u.copy())))
     snapshots, factors = [], []

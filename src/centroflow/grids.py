@@ -12,6 +12,14 @@ Node ordering contract (documented so snapshots are bit-stable):
   n=2: values[f, i, j] at direction ~ a_f + ys[i]*t1_f + ys[j]*t2_f,
        ys = linspace(-1, 1, M), faces ordered +x,-x,+y,-y,+z,-z,
        flattening is row-major (C order).
+
+Batch axis: the grid operations also take a field that carries one more
+axis right after the node axes, one column per snapshot (node axes, then
+the batch axis, then any component axes). Grid constants broadcast over it,
+and every per-snapshot scalar (integrals, maxima, refined maxima) comes back
+as an array with one entry per column. Each column is reduced as one
+C-contiguous row, so its sums add in the order they would for that snapshot
+alone. Only diagnostics.SeriesBundle builds such fields.
 """
 
 import numpy as np
@@ -30,6 +38,24 @@ FACE_FRAMES = (
 
 HALO = 2   # halo width, matches the 4th-order stencil reach
 NSTEN = 8  # Lagrange interpolation points per axis for off-lattice evaluation
+
+
+def snapshot_rows(grid, values):
+    """A field of grid.shape, or a batch of B of them, as C-contiguous rows (B, size).
+
+    One row per snapshot, its nodes in C order: a sum over a row adds in the
+    order it would over that snapshot alone.
+    """
+    if values.ndim == len(grid.shape):
+        return values.reshape(1, -1)
+    return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
+
+
+def per_snapshot(grid, op, values):
+    """op(rows, axis=1) on snapshot_rows: a float for a field of grid.shape, an
+    array (B,) for a batch."""
+    out = op(snapshot_rows(grid, values), axis=1)
+    return out if values.ndim > len(grid.shape) else float(out[0])
 
 
 class CircleGrid:
@@ -70,9 +96,10 @@ class CircleGrid:
 
     def integrate(self, values):
         # trapezoid on a periodic grid == spectrally accurate quadrature
-        return float(np.sum(values) * self.h)
+        return self.per_snapshot(np.sum, values) * self.h
 
     integrate_chart = integrate
+    per_snapshot = per_snapshot
 
     def graph_hessian(self, u):
         """Curvature radius b = u + u'' (the chart is theta, so u = s)."""
@@ -97,7 +124,7 @@ class CircleGrid:
 
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (N, d): (N,1,d), (N,1,1,d)."""
-        return self.deriv(X, 1)[:, None, :], self.deriv(X, 2)[:, None, None, :]
+        return self.deriv(X, 1)[..., None, :], self.deriv(X, 2)[..., None, None, :]
 
     def sync_duplicates(self, u):
         """The circle has no duplicated nodes."""
@@ -117,7 +144,18 @@ class CircleGrid:
         dirs = np.asarray(dirs, dtype=float)
         return self.interpolate(values, np.arctan2(dirs[..., 1], dirs[..., 0]))
 
-    value_at = interpolate
+    def value_at(self, values, where):
+        """Trigonometric interpolant of each snapshot at its own angle where.
+
+        values is a field of grid.shape (where a float) or a batch (where (B,)).
+        """
+        rows = snapshot_rows(self, values)
+        c = np.fft.fft(rows, axis=-1) / self.N
+        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        tq = np.reshape(where, (-1, 1, 1))
+        # one (1, N) @ (N, 1) product per snapshot: the dot interpolate takes
+        out = (np.exp(1j * tq * k) @ c[:, :, None])[:, 0, 0].real
+        return out if values.ndim > 1 else float(out[0])
 
     def refine_max(self, values):
         """(theta, value) of the maximum: Newton-polish the trig interpolant.
@@ -125,30 +163,36 @@ class CircleGrid:
         Node maxima move by O(h^2 f'') under reparametrization; the interior
         smooth max does not, which matters when comparing series across
         linearly mapped copies of the same body. Falls back to the node max
-        for near-constant fields (Newton would divide by ~0 curvature).
+        for near-constant fields (Newton would divide by ~0 curvature). A
+        batch is polished column by column in one vectorized loop, and each
+        column stops where it would alone; both come back as arrays (B,).
         """
-        v = np.asarray(values, dtype=float)
-        i0 = int(np.argmax(v))
-        vmax = float(v[i0])
-        span = vmax - float(np.min(v))
-        if span <= 1e-12 * max(abs(vmax), 1.0):
-            return float(self.thetas[i0]), vmax
-        c = np.fft.fft(v) / self.N
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        ik = 1j * k
-        th = float(self.thetas[i0])
+        v = snapshot_rows(self, np.asarray(values, dtype=float))
+        i0 = np.argmax(v, axis=1)
+        vmax = v[np.arange(len(v)), i0]
+        span = vmax - np.min(v, axis=1)
+        th = self.thetas[i0]
+        polish = ~(span <= 1e-12 * np.maximum(np.abs(vmax), 1.0))
+        c = np.fft.fft(v, axis=1) / self.N
+        ik = 1j * np.fft.fftfreq(self.N, d=1.0 / self.N)
+        live = np.flatnonzero(polish)
         for _ in range(12):
-            ph = np.exp(1j * k * th)
-            d1 = float(np.sum(c * ik * ph).real)
-            d2 = float(np.sum(c * ik * ik * ph).real)
-            if d2 >= -1e-13 * span:
+            if not live.size:
                 break
+            cl = c[live]
+            ph = np.exp(ik * th[live, None])
+            d1 = np.sum(cl * ik * ph, axis=1).real
+            d2 = np.sum(cl * ik * ik * ph, axis=1).real
+            move = ~(d2 >= -1e-13 * span[live])
+            live, d1, d2 = live[move], d1[move], d2[move]
             step = np.clip(d1 / d2, -self.h, self.h)  # one-cell trust region
-            th -= step
-            if abs(step) < 1e-14:
-                break
-        val = float(np.sum(c * np.exp(1j * k * th)).real)
-        return th, max(val, vmax)
+            th[live] -= step
+            live = live[~(np.abs(step) < 1e-14)]
+        val = np.sum(c * np.exp(ik * th[:, None]), axis=1).real
+        val = np.where(polish & ~(vmax > val), val, vmax)
+        if np.ndim(values) > 1:
+            return th, val
+        return float(th[0]), float(val[0])
 
 
 def sym_det(D2):
@@ -177,13 +221,16 @@ def _lagrange_weights(xs, xq):
     return w
 
 
-def _sym2(f11, f12, f22):
-    """Symmetric 2x2 field [[f11, f12], [f12, f22]], pair axes after the node axes."""
-    out = np.empty(f11.shape[:3] + (2, 2) + f11.shape[3:])
-    out[:, :, :, 0, 0] = f11
-    out[:, :, :, 0, 1] = f12
-    out[:, :, :, 1, 0] = f12
-    out[:, :, :, 1, 1] = f22
+def _sym2(f11, f12, f22, ncomp=0):
+    """Symmetric 2x2 field [[f11, f12], [f12, f22]], pair axes before the last ncomp
+    (component) axes: after the node axes and the batch axis, if there is one."""
+    split = f11.ndim - ncomp
+    out = np.empty(f11.shape[:split] + (2, 2) + f11.shape[split:])
+    comp = (slice(None),) * ncomp
+    out[(Ellipsis, 0, 0) + comp] = f11
+    out[(Ellipsis, 0, 1) + comp] = f12
+    out[(Ellipsis, 1, 0) + comp] = f12
+    out[(Ellipsis, 1, 1) + comp] = f22
     return out
 
 
@@ -257,7 +304,11 @@ class CubedSphereGrid:
     def integrate_chart(self, density):
         """Integral over the six chart squares of a chart density (e.g. sqrt(det g))."""
         W = self.chart_weights_1d
-        return float(np.einsum("fij,i,j->", density, W, W))
+        rows = snapshot_rows(self, density).reshape((-1,) + self.shape)
+        out = np.array([np.einsum("fij,i,j->", f, W, W) for f in rows])
+        return out if density.ndim > 3 else float(out[0])
+
+    per_snapshot = per_snapshot
 
     # ---------- halo exchange ----------
 
@@ -381,6 +432,15 @@ class CubedSphereGrid:
         H = HALO
         return self.d2(ext, 1)[:, :, H:-H], self.d1(e1, 2), self.d2(ext, 2)[:, H:-H]
 
+    def chart_gradient(self, values, kind):
+        """(f_1, f_2) on the interior nodes, through the halo of `kind`.
+
+        The same values as chart_derivs' first two, without its second derivatives.
+        """
+        H = HALO
+        ext = self.extend(values, kind)
+        return self.d1(ext[:, :, H:-H], 1), self.d1(ext[:, H:-H], 2)
+
     def chart_derivs(self, values, kind="scalar"):
         """(f_1, f_2, f_11, f_12, f_22) on the interior nodes, through the halo of `kind`."""
         H = HALO
@@ -389,7 +449,7 @@ class CubedSphereGrid:
         return (e1[:, :, H:-H], self.d1(ext, 2)[:, H:-H]) + self._second_derivs(ext, e1)
 
     def graph_hessian(self, u):
-        """Chart Hessian D^2 u of graph values, shape (6,M,M,2,2).
+        """Chart Hessian D^2 u of graph values, shape (6,M,M,2,2) (or (6,M,M,B,2,2)).
 
         Builds only the second derivatives (f_1 and f_2 are not needed).
         """
@@ -403,22 +463,23 @@ class CubedSphereGrid:
         """Orthonormal-frame components of b = hess s + s id: w P^{-T} D2 P^{-1}.
 
         Contracts component-first (node axes trailing) and returns a node-first
-        (6,M,M,2,2) view.
+        (6,M,M,2,2) view, (6,M,M,B,2,2) for a batch.
         """
-        Pi = self.frameP_inv
+        batch = (1,) * (D2.ndim - 5)
+        Pi = self.frameP_inv.reshape(self.frameP_inv.shape + batch)
         D = np.ascontiguousarray(np.moveaxis(D2, (-2, -1), (0, 1)))
         D2P = np.einsum("cd...,db...->cb...", D, Pi)
         b = np.einsum("ca...,cb...->ab...", Pi, D2P)
-        b *= self.w
+        b *= self.w.reshape(self.shape + batch)
         return np.moveaxis(b, (0, 1), (-2, -1))
 
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), halo stencils."""
         f1, f2, f11, f12, f22 = self.chart_derivs(X, kind="scalar")
-        Xi = np.empty((6, self.M, self.M, 2, 3))
+        Xi = np.empty(f1.shape[:-1] + (2, 3))
         Xi[..., 0, :] = f1
         Xi[..., 1, :] = f2
-        return Xi, _sym2(f11, f12, f22)
+        return Xi, _sym2(f11, f12, f22, ncomp=1)
 
     def d1_face(self, values, axis):
         """4th-order chart derivative from same-face values only.
@@ -504,12 +565,18 @@ class CubedSphereGrid:
     # ---------- maximum ----------
 
     def refine_max(self, values):
-        """(flat node index, value) of the node maximum."""
-        where = int(np.argmax(values))
-        return where, float(values.reshape(-1)[where])
+        """(flat node index, value) of the node maximum, arrays (B,) for a batch."""
+        rows = snapshot_rows(self, values)
+        where = np.argmax(rows, axis=1)
+        if values.ndim > 3:
+            return where, rows[np.arange(len(rows)), where]
+        return int(where[0]), float(rows[0, where[0]])
 
     def value_at(self, values, where):
-        return float(values.reshape(-1)[where])
+        """Each snapshot's value at its flat node index where."""
+        rows = snapshot_rows(self, values)
+        out = rows[np.arange(len(rows)), where]
+        return out if values.ndim > 3 else float(out[0])
 
     # ---------- interpolation at arbitrary directions ----------
 

@@ -28,6 +28,11 @@ brackets: every bracket is a dot product with a generalized cross product
 per node and no LAPACK call. residual_gauss_cross is the reconstruction
 residual max|X_ij - Ghat^k_ij X_k + g_ij X| / max|X_ij|: it checks the
 decomposition against its definition, whatever route solved it.
+
+A batch field (grids: one trailing batch axis of snapshots) runs through the
+same code: the node-first arrays carry the batch axis after the node axes,
+the component-first ones last, and every scalar (area, residuals, the
+transversality guard) is taken per snapshot, as an array (B,).
 """
 
 import numpy as np
@@ -90,6 +95,16 @@ def cross_normal(Xi):
                      a[0] * b[1] - a[1] * b[0]])
 
 
+def _peak(a, batched, op=np.max):
+    """op over every axis of a component-first array but a trailing batch axis."""
+    return op(a, axis=tuple(range(a.ndim - batched)))
+
+
+def _later_max(a, b):
+    """Python's max(a, b), per snapshot: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
 def frame_dual(cols):
     """Dual basis of the frame by brackets, and the frame bracket [X_1..X_n, X].
 
@@ -98,20 +113,19 @@ def frame_dual(cols):
     is the coefficient of Y on column r. Cramer: that coefficient is the bracket
     with Y in place of column r over the frame bracket, which is
     (-1)^(n-r) [columns without r, Y] / [X_1..X_n, X], a cross_normal dot Y.
+    A degenerate bracket is refused by gauss_decompose, per snapshot.
     """
     n = len(cols) - 1
     normal = cross_normal(cols[:n])
     frame_det = np.einsum("a...,a...->...", normal, cols[n])
-    if np.min(np.abs(frame_det)) < EPS_FRAME:
-        raise TransversalityLost("frame [X_1..X_n, X] became degenerate",
-                                 value=float(np.min(np.abs(frame_det))))
     dual = np.stack([(-1) ** (n - r) * cross_normal(np.delete(cols, r, axis=0))
                      for r in range(n)] + [normal])
-    dual /= frame_det
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero bracket is refused
+        dual /= frame_det
     return dual, frame_det
 
 
-def gauss_decompose(X, X_i, X_ij):
+def gauss_decompose(X, X_i, X_ij, batched=0):
     """Solve X_ij = Ghat^k_ij X_k - g_ij X in the moving frame {X_1..X_n, X}.
 
     Takes node-first X (..., n+1), X_i (..., n, n+1), X_ij (..., n, n, n+1),
@@ -120,6 +134,9 @@ def gauss_decompose(X, X_i, X_ij):
       frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its bracket;
       residual: max|X_ij - Ghat^k_ij X_k + g_ij X| / max|X_ij|, the
       decomposition checked against its definition.
+    batched=1 says the last of the "..." axes holds snapshots: the residual is
+    then an array (B,), and TransversalityLost carries the smallest bracket of
+    the first snapshot whose bracket falls below EPS_FRAME.
     """
     n = X_i.shape[-2]
     lead = X.shape[:-1]
@@ -127,6 +144,11 @@ def gauss_decompose(X, X_i, X_ij):
     cols[:n] = _comp_first(X_i, 2)
     cols[n] = _comp_first(X, 1)
     dual, frame_det = frame_dual(cols)
+    low = np.atleast_1d(_peak(np.abs(frame_det), batched, np.min))
+    tripped = np.flatnonzero(low < EPS_FRAME)
+    if tripped.size:
+        raise TransversalityLost("frame [X_1..X_n, X] became degenerate",
+                                 value=float(low[tripped[0]]))
     # coefficients (Ghat^1_ij..Ghat^n_ij, -g_ij), one (i, j) pair at a time:
     # the transient peak stays at a few node fields
     coef = np.empty((n + 1, n, n) + lead)
@@ -134,13 +156,14 @@ def gauss_decompose(X, X_i, X_ij):
     for i in range(n):
         for j in range(i, n):
             Y = np.ascontiguousarray(np.moveaxis(X_ij[..., i, j, :], -1, 0))
-            scale = max(scale, float(np.max(np.abs(Y))))
+            scale = _later_max(scale, _peak(np.abs(Y), batched))
             c = np.einsum("ra...,a...->r...", dual, Y, out=coef[:, i, j])
             coef[:, j, i] = c
             Y -= np.einsum("r...,ra...->a...", c, cols)
-            err = max(err, float(np.max(np.abs(Y))))
+            err = _later_max(err, _peak(np.abs(Y), batched))
     frame = _node_first(cols, 2).swapaxes(-1, -2)
-    return -coef[n], coef[:n], frame, frame_det, err / scale
+    residual = err / scale
+    return -coef[n], coef[:n], frame, frame_det, residual if batched else float(residual)
 
 
 def levi_civita(grid, gmat, ginv):
@@ -154,17 +177,18 @@ def levi_civita(grid, gmat, ginv):
     return Gam
 
 
-def cubic_form(Ghat, Gam, gmat, ginv):
-    """C = Ghat - Gamma (mixed), lowered form, |C|^2, and symmetry residual."""
+def cubic_form(Ghat, Gam, gmat, ginv, batched):
+    """C = Ghat - Gamma (mixed), lowered form, |C|^2, and symmetry residual
+    (per snapshot, an array (B,), when batched=1)."""
     C = Ghat - Gam                                            # [k, i, j]
     C_low = np.einsum("kij...,kl...->ijl...", C, gmat)        # C_ijl
     # C^{ijk} = g^{ia} g^{jb} C^k_ab, two single contractions
     C_up = np.einsum("jb...,ibk...->ijk...", ginv,
                      np.einsum("ia...,kab...->ibk...", ginv, C))
     norm_C2 = np.einsum("ijk...,ijk...->...", C_low, C_up)
-    sym = max(float(np.max(np.abs(C_low - C_low.swapaxes(0, 1)))),
-              float(np.max(np.abs(C_low - C_low.swapaxes(1, 2)))))
-    return C, C_low, norm_C2, sym
+    sym = _later_max(_peak(np.abs(C_low - C_low.swapaxes(0, 1)), batched),
+                     _peak(np.abs(C_low - C_low.swapaxes(1, 2)), batched))
+    return C, C_low, norm_C2, sym if batched else float(sym)
 
 
 def tchebychev(grid, C, ginv, Gam):
@@ -208,6 +232,9 @@ def integrate_mu(grid, values, sqrt_det_g):
 def compute_invariants(field):
     """Full invariant stack for a support field; returns InvariantFields.
 
+    A batch field gives fields with its batch axis after the node axes, and
+    arrays (B,) for the scalars (area and the residuals).
+
     Array shapes (leading axes = node axes of the grid):
       g, g_inv: (..., n, n);  gamma_hat, gamma, C_mixed: (..., n, n, n) [k,i,j];
       C_low: (..., n, n, n) [i,j,k];  T_low, T_up: (..., n);
@@ -215,13 +242,14 @@ def compute_invariants(field):
     """
     grid = field.grid
     n = grid.n
+    batched = len(field.batch_shape)
     X = sup.embed(field)
     X_i, X_ij = grid.chart_jet(X)
-    gmat, Ghat, frame, frame_det, cross = gauss_decompose(X, X_i, X_ij)
+    gmat, Ghat, frame, frame_det, cross = gauss_decompose(X, X_i, X_ij, batched)
     del X, X_i, X_ij   # the frame keeps X; dropping the jet lowers the transient peak
     ginv, det_g = inv_det(gmat)
     Gam = levi_civita(grid, gmat, ginv)
-    C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat, ginv)
+    C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat, ginv, batched)
     T_low, T_up, norm_T2, H = tchebychev(grid, C, ginv, Gam)
     psi = tchebychev_function(det_g, frame_det)
     bmat = sup.curvature_matrix(field)
@@ -238,8 +266,10 @@ def compute_invariants(field):
     T_node = _node_first(T_low, 1)
     grad_lpsi = grid.grad(np.log(psi))
     grad_lrho = grid.grad(np.log(rho))
-    r_psi = float(np.max(np.abs(T_node + grad_lpsi / (2 * n))))
-    r_rho = float(np.max(np.abs(T_node - (n + 2) / (2 * n) * grad_lrho)))
+    r_psi = grid.per_snapshot(np.max, np.abs(T_node + grad_lpsi / (2 * n)).max(axis=-1))
+    r_rho = grid.per_snapshot(np.max, np.abs(T_node - (n + 2) / (2 * n) * grad_lrho)
+                              .max(axis=-1))
+    r_rel = _later_max(r_psi, r_rho)
 
     return InvariantFields(
         n=n, grid=grid,
@@ -254,7 +284,7 @@ def compute_invariants(field):
         X=frame[..., n], frame=frame, frame_det=frame_det,
         det_g=det_g, sqrt_det_g=sqrt_det_g,
         residual_gauss_cross=cross, residual_C_symmetry=sym_C,
-        residual_relsupport=max(r_psi, r_rho),
+        residual_relsupport=r_rel if batched else float(r_rel),
         residual_psi=r_psi, residual_rho=r_rho,
         area=grid.integrate_chart(sqrt_det_g),
     )

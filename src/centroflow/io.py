@@ -22,7 +22,7 @@ from .diagnostics import SERIES_COLUMNS
 from .errors import ConfigError
 from .flow import FlowState, Trajectory
 from .grids import grid_shape, make_grid
-from .support import SupportField
+from .support import SupportField, require_single
 
 SNAP_DIR = "snapshots"
 SERIES_NAME = "series.csv"
@@ -79,6 +79,8 @@ def write_json(path, doc):
 
 
 def write_snapshot(path, field, t, cfg_hash):
+    """One snapshot file; a batch field raises GridError."""
+    require_single(field)
     doc = {"n": field.n, "resolution": field.grid.resolution, "time": float(t),
            "values": field.s.tolist(), "config_hash": cfg_hash}
     # json.dump always runs the pure-Python encoder; json.dumps without indent

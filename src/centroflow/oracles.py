@@ -7,10 +7,12 @@ fit quantifies how round a body is (roundness -> 0 exactly when the support
 function comes from an origin-centered ellipsoid).
 """
 
+import weakref
+
 import numpy as np
 
 from .errors import FitDegenerate
-from .support import SupportField
+from .grids import snapshot_rows
 
 SPD_FLOOR = 1e-12
 
@@ -54,42 +56,60 @@ def self_similar_residual(s, K, n):
     return float(np.max(np.abs(res)))
 
 
+_DESIGNS = weakref.WeakKeyDictionary()   # grid -> its fit design, dropped with the grid
+
+
+def _design(grid):
+    """(nodes x (L, dim), weights wq, (A W)^T, normal matrix A^T W A, pairs) of
+    the fit on grid, built once per grid. The design columns are x_i^2, then
+    2 x_i x_j for the pairs (i<j), matching the symmetric entries of Q."""
+    if grid not in _DESIGNS:
+        dim = grid.n + 1
+        x = grid.nodes.reshape(-1, dim)
+        wq = grid.weights.reshape(-1)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        A = np.stack([x[:, i] ** 2 for i in range(dim)]
+                     + [2.0 * x[:, i] * x[:, j] for (i, j) in pairs], axis=-1)
+        Aw = A * wq[:, None]
+        _DESIGNS[grid] = x, wq, Aw.T, Aw.T @ A, pairs
+    return _DESIGNS[grid]
+
+
 def best_fit_ellipsoid(field):
     """Weighted least squares of s(x)^2 ~= x^T Q x over the grid nodes.
 
     Returns (EllipsoidSpec, roundness) with
     roundness = ||s - sqrt(x^T Q x)||_2 / ||s||_2 (quadrature-weighted L2).
     A fit whose eigenvalues dip below the SPD floor is clamped and flagged
-    degenerate rather than raised, so trend series keep flowing.
+    degenerate rather than raised, so trend series keep flowing. A batch
+    field is fitted snapshot by snapshot against the grid's one design
+    (one matvec each) and gives (list of B specs, roundness array (B,)).
     """
     grid = field.grid
+    x, wq, AwT, normal, pairs = _design(grid)
     dim = grid.n + 1
-    x = grid.nodes.reshape(-1, dim)
-    wq = grid.weights.reshape(-1)
-    s2 = (field.s ** 2).reshape(-1)
-    # design columns: x_i^2 then 2 x_i x_j (i<j), matching symmetric Q entries
-    cols = [x[:, i] ** 2 for i in range(dim)]
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    cols += [2.0 * x[:, i] * x[:, j] for (i, j) in pairs]
-    A = np.stack(cols, axis=-1)
-    Aw = A * wq[:, None]
-    coef, *_ = np.linalg.lstsq(Aw.T @ A, Aw.T @ s2, rcond=None)
-    Q = np.zeros((dim, dim))
-    for i in range(dim):
-        Q[i, i] = coef[i]
-    for k, (i, j) in enumerate(pairs):
-        Q[i, j] = Q[j, i] = coef[dim + k]
-    evals, evecs = np.linalg.eigh(Q)
-    degenerate = bool(np.min(evals) < SPD_FLOOR)
-    if degenerate:
-        evals = np.maximum(evals, SPD_FLOOR)
-        Q = (evecs * evals) @ evecs.T
-    spec = EllipsoidSpec(Q, degenerate=degenerate)
-    fit_s = np.sqrt(np.einsum("qi,ij,qj->q", x, spec.Q, x))
-    num = np.sqrt(np.sum(wq * (field.s.reshape(-1) - fit_s) ** 2))
-    den = np.sqrt(np.sum(wq * field.s.reshape(-1) ** 2))
-    roundness = float(num / den)
-    return spec, roundness
+    s = snapshot_rows(grid, field.s)
+    specs, fits = [], []
+    for s2 in s ** 2:
+        coef, *_ = np.linalg.lstsq(normal, AwT @ s2, rcond=None)
+        Q = np.zeros((dim, dim))
+        for i in range(dim):
+            Q[i, i] = coef[i]
+        for k, (i, j) in enumerate(pairs):
+            Q[i, j] = Q[j, i] = coef[dim + k]
+        evals, evecs = np.linalg.eigh(Q)
+        degenerate = bool(np.min(evals) < SPD_FLOOR)
+        if degenerate:
+            evals = np.maximum(evals, SPD_FLOOR)
+            Q = (evecs * evals) @ evecs.T
+        specs.append(EllipsoidSpec(Q, degenerate=degenerate))
+        fits.append(np.sqrt(np.einsum("qi,ij,qj->q", x, specs[-1].Q, x)))
+    num = np.sqrt(np.sum(wq * (s - np.array(fits)) ** 2, axis=1))
+    den = np.sqrt(np.sum(wq * s ** 2, axis=1))
+    roundness = num / den
+    if field.batch_shape:
+        return specs, roundness
+    return specs[0], float(roundness[0])
 
 
 def require_fit(spec):

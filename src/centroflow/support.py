@@ -16,7 +16,13 @@ CONVEXITY_EPS = 1e-10
 
 
 class SupportField:
-    """Support function s sampled on a grid, with its graph values u = w * s."""
+    """Support function s sampled on a grid, with its graph values u = w * s.
+
+    The values have the grid's shape, or one more trailing batch axis with a
+    snapshot per column (grid.shape + (B,)). Only diagnostics.SeriesBundle
+    builds a batch; the flow and the snapshot writer refuse one
+    (require_single).
+    """
 
     def __init__(self, grid, s=None, u=None):
         self.grid = grid
@@ -24,19 +30,48 @@ class SupportField:
         if s is None and u is None:
             raise GridError("support field needs s or u values")
         vals = np.asarray(s if u is None else u, dtype=float)
-        if vals.shape != grid.shape:
-            raise GridError(f"expected shape {grid.shape}, got {vals.shape}")
-        self.u = vals if u is not None else grid.w * vals
-        self.s = self.u / grid.w
+        w = grid.w
+        if vals.shape == grid.shape:
+            self.batch_shape = ()
+        elif vals.shape[:-1] == grid.shape and vals.shape[-1] > 0:
+            self.batch_shape = vals.shape[-1:]
+            w = w[..., None]
+        else:
+            raise GridError(f"expected shape {grid.shape} or {grid.shape} + (batch,), "
+                            f"got {vals.shape}")
+        self.u = vals if u is not None else w * vals
+        self.s = self.u / w
+
+    def at_nodes(self, const):
+        """A node-first grid constant (node axes, then component axes), reshaped
+        to broadcast against this field: a length-1 axis stands for the batch axis."""
+        lead = len(self.grid.shape)
+        return const.reshape(const.shape[:lead] + (1,) * len(self.batch_shape)
+                             + const.shape[lead:])
 
     def copy(self):
         return SupportField(self.grid, u=self.u.copy())
 
+    # the flow calls these every step, so one field keeps the method form
+
     def min_s(self):
+        """min s: a float, or an array (B,) with one per snapshot of a batch."""
+        if self.batch_shape:
+            return self.grid.per_snapshot(np.min, self.s)
         return float(self.s.min())
 
     def max_s(self):
+        """max s: a float, or an array (B,) with one per snapshot of a batch."""
+        if self.batch_shape:
+            return self.grid.per_snapshot(np.max, self.s)
         return float(self.s.max())
+
+
+def require_single(field):
+    """GridError unless the field holds one snapshot (values of grid.shape)."""
+    if field.batch_shape:
+        raise GridError(f"expected one snapshot of shape {field.grid.shape}, "
+                        f"got a batch of {field.batch_shape[0]}")
 
 
 def ellipsoid_shape_matrix(Q, dim):
@@ -88,19 +123,22 @@ def fourier_support(grid, c0, a=(), b=()):
 def embed(field):
     """Map support values to surface points X = s p + grad s.
 
-    n=1 returns X (N,2); n=2 returns X (6,M,M,3) in ambient coordinates.
+    n=1 returns X (N,2); n=2 returns X (6,M,M,3) in ambient coordinates. A
+    batch gets its batch axis before the component axis.
     """
     g = field.grid
     if field.n == 1:
         sp = g.deriv(field.s, 1)
         tang = np.stack([-np.sin(g.thetas), np.cos(g.thetas)], axis=-1)
-        return field.s[:, None] * g.nodes + sp[:, None] * tang
-    u1, u2 = g.chart_derivs(field.u, kind="deg1")[:2]
-    t1 = g.tangents[:, None, None, 0, :]
-    t2 = g.tangents[:, None, None, 1, :]
-    a = g.axes[:, None, None, :]
+        return (field.s[..., None] * field.at_nodes(g.nodes)
+                + sp[..., None] * field.at_nodes(tang))
+    u1, u2 = g.chart_gradient(field.u, kind="deg1")
+    t1 = field.at_nodes(g.tangents[:, None, None, 0, :])
+    t2 = field.at_nodes(g.tangents[:, None, None, 1, :])
+    a = field.at_nodes(g.axes[:, None, None, :])
+    Y1, Y2 = field.at_nodes(g.Y1[None]), field.at_nodes(g.Y2[None])
     return (u1[..., None] * t1 + u2[..., None] * t2
-            + (field.u - g.Y1[None] * u1 - g.Y2[None] * u2)[..., None] * a)
+            + (field.u - Y1 * u1 - Y2 * u2)[..., None] * a)
 
 
 def curvature_matrix(field):
@@ -134,7 +172,8 @@ def gradient_norm(field, X=None):
     """
     if X is None:
         X = embed(field)
-    return np.linalg.norm(X - field.s[..., None] * field.grid.nodes, axis=-1)
+    p = field.at_nodes(field.grid.nodes)
+    return np.linalg.norm(X - field.s[..., None] * p, axis=-1)
 
 
 def homogeneity_residual(field):

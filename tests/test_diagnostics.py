@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from centroflow.diagnostics import (
+    BLOCK_NODES,
     SERIES_COLUMNS,
     BoundCheck,
     SeriesBundle,
@@ -16,6 +17,7 @@ from centroflow.diagnostics import (
     classify,
     run_report,
 )
+from centroflow.errors import TransversalityLost
 from centroflow.flow import FlowState, StepControl, Trajectory, evolve
 from centroflow.grids import CircleGrid, CubedSphereGrid
 from centroflow.support import SupportField, fourier_support
@@ -34,6 +36,13 @@ def gentle_run(circle192):
 @pytest.fixture(scope="module")
 def gentle_bundle(gentle_run):
     return SeriesBundle(gentle_run)
+
+
+@pytest.fixture(scope="module")
+def long_curve_run(circle192):
+    # 23 snapshots: two blocks at N=192 (21 snapshots each)
+    f = fourier_support(circle192, 1.0, a=[0.0, 0.0, 0.02], b=[0.0, 0.01])
+    return evolve(f, StepControl(t_end=0.011, snapshot_interval=0.0005))
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +156,18 @@ class TestSeriesBundleMemory:
         # one stack at a time: the peak does not grow with the snapshot count
         assert peaks[9] - peaks[3] < 1e6, peaks
 
+    def test_curve_peak_stops_growing_beyond_one_block(self, circle256):
+        per_block = BLOCK_NODES // circle256.N
+        assert per_block == 16
+        SeriesBundle(self._still_trajectory(circle256, 3))  # warm any grid caches
+        peaks = {K: _bundle_memory(self._still_trajectory(circle256, K))[2]
+                 for K in (4, per_block, 4 * per_block)}
+        # a block's stack grows with its snapshots up to one block (about
+        # 1.2 MB at 16 snapshots), then one block at a time: past one block
+        # only the kept digests (about 2 kB a snapshot) add up
+        assert peaks[per_block] - peaks[4] > 5e5, peaks
+        assert peaks[4 * per_block] - peaks[per_block] < 2e5, peaks
+
 
 def _reference_digest(iv):
     """invariants.json's per-snapshot digest, field by field."""
@@ -217,11 +238,13 @@ def two_snapshot_runs(circle64, sphere17):
 
 
 class TestSeriesBundleBitwise:
-    @pytest.mark.parametrize("which", ["curve-K9", "surface-K3", "curve-K2", "surface-K2"])
+    @pytest.mark.parametrize("which", ["curve-K9", "surface-K3", "curve-K2", "surface-K2",
+                                       "curve-K23"])
     def test_matches_reductions_of_kept_stacks(self, which, gentle_run, sphere_run,
-                                               two_snapshot_runs):
+                                               two_snapshot_runs, long_curve_run):
         traj = {"curve-K9": gentle_run, "surface-K3": sphere_run,
-                "curve-K2": two_snapshot_runs[0], "surface-K2": two_snapshot_runs[1]}[which]
+                "curve-K2": two_snapshot_runs[0], "surface-K2": two_snapshot_runs[1],
+                "curve-K23": long_curve_run}[which]
         assert len(traj) == int(which.split("K")[1])
         bundle = SeriesBundle(traj)
         ref, digests, margins = _reference_series(traj)
@@ -230,6 +253,26 @@ class TestSeriesBundleBitwise:
             assert np.array_equal(getattr(bundle, key), want, equal_nan=True), key
         assert bundle.summaries == digests
         assert np.array_equal(check_c1(bundle).margins, margins)
+
+
+class TestBlockGuard:
+    def test_transversality_keeps_the_first_tripping_snapshot(self, circle192):
+        # s = 1 + a cos 2theta has bracket -(s + s'') s = -(1 - 3a)(1 + a) at
+        # theta = 0: snapshots 2 and 3 trip, the later one with the smaller
+        # bracket, and all five share one block
+        g = circle192
+        fields = [fourier_support(g, 1.0, a=[0.0, a])
+                  for a in (0.1, 0.2, (1 - 1e-13) / 3, (1 - 1e-14) / 3, 0.1)]
+        alone = []
+        for f in fields[2:4]:
+            with pytest.raises(TransversalityLost) as exc:
+                inva.compute_invariants(f)
+            alone.append(exc.value.value)
+        assert alone[0] > 5 * alone[1] > 0
+        states = [FlowState(t=1e-3 * k, field=f) for k, f in enumerate(fields)]
+        with pytest.raises(TransversalityLost) as exc:
+            SeriesBundle(Trajectory(states, "ReachedTEnd", 0))
+        assert exc.value.value == alone[0]
 
 
 class TestChecks:
@@ -259,12 +302,14 @@ class TestChecks:
             assert np.array_equal(check_c1(bundle).margins, fresh)
 
     def test_run_report_embeds_once_per_snapshot(self, monkeypatch, sphere_run):
-        # the bundle's invariants embed each snapshot; check_c1 reuses it
+        # the bundle's invariants embed each block of snapshots once and
+        # check_c1 reuses them: M=17 puts 2 snapshots in a block, so 3 make 2
         calls = []
         embed = support.embed
         monkeypatch.setattr(support, "embed", lambda field: calls.append(1) or embed(field))
         run_report(SeriesBundle(sphere_run))
-        assert len(calls) == len(sphere_run.snapshots) >= 3
+        assert BLOCK_NODES // sphere_run.snapshots[0].field.u.size == 2
+        assert len(sphere_run.snapshots) == 3 and len(calls) == 2
 
     def test_pinch(self, gentle_bundle):
         L, pinch = check_pinch(gentle_bundle)

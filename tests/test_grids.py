@@ -8,7 +8,8 @@ from centroflow.support import SupportField, homogeneity_residual
 # the dimension interface every grid offers; nothing outside grids.py branches on n
 SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "graph_hessian",
           "sym_eigs", "sym_det", "to_frame", "grad", "chart_jet", "integrate_chart",
-          "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates")
+          "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates",
+          "per_snapshot")
 
 
 class TestCircleGrid:
@@ -225,6 +226,33 @@ class TestSharedInterface:
         where, val = g.refine_max(v)
         assert val == float(np.max(v))
         assert v.reshape(-1)[where] == val and g.value_at(v, where) == val
+
+    @pytest.mark.parametrize("grid", ["circle64", "sphere17"])
+    def test_batch_columns_equal_single_fields(self, request, grid):
+        # a constant column (the circle's node-max fallback) beside bumps whose
+        # Newton polish takes different numbers of steps
+        g = request.getfixturevalue(grid)
+        p = g.nodes
+        cols = [np.full(g.shape, 2.5), 1.0 + 0.3 * np.prod(p, axis=-1) + 0.1 * p[..., 0],
+                1.0 + 0.05 * p[..., 1] ** 3, 1.2 - 0.2 * p[..., 0] * p[..., 1]]
+        batch = np.stack(cols, axis=-1)
+        where, vmax = g.refine_max(batch)
+        X = np.stack([v[..., None] * p for v in cols], axis=-2)
+        Xi, Xij = g.chart_jet(X)
+        D2 = g.graph_hessian(batch)
+        lead = len(g.shape)
+        for k, v in enumerate(cols):
+            assert g.integrate_chart(batch)[k] == g.integrate_chart(v)
+            assert (where[k], vmax[k]) == g.refine_max(v)
+            assert g.value_at(batch, where)[k] == g.value_at(v, g.refine_max(v)[0])
+            assert np.array_equal(g.grad(batch)[..., k, :], g.grad(v))
+            jet = g.chart_jet(v[..., None] * p)
+            assert np.array_equal(Xi[..., k, :, :], jet[0])
+            assert np.array_equal(Xij[..., k, :, :, :], jet[1])
+            assert np.array_equal(np.moveaxis(g.to_frame(D2), lead, 0)[k],
+                                  g.to_frame(g.graph_hessian(v)))
+        assert isinstance(g.integrate_chart(cols[1]), float)
+        assert isinstance(g.refine_max(cols[1])[1], float)
 
     def test_sync_duplicates_on_graph_values(self, sphere17):
         g = sphere17

@@ -130,3 +130,19 @@ class TestBestFit:
         assert spec.degenerate
         with pytest.raises(FitDegenerate):
             require_fit(spec)
+
+    @pytest.mark.parametrize("grid", ["circle64", "sphere17"])
+    def test_batch_fits_each_snapshot_alone(self, request, grid):
+        # a degenerate column beside two round ones: specs and roundness per
+        # column, bit for bit those of single fits
+        g = request.getfixturevalue(grid)
+        p = g.nodes
+        cols = [np.sqrt(np.einsum("...i,ij,...j->...", p, np.diag(d), p))
+                for d in ([2.0, 1.0, 1.5][:g.n + 1], [1.0, 3.0, 1.0][:g.n + 1])]
+        cols.insert(1, np.abs(p[..., 0]) ** 3 + 1e-6)
+        specs, roundness = best_fit_ellipsoid(SupportField(g, s=np.stack(cols, axis=-1)))
+        assert len(specs) == 3 and roundness.shape == (3,)
+        for k, s in enumerate(cols):
+            spec, r = best_fit_ellipsoid(SupportField(g, s=s))
+            assert np.array_equal(specs[k].Q, spec.Q) and roundness[k] == r
+            assert specs[k].degenerate == spec.degenerate == (k == 1)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from centroflow.errors import ConfigError, ConvexityLost
-from centroflow.grids import hessian_eigs
+from centroflow.errors import ConfigError, ConvexityLost, GridError
+from centroflow.flow import FlowState, StepControl, evolve, step
+from centroflow.grids import CubedSphereGrid, hessian_eigs
+from centroflow.io import write_snapshot
 from centroflow.support import (
     SupportField,
     apply_linear_map,
@@ -14,6 +16,7 @@ from centroflow.support import (
     gradient_norm,
     homogeneity_residual,
     require_convex,
+    require_single,
 )
 from conftest import random_spd
 
@@ -144,3 +147,61 @@ class TestLinearMaps:
     def test_rejects_singular_map(self, flower256):
         with pytest.raises(ConfigError):
             apply_linear_map(flower256, np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def _columns(grid):
+    """Three different convex bodies on one grid, as single fields."""
+    p = grid.nodes
+    return [SupportField(grid, s=1.0 + a * np.prod(p, axis=-1) + 0.02 * k * p[..., 0])
+            for k, a in enumerate((0.0, 0.05, 0.1))]
+
+
+class TestBatchField:
+    @pytest.mark.parametrize("grid", ["circle64", "sphere17"])
+    def test_columns_equal_single_fields(self, request, grid):
+        g = request.getfixturevalue(grid)
+        singles = _columns(g)
+        batch = SupportField(g, s=np.stack([f.s for f in singles], axis=-1))
+        assert batch.batch_shape == (3,) and batch.u.shape == g.shape + (3,)
+        for k, f in enumerate(singles):
+            # u = w * s per column, bit for bit, and s = u / w back
+            assert np.array_equal(batch.u[..., k], f.u)
+            assert np.array_equal(batch.s[..., k], f.s)
+        assert np.array_equal(batch.min_s(), [f.min_s() for f in singles])
+        assert np.array_equal(batch.max_s(), [f.max_s() for f in singles])
+        X = embed(batch)
+        b = np.moveaxis(curvature_matrix(batch), len(g.shape), 0)
+        for k, f in enumerate(singles):
+            assert np.array_equal(X[..., k, :], embed(f))
+            assert np.array_equal(b[k], curvature_matrix(f))
+            assert np.array_equal(gradient_norm(batch, X)[..., k], gradient_norm(f))
+
+    @pytest.mark.parametrize("grid", ["circle64", "sphere17"])
+    def test_bad_shapes_raise(self, request, grid):
+        g = request.getfixturevalue(grid)
+        for shape in (g.shape + (2, 2), g.shape + (0,), g.shape[1:], (5,) + g.shape):
+            with pytest.raises(GridError):
+                SupportField(g, s=np.ones(shape))
+
+    @pytest.mark.parametrize("grid", ["circle64", "sphere17"])
+    def test_flow_and_snapshot_writer_refuse_a_batch(self, request, grid, tmp_path):
+        g = request.getfixturevalue(grid)
+        batch = SupportField(g, s=np.ones(g.shape + (2,)))
+        ctl = StepControl(t_end=0.01, snapshot_interval=0.01)
+        with pytest.raises(GridError, match="one snapshot"):
+            evolve(batch, ctl)
+        with pytest.raises(GridError, match="one snapshot"):
+            step(FlowState(0.0, batch), ctl, 0.01)
+        with pytest.raises(GridError, match="one snapshot"):
+            write_snapshot(tmp_path / "snap.json", batch, 0.0, None)
+        assert not list(tmp_path.iterdir())
+        require_single(SupportField(g, s=np.ones(g.shape)))
+
+
+def test_sphere_embed_builds_no_second_derivatives(monkeypatch, sphere17):
+    calls = []
+    d2 = CubedSphereGrid.d2
+    monkeypatch.setattr(CubedSphereGrid, "d2",
+                        lambda self, ext, axis: calls.append(axis) or d2(self, ext, axis))
+    embed(_columns(sphere17)[1])
+    assert calls == []

@@ -3,7 +3,7 @@
     python tools/artifact_parity.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). The script runs the same 29 CLI commands
+(the `src/` of two checkouts). The script runs the same 31 CLI commands
 against each tree, in a fresh working directory per tree, and compares
 every file the commands write, in two stability classes:
 
@@ -67,6 +67,10 @@ INPUTS = {
         "n": 2, "resolution": 33,
         "initial": {"kind": "file", "params": {"path": "body33.json"}},
         "t_end": 0.005, "snapshot_interval": 0.0025, "output": "runs/file33"},
+    # the curve-sweep benchmark's resolution with 26 snapshots: SeriesBundle
+    # reduces them in two blocks (16 snapshots at N=256, then 10)
+    "blocks1.json": dict(FOURIER, resolution=256, t_end=0.125, snapshot_interval=0.005,
+                         output="runs/blocks1"),
     # two snapshots: the diagnostics without the |T|^2 right sides
     "two1.json": dict(FOURIER, t_end=0.01, snapshot_interval=0.01, output="runs/two1"),
     "oracle1.json": {
@@ -120,6 +124,8 @@ COMMANDS = (
     ("diagnose", "--trajectory", "runs/file2"),
     ("evolve", "--config", "file33.json"),
     ("diagnose", "--trajectory", "runs/file33"),
+    ("evolve", "--config", "blocks1.json"),
+    ("diagnose", "--trajectory", "runs/blocks1"),
     ("evolve", "--config", "two1.json"),
     ("diagnose", "--trajectory", "runs/two1"),
     ("oracle-compare", "--config", "oracle1.json", "--tolerance", "1e-5"),
