@@ -87,22 +87,24 @@ class Trajectory:
         return len(self.snapshots)
 
 
-def _rhs_values(field, convexity_floor, D2):
+def _rhs_values(field, convexity_floor, spec):
     """Right-hand side on the graph values u (u = s on the circle).
 
-    D2 is the chart Hessian of u.
+    spec is grid.spectrum of the chart Hessian of u: (det, lo, hi).
     """
     g = field.grid
     u = field.u
     if u.min() <= 0.0:
-        raise OriginCrossed("support function lost positivity", value=field.min_s())
-    lo, _ = g.sym_eigs(D2)
+        raise OriginCrossed("support function lost positivity", value=field.min_s(),
+                            where=np.unravel_index(np.argmin(field.s), u.shape))
+    det, lo, _ = spec
     if lo.min() <= convexity_floor:
-        raise ConvexityLost("graph Hessian lost positivity", value=float(lo.min()))
+        raise ConvexityLost("graph Hessian lost positivity", value=float(lo.min()),
+                            where=np.unravel_index(np.argmin(lo), lo.shape))
     if field.n == 1:
-        out = 0.5 * u * np.log(u**3 * D2)
+        out = 0.5 * u * np.log(u**3 * det)
     else:
-        ratio = g.sym_det(D2) / g.ref_det
+        ratio = det / g.ref_det
         srel = field.s
         out = 0.25 * u * np.log(ratio) + u * np.log(srel)
         # same value grouped as w * s_t; the two must agree to rounding
@@ -117,22 +119,22 @@ def _rhs_values(field, convexity_floor, D2):
 def rhs(field):
     """ds/dt per node (sphere values, both n)."""
     g = field.grid
-    return _rhs_values(field, 0.0, g.graph_hessian(field.u)) / g.w
+    return _rhs_values(field, 0.0, g.spectrum(g.graph_hessian(field.u))) / g.w
 
 
-def stable_dt(field, control, D2):
+def stable_dt(field, control, spec):
     """Explicit step from the linearized diffusion coefficient (s/2n) b^{-1}.
 
     n=1: coefficient s/(2b) per node on the uniform theta grid.
     n=2: the chart-coordinate diffusion tensor is (u/4)(D^2 u)^{-1}; its trace
     bounds the symbol over both axes.
-    D2 is the chart Hessian of field.u.
+    spec is grid.spectrum of the chart Hessian of field.u: (det, lo, hi).
     """
     g = field.grid
+    _, lo, hi = spec
     if field.n == 1:
-        lam = (field.s / (2.0 * D2)).max()
+        lam = (field.s / (2.0 * lo)).max()
     else:
-        lo, hi = g.sym_eigs(D2)
         lam = (0.25 * field.u * (1.0 / lo + 1.0 / hi)).max()
     if not math.isfinite(lam) or lam <= 0:
         raise NumericalBlowup("no stable step: degenerate diffusion coefficient")
@@ -143,14 +145,14 @@ def step(state, control, t_stop):
     """One explicit step (rk4 or heun) of size stable_dt, cut to land on t_stop.
 
     Returns (new state, landed); landed is True when the step was cut to end
-    at t_stop. The state's chart Hessian serves both the bound and the first
-    stage; every stage is convexity-guarded. A batch field raises GridError.
+    at t_stop. The state's chart Hessian spectrum serves both the bound and the
+    first stage; every stage is convexity-guarded. A batch field raises GridError.
     """
     f0 = state.field
     require_single(f0)
     g = f0.grid
-    D2 = g.graph_hessian(f0.u)
-    dt = stable_dt(f0, control, D2)
+    spec = g.spectrum(g.graph_hessian(f0.u))
+    dt = stable_dt(f0, control, spec)
     landed = state.t + dt >= t_stop - 1e-13
     if landed:
         dt = t_stop - state.t
@@ -158,9 +160,9 @@ def step(state, control, t_stop):
 
     def rate(delta):
         f = SupportField(g, u=f0.u + delta)
-        return _rhs_values(f, floor, g.graph_hessian(f.u))
+        return _rhs_values(f, floor, g.spectrum(g.graph_hessian(f.u)))
 
-    k1 = _rhs_values(f0, floor, D2)
+    k1 = _rhs_values(f0, floor, spec)
     if control.scheme == "heun":
         delta = 0.5 * dt * (k1 + rate(dt * k1))
     else:

@@ -15,11 +15,13 @@ Node ordering contract (documented so snapshots are bit-stable):
 
 Batch axis: the grid operations also take a field that carries one more
 axis right after the node axes, one column per snapshot (node axes, then
-the batch axis, then any component axes). Grid constants broadcast over it,
-and every per-snapshot scalar (integrals, maxima, refined maxima) comes back
-as an array with one entry per column. Each column is reduced as one
-C-contiguous row, so its sums add in the order they would for that snapshot
-alone. Only diagnostics.SeriesBundle builds such fields.
+the batch axis, then any component axes; but the cubed sphere's symmetric
+2x2 fields, the chart Hessian and the frame curvature, are component-first:
+the pair (2, 2), then the node axes, then the batch axis). Grid constants
+broadcast over it, and every per-snapshot scalar (integrals, maxima, refined
+maxima) comes back as an array with one entry per column. Each column is
+reduced as one C-contiguous row, so its sums add in the order they would
+for that snapshot alone. Only diagnostics.SeriesBundle builds such fields.
 """
 
 import numpy as np
@@ -111,6 +113,11 @@ class CircleGrid:
         return b, b
 
     @staticmethod
+    def spectrum(b):
+        """(determinant, min, max eigenvalue) of the 1x1 curvature operator: b each."""
+        return b, b, b
+
+    @staticmethod
     def sym_det(b):
         return b
 
@@ -196,16 +203,22 @@ class CircleGrid:
 
 
 def sym_det(D2):
-    """Determinant of 2x2 fields (the pair axes last)."""
-    return D2[..., 0, 0] * D2[..., 1, 1] - D2[..., 0, 1] * D2[..., 1, 0]
+    """Determinant of 2x2 fields, component-first (the pair axes lead)."""
+    return D2[0, 0] * D2[1, 1] - D2[0, 1] * D2[1, 0]
+
+
+def spectrum(D2):
+    """(det, min, max eigenvalue) of symmetric 2x2 fields, component-first, closed
+    form: one determinant, and the eigenpair from it."""
+    det = sym_det(D2)
+    half = (D2[0, 0] + D2[1, 1]) / 2
+    disc = np.sqrt(np.maximum(half ** 2 - det, 0.0))
+    return det, half - disc, half + disc
 
 
 def hessian_eigs(D2):
-    """Eigenvalues (min, max) of symmetric 2x2 fields, closed form."""
-    tr = D2[..., 0, 0] + D2[..., 1, 1]
-    det = sym_det(D2)
-    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
-    return tr / 2 - disc, tr / 2 + disc
+    """Eigenvalues (min, max) of symmetric 2x2 fields, component-first."""
+    return spectrum(D2)[1:]
 
 
 def _lagrange_weights(xs, xq):
@@ -221,16 +234,13 @@ def _lagrange_weights(xs, xq):
     return w
 
 
-def _sym2(f11, f12, f22, ncomp=0):
-    """Symmetric 2x2 field [[f11, f12], [f12, f22]], pair axes before the last ncomp
-    (component) axes: after the node axes and the batch axis, if there is one."""
-    split = f11.ndim - ncomp
-    out = np.empty(f11.shape[:split] + (2, 2) + f11.shape[split:])
-    comp = (slice(None),) * ncomp
-    out[(Ellipsis, 0, 0) + comp] = f11
-    out[(Ellipsis, 0, 1) + comp] = f12
-    out[(Ellipsis, 1, 0) + comp] = f12
-    out[(Ellipsis, 1, 1) + comp] = f22
+def _sym2(f11, f12, f22):
+    """Symmetric 2x2 field [[f11, f12], [f12, f22]] of vectors, pair axes before
+    the last (component) axis: after the node axes and the batch axis, if any."""
+    out = np.empty(f11.shape[:-1] + (2, 2) + f11.shape[-1:])
+    out[..., 0, 0, :] = f11
+    out[..., 0, 1, :] = out[..., 1, 0, :] = f12
+    out[..., 1, 1, :] = f22
     return out
 
 
@@ -380,17 +390,20 @@ class CubedSphereGrid:
             svals = values / self.w.reshape((6, M, M) + trail)
         else:
             raise GridError(f"unknown halo kind {kind!r}")
-        # one gather and one sum over the tap axis per component. numpy adds
-        # the rows of the outer axis of a C-contiguous array one by one, in
-        # tap order: the accumulation order of einsum("ga,gb,gab->g") over
-        # (w1, w2, patch), which the tests hold the ghosts to bit for bit. A
-        # pairwise (inner-axis) or separable contraction would move them, and
-        # every stored artifact, at round-off
+        # per component one gather, weighted in place, and one sum over the tap
+        # axis. numpy adds the rows of a C-contiguous array's outer axis one by
+        # one, in tap order: the order of einsum("ga,gb,gab->g") over (w1, w2,
+        # patch), which the tests hold the ghosts to bit for bit. A pairwise or
+        # separable contraction would move them, and every artifact, at round-off
         cols = svals.reshape(6 * M * M, -1).T
-        ghosts = np.stack([(self._halo_wk * col[self._halo_srck]).sum(axis=0)
-                           for col in cols], axis=-1).reshape((-1,) + comp)
+        ghosts = np.empty((len(cols), self._halo_dst.size))
+        for row, col in zip(ghosts, cols):
+            taps = np.take(col, self._halo_srck)
+            taps *= self._halo_wk
+            np.sum(taps, axis=0, out=row)
+        ghosts = ghosts.T.reshape((-1,) + comp)
         if kind == "deg1":
-            ghosts = ghosts * self._halo_znorm.reshape((-1,) + trail)
+            ghosts *= self._halo_znorm.reshape((-1,) + trail)
         ext = np.empty((6, E, E) + comp, dtype=float)
         ext[:, H:-H, H:-H] = values
         ext.reshape((6 * E * E,) + comp)[self._halo_dst] = ghosts
@@ -430,7 +443,7 @@ class CubedSphereGrid:
     def _second_derivs(self, ext, e1):
         """(f_11, f_12, f_22) on the interior nodes from an extended field and its d1 along axis 1."""
         H = HALO
-        return self.d2(ext, 1)[:, :, H:-H], self.d1(e1, 2), self.d2(ext, 2)[:, H:-H]
+        return self.d2(ext[:, :, H:-H], 1), self.d1(e1, 2), self.d2(ext[:, H:-H], 2)
 
     def chart_gradient(self, values, kind):
         """(f_1, f_2) on the interior nodes, through the halo of `kind`.
@@ -449,29 +462,29 @@ class CubedSphereGrid:
         return (e1[:, :, H:-H], self.d1(ext, 2)[:, H:-H]) + self._second_derivs(ext, e1)
 
     def graph_hessian(self, u):
-        """Chart Hessian D^2 u of graph values, shape (6,M,M,2,2) (or (6,M,M,B,2,2)).
+        """Chart Hessian D^2 u of graph values, component-first (2,2,6,M,M) (or (2,2,6,M,M,B)).
 
         Builds only the second derivatives (f_1 and f_2 are not needed).
         """
         ext = self.extend(u, kind="deg1")
-        return _sym2(*self._second_derivs(ext, self.d1(ext, 1)))
+        f11, f12, f22 = self._second_derivs(ext, self.d1(ext, 1))
+        return np.array([[f11, f12], [f12, f22]])
 
     sym_eigs = staticmethod(hessian_eigs)
     sym_det = staticmethod(sym_det)
+    spectrum = staticmethod(spectrum)
 
     def to_frame(self, D2):
         """Orthonormal-frame components of b = hess s + s id: w P^{-T} D2 P^{-1}.
 
-        Contracts component-first (node axes trailing) and returns a node-first
-        (6,M,M,2,2) view, (6,M,M,B,2,2) for a batch.
+        Takes and returns component-first fields, (2,2,6,M,M) or (2,2,6,M,M,B).
         """
         batch = (1,) * (D2.ndim - 5)
         Pi = self.frameP_inv.reshape(self.frameP_inv.shape + batch)
-        D = np.ascontiguousarray(np.moveaxis(D2, (-2, -1), (0, 1)))
-        D2P = np.einsum("cd...,db...->cb...", D, Pi)
+        D2P = np.einsum("cd...,db...->cb...", D2, Pi)
         b = np.einsum("ca...,cb...->ab...", Pi, D2P)
         b *= self.w.reshape(self.shape + batch)
-        return np.moveaxis(b, (0, 1), (-2, -1))
+        return b
 
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), halo stencils."""
@@ -479,7 +492,7 @@ class CubedSphereGrid:
         Xi = np.empty(f1.shape[:-1] + (2, 3))
         Xi[..., 0, :] = f1
         Xi[..., 1, :] = f2
-        return Xi, _sym2(f11, f12, f22, ncomp=1)
+        return Xi, _sym2(f11, f12, f22)
 
     def d1_face(self, values, axis):
         """4th-order chart derivative from same-face values only.

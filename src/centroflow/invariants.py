@@ -12,9 +12,9 @@ scalar curvature chi = J - (n/(n-1))|T|^2 + 1.
 Everything is frame-generic; closed-form shortcuts exist for both n (for n=1
 g = (s+s'')/s etc.) and the tests pin them against this generic pipeline.
 
-Layout: the grids and the public entry points (compute_invariants,
-t2_evolution_rhs, covariant_grad, c_evolution_rhs, the InvariantFields) are
-node-first, component axes trailing. Inside, every per-node contraction runs
+Layout: the grids (but for their 2x2 fields) and the public entry points
+(compute_invariants, t2_evolution_rhs, covariant_grad, c_evolution_rhs, the
+InvariantFields) are node-first, component axes trailing. Inside, every per-node contraction runs
 component-first: component axes (length n or n+1) lead and the node axes
 trail, so each einsum's inner loop runs along the long node axis instead of
 an axis of length 2. The fields of InvariantFields are transposed views of
@@ -278,8 +278,8 @@ def compute_invariants(field):
         C_mixed=_node_first(C, 3), C_low=_node_first(C_low, 3),
         T_low=T_node, T_up=_node_first(T_up, 1),
         norm_T2=norm_T2, norm_C2=norm_C2,
-        psi=psi, rho=rho, H=H, J=J, chi=chi,
-        curvature=bmat, det_curvature=det_b, gauss_K=K,
+        psi=psi, rho=rho, H=H, J=J, chi=chi, det_curvature=det_b, gauss_K=K,
+        curvature=_node_first(bmat, bmat.ndim - field.u.ndim),
         # the embedding is the frame's last column: a view, no second copy
         X=frame[..., n], frame=frame, frame_det=frame_det,
         det_g=det_g, sqrt_det_g=sqrt_det_g,

@@ -144,8 +144,8 @@ def embed(field):
 def curvature_matrix(field):
     """Frame components of b = hess s + s id (SPD iff the body is convex).
 
-    n=1 returns the scalar b = s + s''.  n=2 returns (6,M,M,2,2) in the
-    orthonormal tangent frame: b = w * P^{-T} (D^2 u) P^{-1}.
+    n=1 returns the scalar b = s + s''.  n=2 returns component-first (2,2,6,M,M)
+    in the orthonormal tangent frame: b = w * P^{-T} (D^2 u) P^{-1}.
     """
     g = field.grid
     return g.to_frame(g.graph_hessian(field.u))

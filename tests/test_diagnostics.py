@@ -196,7 +196,8 @@ def _reference_series(traj):
     ref["supC2"] = np.array([iv.grid.refine_max(iv.norm_C2)[1] for iv in inv])
     ref["min_s"] = np.array([st.field.min_s() for st in traj.snapshots])
     ref["max_s"] = np.array([st.field.max_s() for st in traj.snapshots])
-    eigs = [iv.grid.sym_eigs(iv.curvature) for iv in inv]
+    eigs = [iv.grid.sym_eigs(support.curvature_matrix(st.field))
+            for iv, st in zip(inv, traj.snapshots)]
     ref["eig_min_b"] = np.array([float(np.min(lo)) for lo, _ in eigs])
     ref["eig_max_b"] = np.array([float(np.max(hi)) for _, hi in eigs])
     ref["rho_min"] = np.array([float(np.min(iv.rho)) for iv in inv])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centroflow import flow
+from centroflow import flow, grids
 from centroflow.errors import (ConfigError, ConvexityLost, GuardError,
                                NumericalBlowup, OriginCrossed, TransversalityLost)
 from centroflow.flow import (
@@ -20,8 +20,9 @@ from centroflow.oracles import exact_sphere_radius
 from centroflow.support import SupportField, fourier_support
 
 
-def hessian(field):
-    return field.grid.graph_hessian(field.u)
+def spectrum(field):
+    g = field.grid
+    return g.spectrum(g.graph_hessian(field.u))
 
 
 def sphere_field(n, R, res):
@@ -40,7 +41,7 @@ class TestFixedPoint:
         # determinant is measured against the same stencils applied to the
         # exact sphere graph, so the unit sphere is a discrete fixed point
         f = sphere_field(2, 1.0, 17)
-        assert np.all(_rhs_values(f, 0.0, hessian(f)) == 0.0)
+        assert np.all(_rhs_values(f, 0.0, spectrum(f)) == 0.0)
 
     def test_unit_sphere_bitwise_stationary(self):
         for n, res in ((1, 64), (2, 17)):
@@ -72,7 +73,7 @@ class TestTemporalAccuracy:
     def test_step_takes_the_bound_or_lands(self, flower256, sphere17, n):
         f = flower256 if n == 1 else bumpy_sphere(sphere17)
         ctl = StepControl()
-        bound = stable_dt(f, ctl, hessian(f))
+        bound = stable_dt(f, ctl, spectrum(f))
         far, landed = step(FlowState(0.25, f, 7), ctl, 1.0)
         assert far.t == 0.25 + bound and not landed and far.step_count == 8
         near, landed = step(FlowState(0.25, f, 7), ctl, 0.25 + 0.5 * bound)
@@ -102,16 +103,16 @@ class TestStepControl:
 class TestStableDt:
     def test_frozen_values(self, flower256, sphere33):
         ctl = StepControl()
-        assert stable_dt(flower256, ctl, hessian(flower256)) == pytest.approx(
+        assert stable_dt(flower256, ctl, spectrum(flower256)) == pytest.approx(
             4.381038885421847e-05, rel=1e-12)
         xyz = SupportField(sphere33,
                            s=1.0 + 0.3 * np.prod(sphere33.nodes, axis=-1))
-        assert stable_dt(xyz, ctl, hessian(xyz)) == pytest.approx(
+        assert stable_dt(xyz, ctl, spectrum(xyz)) == pytest.approx(
             0.00017512882223655581, rel=1e-12)
 
     def test_dt_max_binds(self):
         f = sphere_field(1, 1.0, 16)
-        assert stable_dt(f, StepControl(dt_max=1e-6), hessian(f)) == 1e-6
+        assert stable_dt(f, StepControl(dt_max=1e-6), spectrum(f)) == 1e-6
 
 
 class TestLambdaRescaling:
@@ -310,11 +311,28 @@ class TestGuardsFailClosed:
     def test_nonconvex_raises_convexity_lost(self, n):
         f = guard_body(n, convex=False)
         g = f.grid
-        lowest = float(g.sym_eigs(g.graph_hessian(f.u))[0].min())
+        lo = g.sym_eigs(g.graph_hessian(f.u))[0]
+        lowest = float(lo.min())
         assert lowest < 0.0 < f.min_s()
         with pytest.raises(ConvexityLost) as info:
             step(FlowState(0.0, f), StepControl(), 1.0)
         assert info.value.value == lowest
+        # the offending node: (k,) on the circle, (face, i, j) on the cubed sphere
+        where = info.value.where
+        assert len(where) == len(g.shape) and lo[where] == lowest
+        assert where == np.unravel_index(np.argmin(lo), lo.shape)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_negative_node_raises_origin_crossed(self, n):
+        f = guard_body(n, convex=True)
+        node = (5,) if n == 1 else (0, 8, 8)
+        u = f.u.copy()
+        u[node] = -0.01
+        bad = SupportField(f.grid, u=u)
+        with pytest.raises(OriginCrossed) as info:
+            step(FlowState(0.0, bad), StepControl(), 1.0)
+        assert info.value.where == node
+        assert info.value.value == bad.min_s() == bad.s[node]
 
 
 class TestHessianReuse:
@@ -330,11 +348,46 @@ class TestHessianReuse:
         assert traj.termination == "ReachedTEnd" and traj.step_count >= 2
         assert len(calls) == per_step * traj.step_count
 
+    @pytest.mark.parametrize("scheme, stages", [("rk4", 4), ("heun", 2)])
+    def test_one_determinant_and_eigenpair_per_stage(self, monkeypatch, scheme, stages):
+        # every eigenpair is computed from a determinant, so counting the
+        # determinants counts both; the step bound reads the spectrum of the
+        # state that stage k1 uses
+        g = CubedSphereGrid(17)
+        calls = {"sym_det": 0, "spectrum": 0}
+        seen = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        def recording(tag, fn):
+            def wrapped(field, arg, spec):
+                seen.append((tag, spec))
+                return fn(field, arg, spec)
+            return wrapped
+
+        monkeypatch.setattr(grids, "sym_det", counting("sym_det", grids.sym_det))
+        monkeypatch.setattr(g, "sym_det", counting("sym_det", g.sym_det))
+        monkeypatch.setattr(g, "spectrum", counting("spectrum", g.spectrum))
+        monkeypatch.setattr(flow, "stable_dt", recording("dt", flow.stable_dt))
+        monkeypatch.setattr(flow, "_rhs_values", recording("k", flow._rhs_values))
+        traj = evolve(bumpy_sphere(g), StepControl(t_end=0.02, snapshot_interval=0.01,
+                                                   scheme=scheme))
+        assert traj.termination == "ReachedTEnd" and traj.step_count >= 2
+        assert calls == {"sym_det": stages * traj.step_count,
+                         "spectrum": stages * traj.step_count}
+        bounds = [i for i, (tag, _) in enumerate(seen) if tag == "dt"]
+        assert len(bounds) == traj.step_count
+        assert all(seen[i + 1][0] == "k" and seen[i + 1][1] is seen[i][1] for i in bounds)
+
     @pytest.mark.parametrize("scheme", ["rk4", "heun"])
     def test_step_without_hessian_matches_evolve(self, sphere17, scheme):
         f = bumpy_sphere(sphere17)
         ctl = StepControl(snapshot_interval=1.0, scheme=scheme)
-        dt = stable_dt(f, ctl, hessian(f))
+        dt = stable_dt(f, ctl, spectrum(f))
         ctl.t_end = dt
         traj = evolve(f, ctl)
         assert traj.step_count == 1

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from centroflow.errors import ConfigError, GridError
-from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, _sym2, make_grid
+from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, make_grid
 from centroflow.support import SupportField, homogeneity_residual
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
 SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "graph_hessian",
           "sym_eigs", "sym_det", "to_frame", "grad", "chart_jet", "integrate_chart",
           "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates",
-          "per_snapshot")
+          "per_snapshot", "spectrum")
 
 
 class TestCircleGrid:
@@ -203,6 +203,7 @@ class TestSharedInterface:
         assert np.array_equal(b, s + g.deriv(s, 2))
         lo, hi = g.sym_eigs(b)
         assert lo is b and hi is b and g.sym_det(b) is b and g.to_frame(b) is b
+        assert all(v is b for v in g.spectrum(b))
         assert np.array_equal(g.grad(s), g.deriv(s, 1)[:, None])
         X = s[:, None] * g.nodes
         Xi, Xij = g.chart_jet(X)
@@ -240,7 +241,6 @@ class TestSharedInterface:
         X = np.stack([v[..., None] * p for v in cols], axis=-2)
         Xi, Xij = g.chart_jet(X)
         D2 = g.graph_hessian(batch)
-        lead = len(g.shape)
         for k, v in enumerate(cols):
             assert g.integrate_chart(batch)[k] == g.integrate_chart(v)
             assert (where[k], vmax[k]) == g.refine_max(v)
@@ -249,8 +249,8 @@ class TestSharedInterface:
             jet = g.chart_jet(v[..., None] * p)
             assert np.array_equal(Xi[..., k, :, :], jet[0])
             assert np.array_equal(Xij[..., k, :, :, :], jet[1])
-            assert np.array_equal(np.moveaxis(g.to_frame(D2), lead, 0)[k],
-                                  g.to_frame(g.graph_hessian(v)))
+            # the batch axis is last: after the nodes and any leading 2x2 pair
+            assert np.array_equal(g.to_frame(D2)[..., k], g.to_frame(g.graph_hessian(v)))
         assert isinstance(g.integrate_chart(cols[1]), float)
         assert isinstance(g.refine_max(cols[1])[1], float)
 
@@ -367,7 +367,20 @@ class TestBitwiseKernels:
     def test_graph_hessian_equals_chart_derivs(self, cube):
         g = cube
         u = g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2])
-        assert np.array_equal(g.graph_hessian(u), _sym2(*g.chart_derivs(u, "deg1")[2:]))
+        f11, f12, f22 = g.chart_derivs(u, "deg1")[2:]
+        assert np.array_equal(g.graph_hessian(u), np.array([[f11, f12], [f12, f22]]))
+
+    def test_spectrum_equals_its_expressions(self, cube):
+        # one determinant feeds the eigenpair; the values of sym_det and sym_eigs
+        g = cube
+        D = g.graph_hessian(g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1)))
+        det, lo, hi = g.spectrum(D)
+        want_det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
+        tr = D[0, 0] + D[1, 1]
+        disc = np.sqrt(np.maximum((tr / 2) ** 2 - want_det, 0.0))
+        assert np.array_equal(det, want_det) and np.array_equal(det, g.sym_det(D))
+        assert np.array_equal(lo, tr / 2 - disc) and np.array_equal(hi, tr / 2 + disc)
+        assert all(np.array_equal(a, b) for a, b in zip((lo, hi), g.sym_eigs(D)))
 
     def test_stencils_equal_their_expressions(self, cube):
         g = cube
@@ -379,6 +392,10 @@ class TestBitwiseKernels:
                                   (1.0 / (12.0 * h)) * (a - 8 * b + 8 * d - e))
             assert np.array_equal(g.d2(ext, axis), (1.0 / (12.0 * h ** 2))
                                   * (-a + 16 * b - 30 * m + 16 * d - e))
+        # d2 on the kept columns only: the columns it keeps of the full-width d2
+        H = HALO
+        assert np.array_equal(g.d2(ext[:, :, H:-H], 1), g.d2(ext, 1)[:, :, H:-H])
+        assert np.array_equal(g.d2(ext[:, H:-H], 2), g.d2(ext, 2)[:, H:-H])
 
 
 @pytest.mark.parametrize("M", [17, 33, 65])

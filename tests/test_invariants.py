@@ -267,7 +267,8 @@ class TestLayout:
                 "det_curvature": (), "gauss_K": ()}
         for name, comp in want.items():
             assert getattr(iv, name).shape == sh + comp, name
-        assert iv.curvature.shape == g.graph_hessian(f.u).shape
+        # node-first view of the grid's (component-first) frame curvature
+        assert iv.curvature.shape == sh + g.graph_hessian(f.u).shape[:-len(sh)]
         for name in ("J", "chi"):
             assert (getattr(iv, name) is None) if n == 1 else getattr(iv, name).shape == sh
         # the views index the right components: g^{-1} g = id, T^i = g^{ij} T_j

@@ -1,0 +1,38 @@
+"""tools/kernel_ab.py: the same tree on both sides agrees bit for bit."""
+
+import importlib.util
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "kernel_ab.py"
+
+
+def test_same_tree_on_both_sides_has_no_differences():
+    src = str(ROOT / "src")
+    done = subprocess.run([sys.executable, str(TOOL), src, src, "--M", "17", "--N", "256",
+                           "--rounds", "1"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    # 9 outputs at M=17 (the deg1 extend among them) and 8 at N=256
+    assert "outputs: 17 compared, 0 difference(s)" in done.stdout
+    assert "M=17/step.rk4" in done.stdout and "N=256/compute_invariants" in done.stdout
+
+
+def test_compare_reports_one_ulp_and_a_missing_output():
+    spec = importlib.util.spec_from_file_location("kernel_ab", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    a = {"x": np.linspace(1.0, 2.0, 5), "y": np.asarray(0.5), "z": np.asarray(0.5)}
+    b = {k: v.copy() for k, v in a.items()}
+    assert tool.compare(a, b) == []
+    b["x"][3] = np.nextafter(b["x"][3], 3.0)
+    b["y"] = np.asarray(np.nextafter(0.5, 0.0))
+    del b["z"]
+    lines = tool.compare(a, b)
+    assert len(lines) == 3
+    assert lines[0].startswith("[diff] x: 1 of 5 values differ, largest |a - b| 2.2")
+    assert lines[1].startswith("[diff] y: 1 of 1 values differ")
+    assert lines[2] == "[diff] z: only on the base side"

@@ -68,13 +68,13 @@ class TestCurvature:
 
     def test_unit_sphere_curvature_is_identity(self, unit_sphere33):
         b = curvature_matrix(unit_sphere33)
-        eye = np.broadcast_to(np.eye(2), b.shape)
+        eye = np.eye(2).reshape(2, 2, 1, 1, 1)   # component-first (2,2,6,M,M)
         assert np.max(np.abs(b - eye)) < 2e-5
 
     def test_hessian_eigs_closed_form(self, rng):
         m = rng.standard_normal((40, 2, 2))
         m = m + np.swapaxes(m, -1, -2)
-        lo, hi = hessian_eigs(m)
+        lo, hi = hessian_eigs(m.transpose(1, 2, 0))   # component-first (2,2,40)
         want = np.linalg.eigvalsh(m)
         assert np.max(np.abs(lo - want[..., 0])) < 1e-12
         assert np.max(np.abs(hi - want[..., 1])) < 1e-12
@@ -170,7 +170,7 @@ class TestBatchField:
         assert np.array_equal(batch.min_s(), [f.min_s() for f in singles])
         assert np.array_equal(batch.max_s(), [f.max_s() for f in singles])
         X = embed(batch)
-        b = np.moveaxis(curvature_matrix(batch), len(g.shape), 0)
+        b = np.moveaxis(curvature_matrix(batch), -1, 0)   # the batch axis is last
         for k, f in enumerate(singles):
             assert np.array_equal(X[..., k, :], embed(f))
             assert np.array_equal(b[k], curvature_matrix(f))

@@ -1,0 +1,228 @@
+"""Compare the step and invariant kernels of two centroflow source trees.
+
+    python tools/kernel_ab.py BASE_SRC HEAD_SRC [--M 17 33 65] [--N 256 1024]
+                              [--rounds 15]
+
+BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
+(the `src/` of two checkouts). Each tree runs in its own worker subprocess.
+The worker builds one fixed convex body per size (per-face M on the cubed
+sphere, N on the circle) and dumps the kernel outputs whose layout does not
+depend on the tree:
+
+  extend.deg1         the deg1 halo extend of the graph values (cubed sphere)
+  sym_det, sym_eigs   the chart Hessian's determinant and (min, max) eigenvalues
+  stable_dt           the step bound from the chart Hessian
+  step.rk4, step.heun u after one step of each scheme from t = 0
+  compute_invariants  area and norm_T2
+
+Every output is compared bit for bit: same shape and the same float64 bytes.
+Then the two workers time each kernel per call in interleaved rounds. In
+each round every kernel is timed by both workers in turn, one right after
+the other, and the side that goes first alternates from kernel to kernel
+and from round to round, so a load spike on the machine falls on both sides
+alike. A worker times a kernel over a batch of calls sized once to take
+about 20 ms and reports the batch time over its length. The table gives the
+median per-call time of each side over the rounds and their ratio.
+graph_hessian is timed too, as the input of sym_det, sym_eigs and stable_dt.
+
+stable_dt is fed what the tree's step feeds it: grid.spectrum of the chart
+Hessian where the grid offers one (its time then includes the spectrum), and
+the Hessian itself otherwise.
+
+Exits 0 when every output is bitwise equal, 1 when one differs, 2 when a
+worker fails. Runs on numpy and the standard library only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+BATCH_S = 0.02
+
+
+def _sizes(Ms, Ns):
+    return [("M", M) for M in Ms] + [("N", N) for N in Ns]
+
+
+def _kernels(kind, res):
+    """{name: (call, outputs)}: a zero-argument call per kernel and its outputs."""
+    from centroflow.flow import FlowState, StepControl, stable_dt, step
+    from centroflow.grids import CircleGrid, CubedSphereGrid
+    from centroflow.invariants import compute_invariants
+    from centroflow.support import SupportField, fourier_support
+
+    if kind == "M":
+        g = CubedSphereGrid(res)
+        p = g.nodes
+        field = SupportField(g, u=g.sync_duplicates(
+            g.w * (1.0 + 0.2 * np.prod(p, axis=-1) + 0.05 * p[..., 2])))
+    else:
+        g = CircleGrid(res)
+        field = fourier_support(g, 1.0, a=[0.0, 0.0, 0.05], b=[0.0, 0.02])
+    u = field.u
+    D2 = g.graph_hessian(u)
+    bound_input = getattr(g, "spectrum", lambda D: D)
+    controls = {s: StepControl(scheme=s) for s in ("rk4", "heun")}
+
+    def one_step(scheme):
+        return lambda: step(FlowState(0.0, field), controls[scheme], 1.0)
+
+    calls = {"graph_hessian": lambda: g.graph_hessian(u),
+             "sym_det": lambda: g.sym_det(D2),
+             "sym_eigs": lambda: g.sym_eigs(D2),
+             "stable_dt": lambda: stable_dt(field, controls["rk4"], bound_input(D2)),
+             "step.rk4": one_step("rk4"),
+             "step.heun": one_step("heun"),
+             "compute_invariants": lambda: compute_invariants(field)}
+    if kind == "M":
+        calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1")}, **calls)
+    lo, hi = calls["sym_eigs"]()
+    iv = calls["compute_invariants"]()
+    outputs = {"sym_det": calls["sym_det"](), "sym_eigs.lo": lo, "sym_eigs.hi": hi,
+               "stable_dt": np.float64(calls["stable_dt"]()),
+               "step.rk4.u": calls["step.rk4"]()[0].field.u,
+               "step.heun.u": calls["step.heun"]()[0].field.u,
+               "compute_invariants.area": np.float64(iv.area),
+               "compute_invariants.norm_T2": iv.norm_T2}
+    if kind == "M":
+        outputs["extend.deg1"] = calls["extend.deg1"]()
+    return calls, outputs
+
+
+def _batch(call):
+    """Number of calls that take about BATCH_S, from one warm call."""
+    call()
+    t0 = time.perf_counter()
+    call()
+    return max(1, int(BATCH_S / max(time.perf_counter() - t0, 1e-9)))
+
+
+def worker(src, outdir, Ms, Ns):
+    """Dump the outputs to outdir/outputs.npz and print the kernel names, then
+    answer each kernel name read on stdin with its per-call time.
+
+    Run as `kernel_ab.py SRC OUTDIR --worker`, with SRC first on PYTHONPATH.
+    """
+    import centroflow
+
+    if not os.path.abspath(centroflow.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise SystemExit(f"centroflow imported from {centroflow.__file__}, not {src}")
+    timed, dump = {}, {}
+    for kind, res in _sizes(Ms, Ns):
+        calls, outputs = _kernels(kind, res)
+        dump.update({f"{kind}={res}/{k}": np.asarray(v) for k, v in outputs.items()})
+        timed.update({f"{kind}={res}/{k}": (c, _batch(c)) for k, c in calls.items()})
+    np.savez(os.path.join(outdir, "outputs.npz"), **dump)
+    print(json.dumps(list(timed)), flush=True)
+    for key in iter(sys.stdin.readline, ""):
+        call, reps = timed[key.strip()]
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            call()
+        print(repr((time.perf_counter() - t0) / reps), flush=True)
+
+
+class Side:
+    """One tree's worker subprocess."""
+
+    def __init__(self, src, outdir, args):
+        self.outdir = outdir
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker", src, outdir,
+             "--M", *map(str, args.M), "--N", *map(str, args.N)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+
+    def expect(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(2)
+        return line
+
+    def outputs(self):
+        """(outputs, kernel names) once the worker is ready."""
+        keys = json.loads(self.expect())
+        with np.load(os.path.join(self.outdir, "outputs.npz")) as z:
+            return {k: z[k] for k in z.files}, keys
+
+    def time(self, key):
+        self.proc.stdin.write(key + "\n")
+        self.proc.stdin.flush()
+        return float(self.expect())
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def _bytes(a):
+    """The bytes of each value of a, one row per value."""
+    return np.atleast_1d(a).reshape(a.size, -1).view(np.uint8)
+
+
+def compare(a, b):
+    """Lines for each output that differs bitwise; its key when one side lacks it."""
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key), b.get(key)
+        if x is None or y is None:
+            lines.append(f"[diff] {key}: only on the {'head' if x is None else 'base'} side")
+        elif x.shape != y.shape or x.dtype != y.dtype:
+            lines.append(f"[diff] {key}: {x.dtype}{x.shape} vs {y.dtype}{y.shape}")
+        elif x.tobytes() != y.tobytes():
+            bad = (_bytes(x) != _bytes(y)).any(axis=1).sum()
+            dev = np.max(np.abs(x.astype(float) - y.astype(float)))
+            lines.append(f"[diff] {key}: {bad} of {x.size} values differ, "
+                         f"largest |a - b| {dev:.3g}")
+    return lines
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("base")
+    p.add_argument("head")
+    p.add_argument("--M", type=int, nargs="*", default=[17, 33, 65])
+    p.add_argument("--N", type=int, nargs="*", default=[256, 1024])
+    p.add_argument("--rounds", type=int, default=15)
+    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        return worker(args.base, args.head, args.M, args.N)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = []
+        for name, src in (("base", args.base), ("head", args.head)):
+            os.makedirs(os.path.join(tmp, name))
+            sides.append(Side(src, os.path.join(tmp, name), args))
+        try:
+            (base, keys), (head, _) = (s.outputs() for s in sides)
+            diffs = compare(base, head)
+            times = {key: ([], []) for key in keys}
+            for r in range(args.rounds):
+                for k, key in enumerate(keys):
+                    for i in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
+                        times[key][i].append(sides[i].time(key))
+        finally:
+            for s in sides:
+                s.close()
+    print(f"kernel_ab: {args.base} vs {args.head}; numpy {np.__version__}, "
+          f"{os.cpu_count()} cores, {args.rounds} interleaved rounds")
+    for line in diffs:
+        print(line)
+    print(f"outputs: {len(base.keys() | head.keys())} compared, {len(diffs)} difference(s)")
+    if args.rounds:
+        print(f"{'kernel':<28}{'base us':>12}{'head us':>12}{'head/base':>11}")
+        for key, (tb, th) in times.items():
+            tb, th = statistics.median(tb) * 1e6, statistics.median(th) * 1e6
+            print(f"{key:<28}{tb:>12.1f}{th:>12.1f}{th / tb:>11.3f}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
