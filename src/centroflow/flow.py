@@ -241,5 +241,4 @@ def lambda_rescaling(t, lam, n):
     """Factor f(t) mapping the lambda-augmented flow to the plain flow,
     f(t) = exp((n lam/(n+1)) (1 - exp(((n+1)/n) t)))."""
     t = np.asarray(t, dtype=float)
-    out = np.exp((n * lam / (n + 1.0)) * (1.0 - np.exp((n + 1.0) / n * t)))
-    return float(out) if out.ndim == 0 else out
+    return np.exp((n * lam / (n + 1.0)) * (1.0 - np.exp((n + 1.0) / n * t)))

@@ -18,10 +18,12 @@ axis right after the node axes, one column per snapshot (node axes, then
 the batch axis, then any component axes; but the cubed sphere's symmetric
 2x2 fields, the chart Hessian and the frame curvature, are component-first:
 the pair (2, 2), then the node axes, then the batch axis). Grid constants
-broadcast over it, and every per-snapshot scalar (integrals, maxima, refined
-maxima) comes back as an array with one entry per column. Each column is
-reduced as one C-contiguous row, so its sums add in the order they would
-for that snapshot alone. Only diagnostics.SeriesBundle builds such fields.
+broadcast over it. A field's batch shape is what trails its node axes, () for
+one body and (B,) for a batch, and every per-snapshot result (integrals,
+maxima and where they sit) has exactly that shape: numpy scalars for one body.
+A query (angles, directions) gives results of its own shape. Each column is
+reduced as one C-contiguous row, so its sums add in the order they would for
+that snapshot alone. Only diagnostics.SeriesBundle builds such fields.
 """
 
 import numpy as np
@@ -46,18 +48,20 @@ def snapshot_rows(grid, values):
     """A field of grid.shape, or a batch of B of them, as C-contiguous rows (B, size).
 
     One row per snapshot, its nodes in C order: a sum over a row adds in the
-    order it would over that snapshot alone.
+    order it would over that snapshot alone. One body's row is a view.
     """
-    if values.ndim == len(grid.shape):
-        return values.reshape(1, -1)
-    return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
+    return np.ascontiguousarray(values.reshape(grid.w.size, -1).T)
+
+
+def in_batch_shape(grid, values, out):
+    """out, one entry per snapshot row of values, in values' batch shape: the
+    axes trailing the node axes, () for one body (a numpy scalar), (B,) for a batch."""
+    return out.reshape(values.shape[len(grid.shape):])[()]
 
 
 def per_snapshot(grid, op, values):
-    """op(rows, axis=1) on snapshot_rows: a float for a field of grid.shape, an
-    array (B,) for a batch."""
-    out = op(snapshot_rows(grid, values), axis=1)
-    return out if values.ndim > len(grid.shape) else float(out[0])
+    """op(rows, axis=1) on snapshot_rows, in values' batch shape."""
+    return in_batch_shape(grid, values, op(snapshot_rows(grid, values), axis=1))
 
 
 class CircleGrid:
@@ -75,6 +79,7 @@ class CircleGrid:
         self.nodes = np.stack([np.cos(self.thetas), np.sin(self.thetas)], axis=-1)
         self.weights = np.full(N, 2 * np.pi / N)
         self.shape = (N,)
+        self.node_axes = (0,)
         self.w = np.ones(N)  # graph factor of the circle chart: u = s
         self._dup_src = self._dup_dst = np.empty(0, dtype=np.int64)
         # Fourier multipliers (i k)^order on the rfft wavenumbers, per order
@@ -138,31 +143,28 @@ class CircleGrid:
         return u
 
     def interpolate(self, values, thetas_query):
-        """Trigonometric interpolation of nodal values at arbitrary angles."""
+        """Trigonometric interpolation of nodal values at angles of any shape."""
         N = self.N
         c = np.fft.fft(values) / N
         k = np.fft.fftfreq(N, d=1.0 / N)
-        tq = np.atleast_1d(np.asarray(thetas_query, dtype=float))
-        out = (np.exp(1j * tq[:, None] * k[None, :]) @ c).real
-        return out if np.ndim(thetas_query) else float(out[0])
+        tq = np.asarray(thetas_query, dtype=float)
+        out = (np.exp(1j * tq.reshape(-1, 1) * k[None, :]) @ c).real
+        return out.reshape(tq.shape)[()]
 
     def interpolate_at_directions(self, values, dirs):
-        """Evaluate a nodal field at unit directions (Q,2) (or one (2,) direction)."""
+        """Evaluate a nodal field at unit directions (..., 2), one result per direction."""
         dirs = np.asarray(dirs, dtype=float)
         return self.interpolate(values, np.arctan2(dirs[..., 1], dirs[..., 0]))
 
     def value_at(self, values, where):
-        """Trigonometric interpolant of each snapshot at its own angle where.
-
-        values is a field of grid.shape (where a float) or a batch (where (B,)).
-        """
+        """Trigonometric interpolant of each snapshot at its own angle where
+        (values' batch shape, as refine_max gives it)."""
         rows = snapshot_rows(self, values)
         c = np.fft.fft(rows, axis=-1) / self.N
         k = np.fft.fftfreq(self.N, d=1.0 / self.N)
         tq = np.reshape(where, (-1, 1, 1))
         # one (1, N) @ (N, 1) product per snapshot: the dot interpolate takes
-        out = (np.exp(1j * tq * k) @ c[:, :, None])[:, 0, 0].real
-        return out if values.ndim > 1 else float(out[0])
+        return in_batch_shape(self, values, (np.exp(1j * tq * k) @ c[:, :, None]).real)
 
     def refine_max(self, values):
         """(theta, value) of the maximum: Newton-polish the trig interpolant.
@@ -172,9 +174,10 @@ class CircleGrid:
         linearly mapped copies of the same body. Falls back to the node max
         for near-constant fields (Newton would divide by ~0 curvature). A
         batch is polished column by column in one vectorized loop, and each
-        column stops where it would alone; both come back as arrays (B,).
+        column stops where it would alone. Both results take values' batch shape.
         """
-        v = snapshot_rows(self, np.asarray(values, dtype=float))
+        values = np.asarray(values, dtype=float)
+        v = snapshot_rows(self, values)
         i0 = np.argmax(v, axis=1)
         vmax = v[np.arange(len(v)), i0]
         span = vmax - np.min(v, axis=1)
@@ -197,9 +200,7 @@ class CircleGrid:
             live = live[~(np.abs(step) < 1e-14)]
         val = np.sum(c * np.exp(ik * th[:, None]), axis=1).real
         val = np.where(polish & ~(vmax > val), val, vmax)
-        if np.ndim(values) > 1:
-            return th, val
-        return float(th[0]), float(val[0])
+        return in_batch_shape(self, values, th), in_batch_shape(self, values, val)
 
 
 def sym_det(D2):
@@ -274,6 +275,7 @@ class CubedSphereGrid:
         self.nodes = z / self.w[..., None]          # (6,M,M,3) unit directions
 
         self.shape = (6, M, M)
+        self.node_axes = (0, 1, 2)
         self.weights = self.sphere_weights = self._solid_angle_weights()
         self.chart_weights_1d = self._simpson_weights()
         self._build_halo_tables()
@@ -315,8 +317,8 @@ class CubedSphereGrid:
         """Integral over the six chart squares of a chart density (e.g. sqrt(det g))."""
         W = self.chart_weights_1d
         rows = snapshot_rows(self, density).reshape((-1,) + self.shape)
-        out = np.array([np.einsum("fij,i,j->", f, W, W) for f in rows])
-        return out if density.ndim > 3 else float(out[0])
+        return in_batch_shape(self, density,
+                              np.array([np.einsum("fij,i,j->", f, W, W) for f in rows]))
 
     per_snapshot = per_snapshot
 
@@ -578,27 +580,26 @@ class CubedSphereGrid:
     # ---------- maximum ----------
 
     def refine_max(self, values):
-        """(flat node index, value) of the node maximum, arrays (B,) for a batch."""
+        """(flat node index, value) of the node maximum, in values' batch shape."""
         rows = snapshot_rows(self, values)
         where = np.argmax(rows, axis=1)
-        if values.ndim > 3:
-            return where, rows[np.arange(len(rows)), where]
-        return int(where[0]), float(rows[0, where[0]])
+        return (in_batch_shape(self, values, where),
+                in_batch_shape(self, values, rows[np.arange(len(rows)), where]))
 
     def value_at(self, values, where):
-        """Each snapshot's value at its flat node index where."""
+        """Each snapshot's value at its flat node index where, in values' batch shape."""
         rows = snapshot_rows(self, values)
-        out = rows[np.arange(len(rows)), where]
-        return out if values.ndim > 3 else float(out[0])
+        return in_batch_shape(self, values, rows[np.arange(len(rows)), where])
 
     # ---------- interpolation at arbitrary directions ----------
 
     def interpolate_at_directions(self, values, dirs):
-        """Evaluate a per-node scalar field at unit directions (Q,3)."""
+        """Evaluate a per-node scalar field at unit directions (..., 3), one
+        result per direction."""
         dirs = np.asarray(dirs, dtype=float)
-        _, _, src, w1, w2 = self._stencil(np.atleast_2d(dirs))
+        _, _, src, w1, w2 = self._stencil(dirs.reshape(-1, 3))
         out = np.einsum("qa,qb,qab->q", w1, w2, np.reshape(values, -1)[src])
-        return float(out[0]) if dirs.ndim == 1 else out
+        return out.reshape(dirs.shape[:-1])[()]
 
 
 # n -> (grid class, smallest resolution, odd resolution only, node-array shape)

@@ -32,7 +32,8 @@ decomposition against its definition, whatever route solved it.
 A batch field (grids: one trailing batch axis of snapshots) runs through the
 same code: the node-first arrays carry the batch axis after the node axes,
 the component-first ones last, and every scalar (area, residuals, the
-transversality guard) is taken per snapshot, as an array (B,).
+transversality guard) is taken per snapshot. Each scalar has the field's
+batch shape: () for one body (a numpy scalar), (B,) for a batch.
 """
 
 import numpy as np
@@ -101,8 +102,8 @@ def _peak(a, batched, op=np.max):
 
 
 def _later_max(a, b):
-    """Python's max(a, b), per snapshot: b only where b > a."""
-    return np.where(b > a, b, a)
+    """Python's max(a, b) per snapshot, b only where b > a; scalars give a scalar."""
+    return np.where(b > a, b, a)[()]
 
 
 def frame_dual(cols):
@@ -134,9 +135,10 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
       frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its bracket;
       residual: max|X_ij - Ghat^k_ij X_k + g_ij X| / max|X_ij|, the
       decomposition checked against its definition.
-    batched=1 says the last of the "..." axes holds snapshots: the residual is
-    then an array (B,), and TransversalityLost carries the smallest bracket of
-    the first snapshot whose bracket falls below EPS_FRAME.
+    batched=1 says the last of the "..." axes holds snapshots; the residual
+    has the batch shape, () or (B,). TransversalityLost carries the smallest
+    bracket of the first snapshot whose bracket falls below EPS_FRAME, and in
+    where that bracket's node, (k,) or (face, i, j), then its column in a batch.
     """
     n = X_i.shape[-2]
     lead = X.shape[:-1]
@@ -144,11 +146,14 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
     cols[:n] = _comp_first(X_i, 2)
     cols[n] = _comp_first(X, 1)
     dual, frame_det = frame_dual(cols)
-    low = np.atleast_1d(_peak(np.abs(frame_det), batched, np.min))
+    low = _peak(np.abs(frame_det), batched, np.min)
     tripped = np.flatnonzero(low < EPS_FRAME)
     if tripped.size:
+        col = np.unravel_index(tripped[0], np.shape(low))
+        node = np.unravel_index(np.argmin(np.abs(frame_det[(...,) + col])),
+                                lead[:len(lead) - batched])
         raise TransversalityLost("frame [X_1..X_n, X] became degenerate",
-                                 value=float(low[tripped[0]]))
+                                 where=node + col, value=float(low[col]))
     # coefficients (Ghat^1_ij..Ghat^n_ij, -g_ij), one (i, j) pair at a time:
     # the transient peak stays at a few node fields
     coef = np.empty((n + 1, n, n) + lead)
@@ -163,7 +168,7 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
             err = _later_max(err, _peak(np.abs(Y), batched))
     frame = _node_first(cols, 2).swapaxes(-1, -2)
     residual = err / scale
-    return -coef[n], coef[:n], frame, frame_det, residual if batched else float(residual)
+    return -coef[n], coef[:n], frame, frame_det, residual
 
 
 def levi_civita(grid, gmat, ginv):
@@ -179,7 +184,7 @@ def levi_civita(grid, gmat, ginv):
 
 def cubic_form(Ghat, Gam, gmat, ginv, batched):
     """C = Ghat - Gamma (mixed), lowered form, |C|^2, and symmetry residual
-    (per snapshot, an array (B,), when batched=1)."""
+    (per snapshot, in the batch shape: () or, when batched=1, (B,))."""
     C = Ghat - Gam                                            # [k, i, j]
     C_low = np.einsum("kij...,kl...->ijl...", C, gmat)        # C_ijl
     # C^{ijk} = g^{ia} g^{jb} C^k_ab, two single contractions
@@ -188,7 +193,7 @@ def cubic_form(Ghat, Gam, gmat, ginv, batched):
     norm_C2 = np.einsum("ijk...,ijk...->...", C_low, C_up)
     sym = _later_max(_peak(np.abs(C_low - C_low.swapaxes(0, 1)), batched),
                      _peak(np.abs(C_low - C_low.swapaxes(1, 2)), batched))
-    return C, C_low, norm_C2, sym if batched else float(sym)
+    return C, C_low, norm_C2, sym
 
 
 def tchebychev(grid, C, ginv, Gam):
@@ -232,8 +237,9 @@ def integrate_mu(grid, values, sqrt_det_g):
 def compute_invariants(field):
     """Full invariant stack for a support field; returns InvariantFields.
 
-    A batch field gives fields with its batch axis after the node axes, and
-    arrays (B,) for the scalars (area and the residuals).
+    A batch field gives fields with its batch axis after the node axes. The
+    scalars (area and the residuals) take the field's batch shape: numpy
+    scalars for one body, arrays (B,) for a batch.
 
     Array shapes (leading axes = node axes of the grid):
       g, g_inv: (..., n, n);  gamma_hat, gamma, C_mixed: (..., n, n, n) [k,i,j];
@@ -284,7 +290,7 @@ def compute_invariants(field):
         X=frame[..., n], frame=frame, frame_det=frame_det,
         det_g=det_g, sqrt_det_g=sqrt_det_g,
         residual_gauss_cross=cross, residual_C_symmetry=sym_C,
-        residual_relsupport=r_rel if batched else float(r_rel),
+        residual_relsupport=r_rel,
         residual_psi=r_psi, residual_rho=r_rho,
         area=grid.integrate_chart(sqrt_det_g),
     )

@@ -12,21 +12,22 @@ import weakref
 import numpy as np
 
 from .errors import FitDegenerate
-from .grids import snapshot_rows
+from .grids import in_batch_shape, snapshot_rows
 
 SPD_FLOOR = 1e-12
 
 
 class EllipsoidSpec:
-    """Shape matrix Q (s(x)^2 = x^T Q x), semi-axes, and equi-affine constant."""
+    """Shape matrix Q (s(x)^2 = x^T Q x), semi-axes, and equi-affine constant;
+    each gets a trailing batch axis (B,) when Q is (dim, dim, B)."""
 
     def __init__(self, Q, degenerate=False):
         Q = np.asarray(Q, dtype=float)
-        self.Q = 0.5 * (Q + Q.T)
-        evals = np.linalg.eigvalsh(self.Q)
-        self.semi_axes = np.sqrt(np.maximum(evals, 0.0))
+        self.Q = 0.5 * (Q + Q.swapaxes(0, 1))
+        evals = np.linalg.eigvalsh(np.moveaxis(self.Q, (0, 1), (-2, -1)))
+        self.semi_axes = np.moveaxis(np.sqrt(np.maximum(evals, 0.0)), -1, 0)
         n = Q.shape[0] - 1
-        self.rho0 = float(np.prod(self.semi_axes) ** (2.0 / (n + 2)))
+        self.rho0 = np.prod(self.semi_axes, axis=0) ** (2.0 / (n + 2))
         self.degenerate = degenerate
 
 
@@ -37,17 +38,14 @@ def exact_ellipsoid_factor(rho0, t, n):
         raise ValueError("rho0 must be positive")
     t = np.asarray(t, dtype=float)
     expo = (n + 2.0) / (2.0 * (n + 1.0)) * (np.exp((n + 1.0) / n * t) - 1.0)
-    out = rho0 ** expo
-    return float(out) if out.ndim == 0 else out
+    return rho0 ** expo
 
 
 def exact_sphere_radius(R0, t, n):
     """R(t) = R0^(exp(((n+1)/n) t)), the sphere solution of R' = ((n+1)/n) R log R."""
     if R0 <= 0:
         raise ValueError("R0 must be positive")
-    t = np.asarray(t, dtype=float)
-    out = R0 ** np.exp((n + 1.0) / n * t)
-    return float(out) if out.ndim == 0 else out
+    return R0 ** np.exp((n + 1.0) / n * np.asarray(t, dtype=float))
 
 
 def self_similar_residual(s, K, n):
@@ -81,15 +79,16 @@ def best_fit_ellipsoid(field):
     Returns (EllipsoidSpec, roundness) with
     roundness = ||s - sqrt(x^T Q x)||_2 / ||s||_2 (quadrature-weighted L2).
     A fit whose eigenvalues dip below the SPD floor is clamped and flagged
-    degenerate rather than raised, so trend series keep flowing. A batch
-    field is fitted snapshot by snapshot against the grid's one design
-    (one matvec each) and gives (list of B specs, roundness array (B,)).
+    degenerate rather than raised, so trend series keep flowing. Each snapshot
+    is fitted alone against the grid's one design (one matvec each), and one
+    spec holds them all: roundness, the spec's degenerate and rho0 take the
+    field's batch shape, and Q gets it after its (dim, dim).
     """
     grid = field.grid
     x, wq, AwT, normal, pairs = _design(grid)
     dim = grid.n + 1
     s = snapshot_rows(grid, field.s)
-    specs, fits = [], []
+    Qs, degenerate = [], []
     for s2 in s ** 2:
         coef, *_ = np.linalg.lstsq(normal, AwT @ s2, rcond=None)
         Q = np.zeros((dim, dim))
@@ -98,21 +97,22 @@ def best_fit_ellipsoid(field):
         for k, (i, j) in enumerate(pairs):
             Q[i, j] = Q[j, i] = coef[dim + k]
         evals, evecs = np.linalg.eigh(Q)
-        degenerate = bool(np.min(evals) < SPD_FLOOR)
-        if degenerate:
-            evals = np.maximum(evals, SPD_FLOOR)
-            Q = (evecs * evals) @ evecs.T
-        specs.append(EllipsoidSpec(Q, degenerate=degenerate))
-        fits.append(np.sqrt(np.einsum("qi,ij,qj->q", x, specs[-1].Q, x)))
+        degenerate.append(np.min(evals) < SPD_FLOOR)
+        if degenerate[-1]:
+            Q = (evecs * np.maximum(evals, SPD_FLOOR)) @ evecs.T
+        Qs.append(Q)
+    # the spec symmetrizes Q before the fits are evaluated: the clamped
+    # (evecs * evals) @ evecs.T is not exactly symmetric
+    spec = EllipsoidSpec(np.stack(Qs, axis=-1).reshape((dim, dim) + field.batch_shape),
+                         in_batch_shape(grid, field.s, np.array(degenerate)))
+    fits = [np.sqrt(np.einsum("qi,ij,qj->q", x, Q, x)) for Q in
+            np.ascontiguousarray(np.moveaxis(spec.Q.reshape(dim, dim, -1), -1, 0))]
     num = np.sqrt(np.sum(wq * (s - np.array(fits)) ** 2, axis=1))
     den = np.sqrt(np.sum(wq * s ** 2, axis=1))
-    roundness = num / den
-    if field.batch_shape:
-        return specs, roundness
-    return specs[0], float(roundness[0])
+    return spec, in_batch_shape(grid, field.s, num / den)
 
 
 def require_fit(spec):
-    if spec.degenerate:
+    if np.any(spec.degenerate):
         raise FitDegenerate("ellipsoid fit left the SPD cone")
     return spec

@@ -19,9 +19,10 @@ class SupportField:
     """Support function s sampled on a grid, with its graph values u = w * s.
 
     The values have the grid's shape, or one more trailing batch axis with a
-    snapshot per column (grid.shape + (B,)). Only diagnostics.SeriesBundle
-    builds a batch; the flow and the snapshot writer refuse one
-    (require_single).
+    snapshot per column (grid.shape + (B,)). batch_shape, () or (B,), is the
+    shape of every per-snapshot result (grids: result shapes). Only
+    diagnostics.SeriesBundle builds a batch; the flow and the snapshot writer
+    refuse one (require_single).
     """
 
     def __init__(self, grid, s=None, u=None):
@@ -30,15 +31,12 @@ class SupportField:
         if s is None and u is None:
             raise GridError("support field needs s or u values")
         vals = np.asarray(s if u is None else u, dtype=float)
-        w = grid.w
-        if vals.shape == grid.shape:
-            self.batch_shape = ()
-        elif vals.shape[:-1] == grid.shape and vals.shape[-1] > 0:
-            self.batch_shape = vals.shape[-1:]
-            w = w[..., None]
-        else:
+        self.batch_shape = vals.shape[len(grid.shape):]
+        if vals.shape != grid.shape + self.batch_shape[:1] or 0 in self.batch_shape:
             raise GridError(f"expected shape {grid.shape} or {grid.shape} + (batch,), "
                             f"got {vals.shape}")
+        # at_nodes(grid.w), in the form that costs least: the flow builds a field per stage
+        w = grid.w[(...,) + (None,) * len(self.batch_shape)]
         self.u = vals if u is not None else w * vals
         self.s = self.u / w
 
@@ -52,19 +50,16 @@ class SupportField:
     def copy(self):
         return SupportField(self.grid, u=self.u.copy())
 
-    # the flow calls these every step, so one field keeps the method form
+    # the flow calls these every step, so they keep the method form; a min or
+    # max is exact in any order, so no snapshot needs its own row
 
     def min_s(self):
-        """min s: a float, or an array (B,) with one per snapshot of a batch."""
-        if self.batch_shape:
-            return self.grid.per_snapshot(np.min, self.s)
-        return float(self.s.min())
+        """min s over the node axes, in the field's batch shape."""
+        return self.s.min(axis=self.grid.node_axes)
 
     def max_s(self):
-        """max s: a float, or an array (B,) with one per snapshot of a batch."""
-        if self.batch_shape:
-            return self.grid.per_snapshot(np.max, self.s)
-        return float(self.s.max())
+        """max s over the node axes, in the field's batch shape."""
+        return self.s.max(axis=self.grid.node_axes)
 
 
 def require_single(field):
@@ -200,6 +195,4 @@ def apply_linear_map(field, A):
         raise ConfigError("linear map must be invertible")
     q = g.nodes @ A                      # rows: A^T p
     qn = np.linalg.norm(q, axis=-1)
-    qdir = q / qn[..., None]
-    vals = g.interpolate_at_directions(field.s, qdir.reshape(-1, dim)).reshape(qn.shape)
-    return SupportField(g, s=qn * vals)
+    return SupportField(g, s=qn * g.interpolate_at_directions(field.s, q / qn[..., None]))

@@ -264,16 +264,21 @@ class TestBlockGuard:
         g = circle192
         fields = [fourier_support(g, 1.0, a=[0.0, a])
                   for a in (0.1, 0.2, (1 - 1e-13) / 3, (1 - 1e-14) / 3, 0.1)]
-        alone = []
+        alone, where = [], []
         for f in fields[2:4]:
             with pytest.raises(TransversalityLost) as exc:
                 inva.compute_invariants(f)
             alone.append(exc.value.value)
+            where.append(exc.value.where)
         assert alone[0] > 5 * alone[1] > 0
+        # where: the node of the smallest bracket, theta = 0 or pi on this body
+        assert [len(w) for w in where] == [1, 1]
+        assert all(w[0] in (0, g.N // 2) for w in where)
         states = [FlowState(t=1e-3 * k, field=f) for k, f in enumerate(fields)]
         with pytest.raises(TransversalityLost) as exc:
             SeriesBundle(Trajectory(states, "ReachedTEnd", 0))
         assert exc.value.value == alone[0]
+        assert exc.value.where == where[0] + (2,)   # and its column in the block
 
 
 class TestChecks:

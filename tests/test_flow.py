@@ -119,6 +119,13 @@ class TestLambdaRescaling:
     def test_factor_endpoints(self):
         assert lambda_rescaling(0.0, 0.7, 1) == 1.0
         assert lambda_rescaling(0.0, 0.7, 2) == 1.0
+        # a scalar t gives a scalar (a float), the entry of the array t
+        ts = np.linspace(0.0, 0.3, 4)
+        fs = lambda_rescaling(ts, 0.7, 2)
+        assert fs.shape == ts.shape and fs[0] == 1.0
+        for k, t in enumerate(ts):
+            f = lambda_rescaling(t, 0.7, 2)
+            assert np.shape(f) == () and isinstance(f, float) and f == fs[k]
 
     def test_augmented_flow_identity(self, flower256):
         # if s solves the plain flow, f(t) s solves s_t = rhs(s) - lam s:

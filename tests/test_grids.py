@@ -241,10 +241,16 @@ class TestSharedInterface:
         X = np.stack([v[..., None] * p for v in cols], axis=-2)
         Xi, Xij = g.chart_jet(X)
         D2 = g.graph_hessian(batch)
+        rows = g.per_snapshot(np.max, batch)
         for k, v in enumerate(cols):
+            # one body's results have its batch shape (): numpy scalars
+            one = (g.integrate_chart(v), *g.refine_max(v), g.value_at(v, g.refine_max(v)[0]),
+                   g.per_snapshot(np.max, v))
+            assert all(np.shape(r) == () for r in one)
             assert g.integrate_chart(batch)[k] == g.integrate_chart(v)
             assert (where[k], vmax[k]) == g.refine_max(v)
             assert g.value_at(batch, where)[k] == g.value_at(v, g.refine_max(v)[0])
+            assert rows[k] == g.per_snapshot(np.max, v)
             assert np.array_equal(g.grad(batch)[..., k, :], g.grad(v))
             jet = g.chart_jet(v[..., None] * p)
             assert np.array_equal(Xi[..., k, :, :], jet[0])
@@ -253,6 +259,14 @@ class TestSharedInterface:
             assert np.array_equal(g.to_frame(D2)[..., k], g.to_frame(g.graph_hessian(v)))
         assert isinstance(g.integrate_chart(cols[1]), float)
         assert isinstance(g.refine_max(cols[1])[1], float)
+        # a query takes its own shape: one direction gives a scalar, the entry
+        # of a list of directions
+        dirs = p.reshape(-1, g.n + 1)[:5]
+        vals = g.interpolate_at_directions(cols[1], dirs)
+        assert vals.shape == (5,)
+        for q, d in enumerate(dirs):
+            one = g.interpolate_at_directions(cols[1], d)
+            assert np.shape(one) == () and isinstance(one, float) and one == vals[q]
 
     def test_sync_duplicates_on_graph_values(self, sphere17):
         g = sphere17

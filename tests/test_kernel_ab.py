@@ -16,9 +16,11 @@ def test_same_tree_on_both_sides_has_no_differences():
     done = subprocess.run([sys.executable, str(TOOL), src, src, "--M", "17", "--N", "256",
                            "--rounds", "1"], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-    # 9 outputs at M=17 (the deg1 extend among them) and 8 at N=256
-    assert "outputs: 17 compared, 0 difference(s)" in done.stdout
+    # 16 outputs at M=17 (the three extends among them) and 13 at N=256, each
+    # with 5 from one block of bodies
+    assert "outputs: 29 compared, 0 difference(s)" in done.stdout
     assert "M=17/step.rk4" in done.stdout and "N=256/compute_invariants" in done.stdout
+    assert "M=17/extend.vec3" in done.stdout and "N=256/compute_invariants.block" in done.stdout
 
 
 def test_compare_reports_one_ulp_and_a_missing_output():

@@ -52,6 +52,12 @@ class TestExactLaws:
         fs = exact_ellipsoid_factor(1.7, ts, 2)
         assert fs[0] == 1.0
         assert np.all(np.diff(fs) > 0)
+        # a scalar t gives a scalar (a float), the entry of the array t
+        for k, t in enumerate(ts):
+            r, f = exact_sphere_radius(1.5, t, 1), exact_ellipsoid_factor(1.7, float(t), 2)
+            assert np.shape(r) == np.shape(f) == ()
+            assert isinstance(r, float) and isinstance(f, float)
+            assert r == rs[k] and f == fs[k]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -140,9 +146,18 @@ class TestBestFit:
         cols = [np.sqrt(np.einsum("...i,ij,...j->...", p, np.diag(d), p))
                 for d in ([2.0, 1.0, 1.5][:g.n + 1], [1.0, 3.0, 1.0][:g.n + 1])]
         cols.insert(1, np.abs(p[..., 0]) ** 3 + 1e-6)
-        specs, roundness = best_fit_ellipsoid(SupportField(g, s=np.stack(cols, axis=-1)))
-        assert len(specs) == 3 and roundness.shape == (3,)
+        block, roundness = best_fit_ellipsoid(SupportField(g, s=np.stack(cols, axis=-1)))
+        dim = g.n + 1
+        assert block.Q.shape == (dim, dim, 3) and block.semi_axes.shape == (dim, 3)
+        assert roundness.shape == block.degenerate.shape == block.rho0.shape == (3,)
         for k, s in enumerate(cols):
             spec, r = best_fit_ellipsoid(SupportField(g, s=s))
-            assert np.array_equal(specs[k].Q, spec.Q) and roundness[k] == r
-            assert specs[k].degenerate == spec.degenerate == (k == 1)
+            assert spec.Q.shape == (dim, dim) and spec.semi_axes.shape == (dim,)
+            assert np.shape(r) == np.shape(spec.degenerate) == np.shape(spec.rho0) == ()
+            assert isinstance(r, float) and isinstance(spec.rho0, float)
+            assert np.array_equal(block.Q[..., k], spec.Q) and roundness[k] == r
+            assert block.degenerate[k] == spec.degenerate == (k == 1)
+            assert np.array_equal(block.semi_axes[:, k], spec.semi_axes)
+            assert block.rho0[k] == spec.rho0
+        with pytest.raises(FitDegenerate):
+            require_fit(block)

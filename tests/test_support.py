@@ -4,6 +4,7 @@ import pytest
 from centroflow.errors import ConfigError, ConvexityLost, GridError
 from centroflow.flow import FlowState, StepControl, evolve, step
 from centroflow.grids import CubedSphereGrid, hessian_eigs
+from centroflow.invariants import compute_invariants
 from centroflow.io import write_snapshot
 from centroflow.support import (
     SupportField,
@@ -171,10 +172,21 @@ class TestBatchField:
         assert np.array_equal(batch.max_s(), [f.max_s() for f in singles])
         X = embed(batch)
         b = np.moveaxis(curvature_matrix(batch), -1, 0)   # the batch axis is last
+        iv = compute_invariants(batch)
+        scalars = ("area", "residual_gauss_cross", "residual_C_symmetry",
+                   "residual_relsupport")
         for k, f in enumerate(singles):
             assert np.array_equal(X[..., k, :], embed(f))
             assert np.array_equal(b[k], curvature_matrix(f))
             assert np.array_equal(gradient_norm(batch, X)[..., k], gradient_norm(f))
+            # every per-snapshot result has the batch shape: () for one body
+            one = compute_invariants(f)
+            for name, v in [(n, getattr(one, n)) for n in scalars] + [
+                    ("min_s", f.min_s()), ("max_s", f.max_s())]:
+                assert np.shape(v) == () and isinstance(v, float), name
+            for name in scalars:
+                assert getattr(iv, name).shape == (3,), name
+                assert getattr(iv, name)[k] == getattr(one, name), name
 
     @pytest.mark.parametrize("grid", ["circle64", "sphere17"])
     def test_bad_shapes_raise(self, request, grid):

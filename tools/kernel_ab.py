@@ -10,10 +10,18 @@ sphere, N on the circle) and dumps the kernel outputs whose layout does not
 depend on the tree:
 
   extend.deg1         the deg1 halo extend of the graph values (cubed sphere)
+  extend.scalar       the scalar halo extend of s (cubed sphere)
+  extend.vec3         the scalar halo extend of the 3-component embedding
+                      (cubed sphere)
   sym_det, sym_eigs   the chart Hessian's determinant and (min, max) eigenvalues
   stable_dt           the step bound from the chart Hessian
   step.rk4, step.heun u after one step of each scheme from t = 0
   compute_invariants  area and norm_T2
+  compute_invariants.block
+                      area, norm_T2 and the three residuals of one block of
+                      bodies, the batch field diagnostics.SeriesBundle reduces
+                      (BLOCK_NODES // nodes bodies, at least one: 16 at N=256,
+                      2 at M=17), the first of them the body above
 
 Every output is compared bit for bit: same shape and the same float64 bytes.
 Then the two workers time each kernel per call in interleaved rounds. In
@@ -53,19 +61,25 @@ def _sizes(Ms, Ns):
 
 def _kernels(kind, res):
     """{name: (call, outputs)}: a zero-argument call per kernel and its outputs."""
+    from centroflow.diagnostics import BLOCK_NODES
     from centroflow.flow import FlowState, StepControl, stable_dt, step
     from centroflow.grids import CircleGrid, CubedSphereGrid
     from centroflow.invariants import compute_invariants
-    from centroflow.support import SupportField, fourier_support
+    from centroflow.support import SupportField, embed, fourier_support
 
-    if kind == "M":
-        g = CubedSphereGrid(res)
-        p = g.nodes
-        field = SupportField(g, u=g.sync_duplicates(
-            g.w * (1.0 + 0.2 * np.prod(p, axis=-1) + 0.05 * p[..., 2])))
-    else:
-        g = CircleGrid(res)
-        field = fourier_support(g, 1.0, a=[0.0, 0.0, 0.05], b=[0.0, 0.02])
+    g = CubedSphereGrid(res) if kind == "M" else CircleGrid(res)
+
+    def body(k):
+        """The k-th convex body of a family; the kernels run on body 0."""
+        if kind == "M":
+            p = g.nodes
+            return SupportField(g, u=g.sync_duplicates(
+                g.w * (1.0 + 0.2 * np.prod(p, axis=-1) + (0.05 + 0.01 * k) * p[..., 2])))
+        return fourier_support(g, 1.0, a=[0.0, 0.0, 0.05], b=[0.0, 0.02 + 0.002 * k])
+
+    field = body(0)
+    block = SupportField(g, u=np.stack(
+        [body(k).u for k in range(max(1, BLOCK_NODES // g.w.size))], axis=-1))
     u = field.u
     D2 = g.graph_hessian(u)
     bound_input = getattr(g, "spectrum", lambda D: D)
@@ -80,9 +94,13 @@ def _kernels(kind, res):
              "stable_dt": lambda: stable_dt(field, controls["rk4"], bound_input(D2)),
              "step.rk4": one_step("rk4"),
              "step.heun": one_step("heun"),
-             "compute_invariants": lambda: compute_invariants(field)}
+             "compute_invariants": lambda: compute_invariants(field),
+             "compute_invariants.block": lambda: compute_invariants(block)}
     if kind == "M":
-        calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1")}, **calls)
+        X = embed(field)
+        calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1"),
+                      "extend.scalar": lambda: g.extend(field.s),
+                      "extend.vec3": lambda: g.extend(X)}, **calls)
     lo, hi = calls["sym_eigs"]()
     iv = calls["compute_invariants"]()
     outputs = {"sym_det": calls["sym_det"](), "sym_eigs.lo": lo, "sym_eigs.hi": hi,
@@ -91,8 +109,13 @@ def _kernels(kind, res):
                "step.heun.u": calls["step.heun"]()[0].field.u,
                "compute_invariants.area": np.float64(iv.area),
                "compute_invariants.norm_T2": iv.norm_T2}
+    ivb = calls["compute_invariants.block"]()
+    for name in ("area", "norm_T2", "residual_gauss_cross", "residual_C_symmetry",
+                 "residual_relsupport"):
+        outputs[f"compute_invariants.block.{name}"] = getattr(ivb, name)
     if kind == "M":
-        outputs["extend.deg1"] = calls["extend.deg1"]()
+        for name in ("extend.deg1", "extend.scalar", "extend.vec3"):
+            outputs[name] = calls[name]()
     return calls, outputs
 
 
