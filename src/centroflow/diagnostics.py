@@ -26,6 +26,7 @@ import numpy as np
 
 from . import invariants as inva
 from . import oracles
+from .grids import snapshot_rows
 # curvature_matrix is not called here; the module keeps the binding because
 # perfbench/test_perfbench.py checks that the tracer rebinds it
 from .support import SupportField, curvature_matrix, gradient_norm  # noqa: F401
@@ -81,19 +82,21 @@ DIGEST_FIELDS = ("norm_T2", "norm_C2", "psi", "rho", "H", "det_g", "J", "chi")
 def invariant_summaries(inv, times):
     """Per-snapshot min/max/mean digest of every scalar invariant field.
 
-    inv is the invariant stack of a batch field; one digest per column, at times.
+    inv is the invariant stack of a batch field; one digest per column, at
+    times. Each reduction is one array (B,), read out as floats by one tolist.
     """
-    per = inv.grid.per_snapshot
-    cols = {name: {"min": per(np.min, arr), "max": per(np.max, arr),
-                   "mean": per(np.mean, arr)}
-            for name in DIGEST_FIELDS if (arr := getattr(inv, name)) is not None}
-    scalars = {name: getattr(inv, name) for name in
+    cols = {}
+    for name in DIGEST_FIELDS:
+        if (arr := getattr(inv, name)) is not None:
+            rows = snapshot_rows(inv.grid, arr)
+            cols[name] = {"min": rows.min(axis=1).tolist(), "max": rows.max(axis=1).tolist(),
+                          "mean": rows.mean(axis=1).tolist()}
+    scalars = {name: getattr(inv, name).tolist() for name in
                ("area", "residual_C_symmetry", "residual_relsupport",
                 "residual_gauss_cross")}
     return [dict(t=float(t),
-                 **{name: {k: float(v[b]) for k, v in d.items()}
-                    for name, d in cols.items()},
-                 **{name: float(v[b]) for name, v in scalars.items()})
+                 **{name: {k: v[b] for k, v in d.items()} for name, d in cols.items()},
+                 **{name: v[b] for name, v in scalars.items()})
             for b, t in enumerate(times)]
 
 

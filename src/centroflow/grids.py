@@ -85,6 +85,12 @@ class CircleGrid:
         # Fourier multipliers (i k)^order on the rfft wavenumbers, per order
         k = np.arange(N // 2 + 1)
         self._deriv_mult = {order: (1j * k) ** order for order in (1, 2)}
+        # the interpolant Re sum_k a_k e^{ik theta} on the rfft wavenumbers:
+        # a_k = rfft_k / N, counted twice for 1 <= k < N/2 (they stand for -k
+        # too), once for k = 0 and the Nyquist mode; and its theta-derivatives'
+        # multipliers (i k)^order, the Nyquist mode's kept
+        self._half_weight = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
+        self._jet_mult = np.stack([self._deriv_mult[1], self._deriv_mult[2]])
         if N % 2 == 0:
             # odd derivative of the Nyquist mode is not representable
             self._deriv_mult[1][-1] = 0.0
@@ -130,6 +136,11 @@ class CircleGrid:
     def to_frame(D2):
         return D2
 
+    def partials(self, values):
+        """The chart derivatives of a nodal field (node axis first), one array per
+        chart axis: (d/dtheta,)."""
+        return (self.deriv(values, 1),)
+
     def grad(self, values):
         """d/dtheta of a nodal field (node axis first), shape (..., 1) appended."""
         return self.deriv(values, 1)[..., None]
@@ -142,13 +153,29 @@ class CircleGrid:
         """The circle has no duplicated nodes."""
         return u
 
+    def _half_spectrum(self, rows):
+        """Coefficients a (..., N/2 + 1) of real rows (..., N), the interpolant
+        being Re sum_k a_k e^{ik theta} over the rfft wavenumbers k = 0..N/2."""
+        return np.fft.rfft(rows, axis=-1) * self._half_weight
+
+    @staticmethod
+    def _trig_sums(coef, theta):
+        """Re sum_k coef[..., r, k] e^{ik theta[r]}, one value per row r.
+
+        The phases e^{ik theta} of a row are one complex exp and a cumulative
+        product over k. Each sum runs over one C-contiguous row, so a row's
+        value does not depend on the rows beside it.
+        """
+        ph = np.empty((len(theta), coef.shape[-1]), dtype=complex)
+        ph[:, 0] = 1.0
+        ph[:, 1:] = np.exp(1j * theta)[:, None]
+        np.multiply.accumulate(ph, axis=1, out=ph)      # np.cumprod in place
+        return (coef * ph).sum(axis=-1).real
+
     def interpolate(self, values, thetas_query):
         """Trigonometric interpolation of nodal values at angles of any shape."""
-        N = self.N
-        c = np.fft.fft(values) / N
-        k = np.fft.fftfreq(N, d=1.0 / N)
         tq = np.asarray(thetas_query, dtype=float)
-        out = (np.exp(1j * tq.reshape(-1, 1) * k[None, :]) @ c).real
+        out = self._trig_sums(self._half_spectrum(values), tq.reshape(-1))
         return out.reshape(tq.shape)[()]
 
     def interpolate_at_directions(self, values, dirs):
@@ -158,13 +185,10 @@ class CircleGrid:
 
     def value_at(self, values, where):
         """Trigonometric interpolant of each snapshot at its own angle where
-        (values' batch shape, as refine_max gives it)."""
-        rows = snapshot_rows(self, values)
-        c = np.fft.fft(rows, axis=-1) / self.N
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        tq = np.reshape(where, (-1, 1, 1))
-        # one (1, N) @ (N, 1) product per snapshot: the dot interpolate takes
-        return in_batch_shape(self, values, (np.exp(1j * tq * k) @ c[:, :, None]).real)
+        (values' batch shape, as refine_max gives it); one body's value is
+        interpolate's at that angle, bit for bit."""
+        a = self._half_spectrum(snapshot_rows(self, values))
+        return in_batch_shape(self, values, self._trig_sums(a, np.reshape(where, -1)))
 
     def refine_max(self, values):
         """(theta, value) of the maximum: Newton-polish the trig interpolant.
@@ -172,8 +196,9 @@ class CircleGrid:
         Node maxima move by O(h^2 f'') under reparametrization; the interior
         smooth max does not, which matters when comparing series across
         linearly mapped copies of the same body. Falls back to the node max
-        for near-constant fields (Newton would divide by ~0 curvature). A
-        batch is polished column by column in one vectorized loop, and each
+        for near-constant fields (Newton would divide by ~0 curvature), and
+        to the node max and its angle when the polished value falls below it.
+        A batch is polished column by column in one vectorized loop, and each
         column stops where it would alone. Both results take values' batch shape.
         """
         values = np.asarray(values, dtype=float)
@@ -183,24 +208,22 @@ class CircleGrid:
         span = vmax - np.min(v, axis=1)
         th = self.thetas[i0]
         polish = ~(span <= 1e-12 * np.maximum(np.abs(vmax), 1.0))
-        c = np.fft.fft(v, axis=1) / self.N
-        ik = 1j * np.fft.fftfreq(self.N, d=1.0 / self.N)
+        a = self._half_spectrum(v)
+        jet = a * self._jet_mult[:, None]      # (2, B, N/2 + 1): d/dtheta, d2/dtheta2
         live = np.flatnonzero(polish)
         for _ in range(12):
             if not live.size:
                 break
-            cl = c[live]
-            ph = np.exp(ik * th[live, None])
-            d1 = np.sum(cl * ik * ph, axis=1).real
-            d2 = np.sum(cl * ik * ik * ph, axis=1).real
+            d1, d2 = self._trig_sums(jet[:, live], th[live])
             move = ~(d2 >= -1e-13 * span[live])
             live, d1, d2 = live[move], d1[move], d2[move]
             step = np.clip(d1 / d2, -self.h, self.h)  # one-cell trust region
             th[live] -= step
             live = live[~(np.abs(step) < 1e-14)]
-        val = np.sum(c * np.exp(ik * th[:, None]), axis=1).real
-        val = np.where(polish & ~(vmax > val), val, vmax)
-        return in_batch_shape(self, values, th), in_batch_shape(self, values, val)
+        val = self._trig_sums(a, th)
+        keep = polish & ~(vmax > val)
+        return (in_batch_shape(self, values, np.where(keep, th, self.thetas[i0])),
+                in_batch_shape(self, values, np.where(keep, val, vmax)))
 
 
 def sym_det(D2):
@@ -521,9 +544,13 @@ class CubedSphereGrid:
                              - 6 * v[..., -4] + v[..., -5])
         return np.moveaxis(out, -1, axis)
 
+    def partials(self, values):
+        """(d/dy1, d/dy2) of a per-chart nodal field, on-face stencils, one array each."""
+        return self.d1_face(values, 1), self.d1_face(values, 2)
+
     def grad(self, values):
         """(d/dy1, d/dy2) of a per-chart nodal field, on-face stencils, axis appended."""
-        return np.stack([self.d1_face(values, 1), self.d1_face(values, 2)], axis=-1)
+        return np.stack(self.partials(values), axis=-1)
 
     # ---------- orthonormal tangent frames ----------
 

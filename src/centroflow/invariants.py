@@ -268,13 +268,15 @@ def compute_invariants(field):
         J = chi = None
     sqrt_det_g = np.sqrt(np.maximum(det_g, 0.0))
 
-    # rel-support residuals: T against the gradients of log psi and log rho
-    T_node = _node_first(T_low, 1)
-    grad_lpsi = grid.grad(np.log(psi))
-    grad_lrho = grid.grad(np.log(rho))
-    r_psi = grid.per_snapshot(np.max, np.abs(T_node + grad_lpsi / (2 * n)).max(axis=-1))
-    r_rho = grid.per_snapshot(np.max, np.abs(T_node - (n + 2) / (2 * n) * grad_lrho)
-                              .max(axis=-1))
+    # rel-support residuals: T against the gradients of log psi and log rho,
+    # one chart axis at a time (T_low[i] is a contiguous component); the max
+    # over the axes is exact in any order
+    r_psi = r_rho = -np.inf
+    for T_i, d_lpsi, d_lrho in zip(T_low, grid.partials(np.log(psi)),
+                                   grid.partials(np.log(rho))):
+        r_psi = np.maximum(r_psi, grid.per_snapshot(np.max, np.abs(T_i + d_lpsi / (2 * n))))
+        r_rho = np.maximum(r_rho, grid.per_snapshot(
+            np.max, np.abs(T_i - (n + 2) / (2 * n) * d_lrho)))
     r_rel = _later_max(r_psi, r_rho)
 
     return InvariantFields(
@@ -282,7 +284,7 @@ def compute_invariants(field):
         g=_node_first(gmat, 2), g_inv=_node_first(ginv, 2),
         gamma_hat=_node_first(Ghat, 3), gamma=_node_first(Gam, 3),
         C_mixed=_node_first(C, 3), C_low=_node_first(C_low, 3),
-        T_low=T_node, T_up=_node_first(T_up, 1),
+        T_low=_node_first(T_low, 1), T_up=_node_first(T_up, 1),
         norm_T2=norm_T2, norm_C2=norm_C2,
         psi=psi, rho=rho, H=H, J=J, chi=chi, det_curvature=det_b, gauss_K=K,
         curvature=_node_first(bmat, bmat.ndim - field.u.ndim),

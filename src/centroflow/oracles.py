@@ -58,9 +58,10 @@ _DESIGNS = weakref.WeakKeyDictionary()   # grid -> its fit design, dropped with 
 
 
 def _design(grid):
-    """(nodes x (L, dim), weights wq, (A W)^T, normal matrix A^T W A, pairs) of
+    """(nodes x (L, dim), weights wq, (A W)^T, normal matrix A^T W A, slot) of
     the fit on grid, built once per grid. The design columns are x_i^2, then
-    2 x_i x_j for the pairs (i<j), matching the symmetric entries of Q."""
+    2 x_i x_j for the pairs (i<j), matching the symmetric entries of Q:
+    Q[i, j] is the coefficient slot[i, j]."""
     if grid not in _DESIGNS:
         dim = grid.n + 1
         x = grid.nodes.reshape(-1, dim)
@@ -69,7 +70,10 @@ def _design(grid):
         A = np.stack([x[:, i] ** 2 for i in range(dim)]
                      + [2.0 * x[:, i] * x[:, j] for (i, j) in pairs], axis=-1)
         Aw = A * wq[:, None]
-        _DESIGNS[grid] = x, wq, Aw.T, Aw.T @ A, pairs
+        slot = np.diag(np.arange(dim))
+        for k, (i, j) in enumerate(pairs):
+            slot[i, j] = slot[j, i] = dim + k
+        _DESIGNS[grid] = x, wq, Aw.T, Aw.T @ A, slot
     return _DESIGNS[grid]
 
 
@@ -80,34 +84,31 @@ def best_fit_ellipsoid(field):
     roundness = ||s - sqrt(x^T Q x)||_2 / ||s||_2 (quadrature-weighted L2).
     A fit whose eigenvalues dip below the SPD floor is clamped and flagged
     degenerate rather than raised, so trend series keep flowing. Each snapshot
-    is fitted alone against the grid's one design (one matvec each), and one
+    is fitted alone against the grid's one design (one matvec and one lstsq
+    each); the rest runs on the block's stack of Q, one matrix per snapshot,
+    whose LAPACK and einsum calls treat each matrix as they would alone. One
     spec holds them all: roundness, the spec's degenerate and rho0 take the
     field's batch shape, and Q gets it after its (dim, dim).
     """
     grid = field.grid
-    x, wq, AwT, normal, pairs = _design(grid)
+    x, wq, AwT, normal, slot = _design(grid)
     dim = grid.n + 1
     s = snapshot_rows(grid, field.s)
-    Qs, degenerate = [], []
-    for s2 in s ** 2:
-        coef, *_ = np.linalg.lstsq(normal, AwT @ s2, rcond=None)
-        Q = np.zeros((dim, dim))
-        for i in range(dim):
-            Q[i, i] = coef[i]
-        for k, (i, j) in enumerate(pairs):
-            Q[i, j] = Q[j, i] = coef[dim + k]
-        evals, evecs = np.linalg.eigh(Q)
-        degenerate.append(np.min(evals) < SPD_FLOOR)
-        if degenerate[-1]:
-            Q = (evecs * np.maximum(evals, SPD_FLOOR)) @ evecs.T
-        Qs.append(Q)
+    coef = np.array([np.linalg.lstsq(normal, AwT @ s2, rcond=None)[0] for s2 in s ** 2])
+    Q = coef[:, slot]                                         # (B, dim, dim)
+    evals, evecs = np.linalg.eigh(Q)
+    degenerate = np.min(evals, axis=1) < SPD_FLOOR
+    bad = np.flatnonzero(degenerate)
+    if bad.size:
+        Q[bad] = (evecs[bad] * np.maximum(evals[bad, None], SPD_FLOOR)) \
+            @ evecs[bad].swapaxes(1, 2)
     # the spec symmetrizes Q before the fits are evaluated: the clamped
     # (evecs * evals) @ evecs.T is not exactly symmetric
-    spec = EllipsoidSpec(np.stack(Qs, axis=-1).reshape((dim, dim) + field.batch_shape),
-                         in_batch_shape(grid, field.s, np.array(degenerate)))
-    fits = [np.sqrt(np.einsum("qi,ij,qj->q", x, Q, x)) for Q in
-            np.ascontiguousarray(np.moveaxis(spec.Q.reshape(dim, dim, -1), -1, 0))]
-    num = np.sqrt(np.sum(wq * (s - np.array(fits)) ** 2, axis=1))
+    spec = EllipsoidSpec(np.moveaxis(Q, 0, -1).reshape((dim, dim) + field.batch_shape),
+                         in_batch_shape(grid, field.s, degenerate))
+    Qs = np.ascontiguousarray(np.moveaxis(spec.Q.reshape(dim, dim, -1), -1, 0))
+    fits = np.sqrt(np.einsum("qi,bij,qj->bq", x, Qs, x))
+    num = np.sqrt(np.sum(wq * (s - fits) ** 2, axis=1))
     den = np.sqrt(np.sum(wq * s ** 2, axis=1))
     return spec, in_batch_shape(grid, field.s, num / den)
 

@@ -9,7 +9,63 @@ from centroflow.support import SupportField, homogeneity_residual
 SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "graph_hessian",
           "sym_eigs", "sym_det", "to_frame", "grad", "chart_jet", "integrate_chart",
           "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates",
-          "per_snapshot", "spectrum")
+          "per_snapshot", "spectrum", "partials")
+
+
+def _full_spectrum(v, theta, order=0):
+    """Re sum_k (ik)^order c_k e^{ik theta} over the full fft spectrum of one
+    column v (k from fftfreq, the Nyquist mode once, at -N/2): the reference
+    formula of the interpolant and its theta-derivatives."""
+    N = len(v)
+    ik = 1j * np.fft.fftfreq(N, d=1.0 / N)
+    return (np.exp(ik * np.asarray(theta, dtype=float)[..., None]) * ik ** order
+            @ (np.fft.fft(v) / N)).real
+
+
+def _full_spectrum_max(g, v):
+    """refine_max's Newton polish of one column on the full spectrum."""
+    i0 = int(np.argmax(v))
+    vmax, th = v[i0], g.thetas[i0]
+    span = vmax - np.min(v)
+    if span <= 1e-12 * max(abs(vmax), 1.0):
+        return th, vmax
+    for _ in range(12):
+        d1, d2 = _full_spectrum(v, th, 1), _full_spectrum(v, th, 2)
+        if d2 >= -1e-13 * span:
+            break
+        step = np.clip(d1 / d2, -g.h, g.h)
+        th -= step
+        if abs(step) < 1e-14:
+            break
+    val = _full_spectrum(v, th)
+    return (g.thetas[i0], vmax) if vmax > val else (th, val)
+
+
+def _trig_block(g, seed, B=6):
+    """B seeded trig polynomials (N, B): modes 1..6 with amplitudes ~0.1/k^2
+    and, on an even N, a Nyquist term c cos(N theta / 2) with c (N/2)^2 in
+    [0.2, 0.3]: it moves the polished maximum without ruling its curvature."""
+    rng = np.random.default_rng(seed)
+    th = g.thetas[:, None]
+    cols = 1.0 + sum(0.1 / k ** 2 * (rng.standard_normal(B) * np.cos(k * th)
+                                     + rng.standard_normal(B) * np.sin(k * th))
+                     for k in range(1, 7))
+    if g.N % 2 == 0:
+        cols = cols + rng.uniform(0.2, 0.3, B) / (g.N / 2) ** 2 * np.cos(g.N / 2 * th)
+    return cols
+
+
+def _half_spectrum_deviation(g, block, q):
+    """Largest deviations of refine_max (theta; value, relative) and of
+    interpolate at angles q (relative) from the full-spectrum reference."""
+    th, val = g.refine_max(block)
+    dev = np.zeros(3)
+    for k, v in enumerate(block.T):
+        ref_th, ref_val = _full_spectrum_max(g, v)
+        ref_q = _full_spectrum(v, q)
+        dev = np.maximum(dev, [abs(th[k] - ref_th), abs(val[k] - ref_val) / abs(ref_val),
+                               np.max(np.abs(g.interpolate(v, q) - ref_q) / np.abs(ref_q))])
+    return dev
 
 
 class TestCircleGrid:
@@ -53,6 +109,33 @@ class TestCircleGrid:
     def test_resolution_floor(self):
         with pytest.raises(ConfigError):
             CircleGrid(8)
+
+    @pytest.mark.parametrize("N", [64, 63, 1024])
+    def test_half_spectrum_matches_the_full_spectrum(self, N):
+        # the interpolant sums the rfft half spectrum, 1 <= k < N/2 twice and
+        # k = 0 and the Nyquist mode once, with phases from a cumulative product
+        g = CircleGrid(N)
+        q = np.random.default_rng(1).uniform(0.0, 2 * np.pi, 9)
+        theta_dev, value_dev, interp_dev = _half_spectrum_deviation(g, _trig_block(g, N), q)
+        assert theta_dev <= 1e-12 and value_dev <= 1e-13 and interp_dev <= 1e-13
+
+    def test_counting_the_nyquist_mode_twice_is_caught(self):
+        # the comparison above sees the Nyquist term: weighted like 1 <= k < N/2,
+        # the polished angle, the value and the interpolant all leave it
+        g = CircleGrid(64)
+        g._half_weight[-1] *= 2.0
+        q = np.random.default_rng(1).uniform(0.0, 2 * np.pi, 9)
+        theta_dev, value_dev, interp_dev = _half_spectrum_deviation(g, _trig_block(g, 64), q)
+        assert theta_dev > 1e-9 and value_dev > 1e-9 and interp_dev > 1e-9
+
+    def test_refine_max_value_is_the_interpolant_at_its_angle(self, circle64):
+        # white noise makes Newton land below the node max now and then; the
+        # node max is then returned with the node's angle, not Newton's
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            v = rng.standard_normal((64, 50))
+            th, val = circle64.refine_max(v)
+            assert np.max(np.abs(circle64.value_at(v, th) - val)) <= 1e-12
 
     @pytest.mark.parametrize("N", [64, 65])
     def test_deriv_equals_per_call_multiplier(self, N):

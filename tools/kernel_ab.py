@@ -22,8 +22,19 @@ depend on the tree:
                       bodies, the batch field diagnostics.SeriesBundle reduces
                       (BLOCK_NODES // nodes bodies, at least one: 16 at N=256,
                       2 at M=17), the first of them the body above
+  refine_max.block.theta, refine_max.block.value
+                      the circle's polished maximum of that block's norm_T2,
+                      each body's angle and value (16 bodies at N=256, 4 at
+                      N=1024)
+  value_at.block      the circle's interpolant of that block's norm_T2, each
+                      body at its own fixed angle
 
-Every output is compared bit for bit: same shape and the same float64 bytes.
+Every output is compared bit for bit: same shape and the same float64 bytes,
+but for the three circle max-polish and interpolation rows. Those feed only
+the numeric-class artifacts (supT2, supC2 and the |T|^2 right side in
+series.csv, report.json and sweep.csv), so they are compared by the README's
+numeric-class rule, |a - b| <= 1e-9 * max(|a|, 1) in every value, with the
+same shape; a row that passes it prints its largest relative deviation.
 Then the two workers time each kernel per call in interleaved rounds. In
 each round every kernel is timed by both workers in turn, one right after
 the other, and the side that goes first alternates from kernel to kernel
@@ -37,8 +48,8 @@ stable_dt is fed what the tree's step feeds it: grid.spectrum of the chart
 Hessian where the grid offers one (its time then includes the spectrum), and
 the Hessian itself otherwise.
 
-Exits 0 when every output is bitwise equal, 1 when one differs, 2 when a
-worker fails. Runs on numpy and the standard library only.
+Exits 0 when every output is equal by its rule, 1 when one differs, 2 when
+a worker fails. Runs on numpy and the standard library only.
 """
 
 import argparse
@@ -53,6 +64,9 @@ import time
 import numpy as np
 
 BATCH_S = 0.02
+REL_TOL = 1e-9
+# outputs compared by the numeric-class rule instead of bit for bit
+NUMERIC = ("refine_max.block.theta", "refine_max.block.value", "value_at.block")
 
 
 def _sizes(Ms, Ns):
@@ -101,6 +115,11 @@ def _kernels(kind, res):
         calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1"),
                       "extend.scalar": lambda: g.extend(field.s),
                       "extend.vec3": lambda: g.extend(X)}, **calls)
+    else:
+        T2 = compute_invariants(block).norm_T2
+        angles = np.linspace(0.1, 6.0, T2.shape[-1])
+        calls.update({"refine_max.block": lambda: g.refine_max(T2),
+                      "value_at.block": lambda: g.value_at(T2, angles)})
     lo, hi = calls["sym_eigs"]()
     iv = calls["compute_invariants"]()
     outputs = {"sym_det": calls["sym_det"](), "sym_eigs.lo": lo, "sym_eigs.hi": hi,
@@ -116,6 +135,10 @@ def _kernels(kind, res):
     if kind == "M":
         for name in ("extend.deg1", "extend.scalar", "extend.vec3"):
             outputs[name] = calls[name]()
+    else:
+        theta, value = calls["refine_max.block"]()
+        outputs.update({"refine_max.block.theta": theta, "refine_max.block.value": value,
+                        "value_at.block": calls["value_at.block"]()})
     return calls, outputs
 
 
@@ -191,7 +214,9 @@ def _bytes(a):
 
 
 def compare(a, b):
-    """Lines for each output that differs bitwise; its key when one side lacks it."""
+    """Lines for each output that differs by its rule, "[diff] ..." (its key when
+    one side lacks it), and "[numeric] ..." for a NUMERIC output that moved
+    within REL_TOL."""
     lines = []
     for key in sorted(a.keys() | b.keys()):
         x, y = a.get(key), b.get(key)
@@ -199,6 +224,10 @@ def compare(a, b):
             lines.append(f"[diff] {key}: only on the {'head' if x is None else 'base'} side")
         elif x.shape != y.shape or x.dtype != y.dtype:
             lines.append(f"[diff] {key}: {x.dtype}{x.shape} vs {y.dtype}{y.shape}")
+        elif key.endswith(NUMERIC) and x.tobytes() != y.tobytes():
+            rel = np.max(np.abs(x - y) / np.maximum(np.abs(x), 1.0))
+            tag = "numeric" if rel <= REL_TOL else "diff"
+            lines.append(f"[{tag}] {key}: largest |a - b| / max(|a|, 1) {rel:.3g}")
         elif x.tobytes() != y.tobytes():
             bad = (_bytes(x) != _bytes(y)).any(axis=1).sum()
             dev = np.max(np.abs(x.astype(float) - y.astype(float)))
@@ -224,8 +253,9 @@ def main(argv=None):
             os.makedirs(os.path.join(tmp, name))
             sides.append(Side(src, os.path.join(tmp, name), args))
         try:
-            (base, keys), (head, _) = (s.outputs() for s in sides)
-            diffs = compare(base, head)
+            (base, keys), (head, head_keys) = (s.outputs() for s in sides)
+            keys = [key for key in keys if key in head_keys]   # timed on both sides
+            lines = compare(base, head)
             times = {key: ([], []) for key in keys}
             for r in range(args.rounds):
                 for k, key in enumerate(keys):
@@ -236,8 +266,9 @@ def main(argv=None):
                 s.close()
     print(f"kernel_ab: {args.base} vs {args.head}; numpy {np.__version__}, "
           f"{os.cpu_count()} cores, {args.rounds} interleaved rounds")
-    for line in diffs:
+    for line in lines:
         print(line)
+    diffs = [line for line in lines if line.startswith("[diff]")]
     print(f"outputs: {len(base.keys() | head.keys())} compared, {len(diffs)} difference(s)")
     if args.rounds:
         print(f"{'kernel':<28}{'base us':>12}{'head us':>12}{'head/base':>11}")
