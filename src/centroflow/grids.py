@@ -14,13 +14,13 @@ Node ordering contract (documented so snapshots are bit-stable):
        flattening is row-major (C order).
 
 Batch axis: the grid operations also take a field that carries one more
-axis right after the node axes, one column per snapshot (node axes, then
-the batch axis, then any component axes; but the cubed sphere's symmetric
-2x2 fields, the chart Hessian and the frame curvature, are component-first:
-the pair (2, 2), then the node axes, then the batch axis). Grid constants
-broadcast over it. A field's batch shape is what trails its node axes, () for
-one body and (B,) for a batch, and every per-snapshot result (integrals,
-maxima and where they sit) has exactly that shape: numpy scalars for one body.
+axis right after the node axes, one column per snapshot. Every field a grid
+returns with component axes (chart Hessian, frame curvature, chart jet) is
+component-first: components, then node axes, then the batch axis. Grid
+constants broadcast over it. A field's batch shape is what trails its node
+axes, () for one body and (B,) for a batch, and every per-snapshot result
+(integrals, maxima and where they sit) has exactly that shape: numpy scalars
+for one body.
 A query (angles, directions) gives results of its own shape. Each column is
 reduced as one C-contiguous row, so its sums add in the order they would for
 that snapshot alone. Only diagnostics.SeriesBundle builds such fields.
@@ -100,12 +100,12 @@ class CircleGrid:
         field (node axis first)."""
         if order not in self._deriv_mult:
             raise GridError(f"derivative order must be 1 or 2, got {order!r}")
-        values = np.asarray(values)
-        vhat = np.fft.rfft(values, axis=0)
-        mult = self._deriv_mult[order]
-        if values.ndim > 1:
-            mult = mult.reshape(mult.shape + (1,) * (values.ndim - 1))
-        return np.fft.irfft(vhat * mult, n=self.N, axis=0)
+        return self._from_spectrum(np.fft.rfft(values, axis=0), order, 0)
+
+    def _from_spectrum(self, vhat, order, axis):
+        """d^order/dtheta^order from the rfft spectrum vhat along its axis."""
+        mult = self._deriv_mult[order].reshape((-1,) + (1,) * (vhat.ndim - axis - 1))
+        return np.fft.irfft(vhat * mult, n=self.N, axis=axis)
 
     def integrate(self, values):
         # trapezoid on a periodic grid == spectrally accurate quadrature
@@ -141,13 +141,12 @@ class CircleGrid:
         chart axis: (d/dtheta,)."""
         return (self.deriv(values, 1),)
 
-    def grad(self, values):
-        """d/dtheta of a nodal field (node axis first), shape (..., 1) appended."""
-        return self.deriv(values, 1)[..., None]
-
     def chart_jet(self, X):
-        """(X_i, X_ij) of an ambient-valued field X (N, d): (N,1,d), (N,1,1,d)."""
-        return self.deriv(X, 1)[..., None, :], self.deriv(X, 2)[..., None, None, :]
+        """(X_i, X_ij) of an ambient-valued field X (N, 2), component-first:
+        (1, 2, N) and (1, 1, 2, N), from one spectrum of X (C-contiguous, as the
+        FFT keeps its input's memory order)."""
+        vhat = np.fft.rfft(np.ascontiguousarray(np.moveaxis(X, -1, 0)), axis=1)
+        return self._from_spectrum(vhat, 1, 1)[None], self._from_spectrum(vhat, 2, 1)[None, None]
 
     def sync_duplicates(self, u):
         """The circle has no duplicated nodes."""
@@ -258,14 +257,16 @@ def _lagrange_weights(xs, xq):
     return w
 
 
-def _sym2(f11, f12, f22):
-    """Symmetric 2x2 field [[f11, f12], [f12, f22]] of vectors, pair axes before
-    the last (component) axis: after the node axes and the batch axis, if any."""
-    out = np.empty(f11.shape[:-1] + (2, 2) + f11.shape[-1:])
-    out[..., 0, 0, :] = f11
-    out[..., 0, 1, :] = out[..., 1, 0, :] = f12
-    out[..., 1, 1, :] = f22
-    return out
+# d1_face's one-sided closures of edge rows (0, 1, -2, -1) as signed tap
+# coefficients: the IEEE operations of each closure written out, in its order
+_EDGE_TAPS = np.array([[k, k, -1 - k, -1 - k] for k in range(5)])
+_EDGE_COEF = np.array([[-25, -3, -3, -25], [48, -10, -10, 48], [-36, 18, 18, -36],
+                       [16, -6, -6, 16], [-3, 1, 1, -3]], dtype=float)
+
+
+def _interior(a, axis):
+    """The nodes of an extended array along one axis, its halo cut off."""
+    return a[(slice(None),) * axis + (slice(HALO, -HALO),)]
 
 
 class CubedSphereGrid:
@@ -465,26 +466,28 @@ class CubedSphereGrid:
         out *= 1.0 / (12.0 * self.h ** 2)
         return out
 
-    def _second_derivs(self, ext, e1):
-        """(f_11, f_12, f_22) on the interior nodes from an extended field and its d1 along axis 1."""
-        H = HALO
-        return self.d2(ext[:, :, H:-H], 1), self.d1(e1, 2), self.d2(ext[:, H:-H], 2)
+    def _second_derivs(self, ext, e1, a=1):
+        """(f_11, f_12, f_22) on the interior nodes of ext from it and its d1 e1 along a."""
+        return (self.d2(_interior(ext, a + 1), a), self.d1(e1, a + 1),
+                self.d2(_interior(ext, a), a + 1))
+
+    def _derivs(self, ext, a=1):
+        """(f_1, f_2, f_11, f_12, f_22) on the interior nodes of ext, chart axes a and a + 1."""
+        e1 = self.d1(ext, a)
+        return ((_interior(e1, a + 1), _interior(self.d1(ext, a + 1), a))
+                + self._second_derivs(ext, e1, a))
 
     def chart_gradient(self, values, kind):
         """(f_1, f_2) on the interior nodes, through the halo of `kind`.
 
         The same values as chart_derivs' first two, without its second derivatives.
         """
-        H = HALO
         ext = self.extend(values, kind)
-        return self.d1(ext[:, :, H:-H], 1), self.d1(ext[:, H:-H], 2)
+        return self.d1(_interior(ext, 2), 1), self.d1(_interior(ext, 1), 2)
 
     def chart_derivs(self, values, kind="scalar"):
         """(f_1, f_2, f_11, f_12, f_22) on the interior nodes, through the halo of `kind`."""
-        H = HALO
-        ext = self.extend(values, kind)
-        e1 = self.d1(ext, 1)
-        return (e1[:, :, H:-H], self.d1(ext, 2)[:, H:-H]) + self._second_derivs(ext, e1)
+        return self._derivs(self.extend(values, kind))
 
     def graph_hessian(self, u):
         """Chart Hessian D^2 u of graph values, component-first (2,2,6,M,M) (or (2,2,6,M,M,B)).
@@ -512,12 +515,11 @@ class CubedSphereGrid:
         return b
 
     def chart_jet(self, X):
-        """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), halo stencils."""
-        f1, f2, f11, f12, f22 = self.chart_derivs(X, kind="scalar")
-        Xi = np.empty(f1.shape[:-1] + (2, 3))
-        Xi[..., 0, :] = f1
-        Xi[..., 1, :] = f2
-        return Xi, _sym2(f11, f12, f22)
+        """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), component-first: (2,3,6,M,M)
+        and (2,2,3,6,M,M), from stencils on one component-first extended array."""
+        ext = np.ascontiguousarray(np.moveaxis(self.extend(X), -1, 0))
+        f1, f2, f11, f12, f22 = self._derivs(ext, 2)
+        return np.array([f1, f2]), np.array([[f11, f12], [f12, f22]])
 
     def d1_face(self, values, axis):
         """4th-order chart derivative from same-face values only.
@@ -534,23 +536,16 @@ class CubedSphereGrid:
         out = np.empty_like(v)
         c = 1.0 / (12.0 * self.h)
         out[..., 2:-2] = self.d1(v, -1)
-        out[..., 0] = c * (-25 * v[..., 0] + 48 * v[..., 1] - 36 * v[..., 2]
-                           + 16 * v[..., 3] - 3 * v[..., 4])
-        out[..., 1] = c * (-3 * v[..., 0] - 10 * v[..., 1] + 18 * v[..., 2]
-                           - 6 * v[..., 3] + v[..., 4])
-        out[..., -1] = -c * (-25 * v[..., -1] + 48 * v[..., -2] - 36 * v[..., -3]
-                             + 16 * v[..., -4] - 3 * v[..., -5])
-        out[..., -2] = -c * (-3 * v[..., -1] - 10 * v[..., -2] + 18 * v[..., -3]
-                             - 6 * v[..., -4] + v[..., -5])
+        taps = v[..., _EDGE_TAPS]
+        edge = _EDGE_COEF[0] * taps[..., 0, :]
+        for k in range(1, 5):
+            edge += _EDGE_COEF[k] * taps[..., k, :]
+        out[..., [0, 1, -2, -1]] = edge * np.array([c, c, -c, -c])
         return np.moveaxis(out, -1, axis)
 
     def partials(self, values):
         """(d/dy1, d/dy2) of a per-chart nodal field, on-face stencils, one array each."""
         return self.d1_face(values, 1), self.d1_face(values, 2)
-
-    def grad(self, values):
-        """(d/dy1, d/dy2) of a per-chart nodal field, on-face stencils, axis appended."""
-        return np.stack(self.partials(values), axis=-1)
 
     # ---------- orthonormal tangent frames ----------
 

@@ -12,14 +12,13 @@ scalar curvature chi = J - (n/(n-1))|T|^2 + 1.
 Everything is frame-generic; closed-form shortcuts exist for both n (for n=1
 g = (s+s'')/s etc.) and the tests pin them against this generic pipeline.
 
-Layout: the grids (but for their 2x2 fields) and the public entry points
-(compute_invariants, t2_evolution_rhs, covariant_grad, c_evolution_rhs, the
-InvariantFields) are node-first, component axes trailing. Inside, every per-node contraction runs
-component-first: component axes (length n or n+1) lead and the node axes
-trail, so each einsum's inner loop runs along the long node axis instead of
-an axis of length 2. The fields of InvariantFields are transposed views of
-those component-first arrays. levi_civita, cubic_form and tchebychev take
-and return component-first fields.
+Layout: every per-node contraction runs component-first (component axes of
+length n or n+1 first, node axes last), so each einsum's inner loop runs
+along the nodes. The grids hand over component-first jets and differentiate
+one component at a time (partials): nothing is transposed between a grid and
+the stack. The public entry points (compute_invariants, t2_evolution_rhs,
+covariant_grad, c_evolution_rhs) are node-first, component axes trailing; the
+InvariantFields are transposed views of the component-first arrays.
 
 The metric's inverse and determinant are computed once per call in closed
 form (inv_det). The Gauss decomposition is solved by Cramer's rule in
@@ -129,7 +128,7 @@ def frame_dual(cols):
 def gauss_decompose(X, X_i, X_ij, batched=0):
     """Solve X_ij = Ghat^k_ij X_k - g_ij X in the moving frame {X_1..X_n, X}.
 
-    Takes node-first X (..., n+1), X_i (..., n, n+1), X_ij (..., n, n, n+1),
+    Takes component-first X (n+1, ...), X_i (n, n+1, ...), X_ij (n, n, n+1, ...),
     X_ij symmetric in (i, j). Returns (g, Ghat, frame, frame_det, residual):
       g: (n, n, ...) and Ghat: (n, n, n, ...) [k, i, j], component-first;
       frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its bracket;
@@ -140,11 +139,11 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
     bracket of the first snapshot whose bracket falls below EPS_FRAME, and in
     where that bracket's node, (k,) or (face, i, j), then its column in a batch.
     """
-    n = X_i.shape[-2]
-    lead = X.shape[:-1]
+    n = len(X_i)
+    lead = X.shape[1:]
     cols = np.empty((n + 1, n + 1) + lead)
-    cols[:n] = _comp_first(X_i, 2)
-    cols[n] = _comp_first(X, 1)
+    cols[:n] = X_i
+    cols[n] = X
     dual, frame_det = frame_dual(cols)
     low = _peak(np.abs(frame_det), batched, np.min)
     tripped = np.flatnonzero(low < EPS_FRAME)
@@ -160,12 +159,12 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
     err = scale = 0.0
     for i in range(n):
         for j in range(i, n):
-            Y = np.ascontiguousarray(np.moveaxis(X_ij[..., i, j, :], -1, 0))
+            Y = X_ij[i, j]
             scale = _later_max(scale, _peak(np.abs(Y), batched))
             c = np.einsum("ra...,a...->r...", dual, Y, out=coef[:, i, j])
             coef[:, j, i] = c
-            Y -= np.einsum("r...,ra...->a...", c, cols)
-            err = _later_max(err, _peak(np.abs(Y), batched))
+            err = _later_max(err, _peak(np.abs(Y - np.einsum("r...,ra...->a...", c, cols)),
+                                        batched))
     frame = _node_first(cols, 2).swapaxes(-1, -2)
     residual = err / scale
     return -coef[n], coef[:n], frame, frame_det, residual
@@ -173,8 +172,12 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
 
 def levi_civita(grid, gmat, ginv):
     """Christoffel symbols [k, i, j] of the metric field, component-first."""
-    # dg[l, i, j] = d g_ij / d y_l
-    dg = np.moveaxis(grid.grad(_node_first(gmat, 2)), (-3, -2, -1), (1, 2, 0))
+    # dg[l, i, j] = d g_ij / d y_l, from the n(n+1)/2 distinct entries
+    n = len(gmat)
+    dg = np.empty((n,) + gmat.shape)
+    for i, j in [(i, j) for i in range(n) for j in range(i, n)]:
+        for l, d in enumerate(grid.partials(gmat[i, j])):
+            dg[l, i, j] = dg[l, j, i] = d
     # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     sym = dg + dg.swapaxes(0, 1) - np.moveaxis(dg, 0, 2)
     Gam = np.einsum("kl...,ijl...->kij...", ginv, sym)
@@ -202,7 +205,7 @@ def tchebychev(grid, C, ginv, Gam):
     T_low = np.einsum("kki...->i...", C) / n
     T_up = np.einsum("ij...,j...->i...", ginv, T_low)
     norm_T2 = np.einsum("i...,i...->...", T_low, T_up)
-    dT = _comp_first(grid.grad(_node_first(T_low, 1)), 2)     # [i, j] = d_j T_i
+    dT = np.array([grid.partials(T_i) for T_i in T_low])     # [i, j] = d_j T_i
     GamT = np.einsum("kij...,k...->ij...", Gam, T_low)
     covdiv = np.einsum("ij...,ji...->...", ginv, dT) \
         - np.einsum("ij...,ij...->...", ginv, GamT)
@@ -250,9 +253,9 @@ def compute_invariants(field):
     n = grid.n
     batched = len(field.batch_shape)
     X = sup.embed(field)
-    X_i, X_ij = grid.chart_jet(X)
-    gmat, Ghat, frame, frame_det, cross = gauss_decompose(X, X_i, X_ij, batched)
-    del X, X_i, X_ij   # the frame keeps X; dropping the jet lowers the transient peak
+    gmat, Ghat, frame, frame_det, cross = gauss_decompose(
+        np.moveaxis(X, -1, 0), *grid.chart_jet(X), batched)
+    del X   # the frame keeps a copy; dropping X and the jet lowers the transient peak
     ginv, det_g = inv_det(gmat)
     Gam = levi_civita(grid, gmat, ginv)
     C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat, ginv, batched)
@@ -308,7 +311,7 @@ def t2_evolution_rhs(inv):
     grid = inv.grid
     n = inv.n
     T_up = _comp_first(inv.T_up, 1)
-    TiHi = np.einsum("...i,i...->...", grid.grad(inv.H), T_up)
+    TiHi = np.einsum("i...,i...->...", np.array(grid.partials(inv.H)), T_up)
     CTT = np.einsum("ijk...,j...,k...->i...", _comp_first(inv.C_low, 3), T_up, T_up)
     CTTT = np.einsum("i...,i...->...", CTT, T_up)
     return TiHi + 2.0 * (1.0 + 1.0 / n) * inv.norm_T2 - CTTT
@@ -324,8 +327,9 @@ def covariant_grad(grid, tensor, Gam):
     rank = np.asarray(tensor).ndim - len(grid.shape)
     if rank not in (1, 2):
         raise Unsupported("covariant_grad handles rank 1 and 2 fields only")
-    d = _comp_first(grid.grad(tensor), rank + 1)
     S = _comp_first(tensor, rank)
+    d = np.array([grid.partials(c) for c in S.reshape((-1,) + S.shape[rank:])])
+    d = d.reshape(S.shape[:rank] + d.shape[1:])              # d[.., l] = d S[..] / d y_l
     G = _comp_first(Gam, 3)
     if rank == 1:
         out = d - np.einsum("pij...,p...->ij...", G, S)

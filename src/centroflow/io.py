@@ -15,12 +15,13 @@ import csv
 import hashlib
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
 from .diagnostics import SERIES_COLUMNS
 from .errors import ConfigError
-from .flow import FlowState, Trajectory
+from .flow import FlowState, Trajectory, is_number
 from .grids import grid_shape, make_grid
 from .support import SupportField, require_single
 
@@ -42,10 +43,8 @@ def config_hash(config):
 
 
 def _fmt(v):
-    v = float(v)
-    if np.isnan(v):
-        return "nan"
-    return repr(v)
+    """repr of the float value: the shortest round trip, and "nan" for any NaN."""
+    return repr(float(v))
 
 
 def output_root():
@@ -72,10 +71,10 @@ def read_json(path, what):
 
 
 def write_json(path, doc):
-    """Indented, key-sorted JSON with a trailing newline."""
+    """Indented, key-sorted JSON with a trailing newline, encoded once and written
+    once (json.dump would write the pure-Python encoder's chunks one by one)."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def write_snapshot(path, field, t, cfg_hash):
@@ -100,21 +99,29 @@ def load_snapshot(path, grid=None):
         shape = grid_shape(n, resolution)
     except ConfigError as exc:
         raise ConfigError(f"snapshot {path}: {exc}")
+    if not is_number(doc["time"]):
+        raise ConfigError(f"snapshot {path} holds a non-numeric time {doc['time']!r}")
     try:
-        t = float(doc["time"])
         values = np.asarray(doc["values"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"snapshot {path} holds non-numeric data: {exc}")
     # the values must fit the header before the header may size a grid
     if values.shape != shape:
         raise ConfigError(f"snapshot {path} has shape {values.shape}, want {shape}")
+    # np.asarray reads true as 1.0 and "1.05" as 1.05: only the leaves' types tell
+    # them from JSON numbers, and map(type) reads them with no Python loop per value
+    leaves = doc["values"]
+    for _ in range(values.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {float, int}:
+        raise ConfigError(f"snapshot {path} holds values that are not JSON numbers")
     if grid is None:
         grid = make_grid(n, resolution)
     elif grid.n != n or grid.resolution != resolution:
         raise ConfigError(f"snapshot {path} grid mismatch")
     if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
         raise ConfigError(f"snapshot {path} holds non-positive or non-finite s")
-    return t, SupportField(grid, s=values), doc.get("config_hash")
+    return float(doc["time"]), SupportField(grid, s=values), doc.get("config_hash")
 
 
 def write_trajectory(outdir, traj, config, cfg_hash, wall_time):
@@ -157,18 +164,13 @@ def load_trajectory(outdir):
     if any(b.t <= a.t for a, b in zip(states, states[1:])):
         raise ConfigError("snapshot times are not strictly increasing")
     factors = meta.get("renorm_factors", [1.0] * len(states))  # only a missing key
-    if not isinstance(factors, list):
-        raise ConfigError(f"renorm_factors must be a list, got {factors!r}")
-    try:
-        factors = [float(f) for f in factors]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"renorm_factors must be numbers: {exc}")
+    if not (isinstance(factors, list) and all(is_number(f) and f > 0 for f in factors)):
+        raise ConfigError(f"renorm_factors must be a list of finite positive numbers, "
+                          f"got {factors!r}")
     if len(factors) != len(states):
         raise ConfigError("renorm_factors length does not match snapshots")
-    if not all(np.isfinite(f) and f > 0 for f in factors):
-        raise ConfigError("renorm_factors must be finite and positive")
     traj = Trajectory(states, meta.get("termination", "ReachedTEnd"),
-                      meta.get("step_count", 0), factors)
+                      meta.get("step_count", 0), [float(f) for f in factors])
     return traj, meta
 
 

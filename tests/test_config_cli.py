@@ -519,9 +519,9 @@ class TestCLI:
             argv = [command, "--config", write_cfg(tmp_path / "file.json", cfg)]
         assert main(argv) == 2
 
-    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0, *[
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0, True, "1.0", *[
         pytest.param(("all", v), id=f"all-{json.dumps(v)}")
-        for v in ([], 0, False, "", {}, None, "111")]])
+        for v in ([], 0, False, "", {}, None, "111", [True] * 3, ["1.0"] * 3)]])
     def test_bad_renorm_factor_exits_2(self, tmp_path, factor):
         # check_c0 divides each anchor by its factor. ("all", v) replaces the
         # whole list: only a missing key may default to factors of 1.0, and
@@ -537,6 +537,37 @@ class TestCLI:
             doc["renorm_factors"][0] = factor
         path.write_text(json.dumps(doc))
         assert main(["diagnose", "--trajectory", str(out)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("time", True), ("time", "0.25"),
+                                            ("values", True), ("values", "1.05")],
+                             ids=["bool-time", "text-time-number", "bool-value",
+                                  "text-value-number"])
+    def test_snapshot_non_number_read_as_float_exits_2(self, tmp_path, key, value):
+        # float() and np.asarray read true as 1.0 and "0.25" as 0.25; only JSON
+        # numbers may pass. On the last snapshot the times still increase
+        out = self.run_dir(tmp_path, flower_cfg())
+        path = out / "snapshots" / "snap_000002.json"
+        doc = json.loads(path.read_text())
+        if key == "time":
+            doc["time"] = value
+        else:
+            doc["values"][5] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="non-numeric time|not JSON numbers"):
+            iomod.load_snapshot(str(path))
+        assert main(["diagnose", "--trajectory", str(out)]) == 2
+
+    def test_nested_snapshot_values_must_be_json_numbers(self, tmp_path):
+        # a face value true deep in an n=2 snapshot is refused; integers are numbers
+        path = tmp_path / "snap.json"
+        values = np.ones((6, 17, 17), dtype=int).tolist()
+        path.write_text(json.dumps({"n": 2, "resolution": 17, "time": 0, "values": values}))
+        t, field, _ = iomod.load_snapshot(str(path))
+        assert t == 0.0 and isinstance(t, float) and np.all(field.s == 1.0)
+        values[3][4][5] = True
+        path.write_text(json.dumps({"n": 2, "resolution": 17, "time": 0, "values": values}))
+        with pytest.raises(ConfigError, match="not JSON numbers"):
+            iomod.load_snapshot(str(path))
 
     def test_missing_renorm_factors_default_to_one(self, tmp_path):
         out = self.run_dir(tmp_path, flower_cfg())
@@ -573,6 +604,21 @@ class TestCLI:
         want.write("\n")
         assert path.read_text() == want.getvalue()
         assert {5e-324, 1e16} <= set(field.s.reshape(-1).tolist())
+
+    def test_json_and_csv_writers_keep_their_bytes(self, tmp_path):
+        # write_json encodes once: the bytes of json.dump's chunks; write_csv's
+        # floats are repr, "nan" for any NaN, as with the numpy isnan test
+        doc = {"b": [0.1, float("nan"), None, {"z": 1e-320, "a": True}], "a": "x,\"y"}
+        iomod.write_json(tmp_path / "doc.json", doc)
+        want = io.StringIO()
+        json.dump(doc, want, indent=1, sort_keys=True)
+        assert (tmp_path / "doc.json").read_text() == want.getvalue() + "\n"
+        floats = [0.1, float("nan"), -float("nan"), float("inf"), -0.0, 5e-324,
+                  np.float64(1.0 / 3.0), np.float32(0.1), np.float64("nan")]
+        cols = [f"c{k}" for k in range(len(floats))] + ["s"]
+        iomod.write_csv(tmp_path / "t.csv", cols, [dict(zip(cols, floats + ["a,b"]))])
+        want = ["nan" if np.isnan(v) else repr(float(v)) for v in floats] + ['"a,b"']
+        assert (tmp_path / "t.csv").read_text().splitlines()[1] == ",".join(want)
 
     @pytest.mark.parametrize("initial, path, value", NON_NUMBERS,
                              ids=[f"{path}={v if isinstance(v, bool) else '10**400'}"

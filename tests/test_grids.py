@@ -7,7 +7,7 @@ from centroflow.support import SupportField, homogeneity_residual
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
 SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "graph_hessian",
-          "sym_eigs", "sym_det", "to_frame", "grad", "chart_jet", "integrate_chart",
+          "sym_eigs", "sym_det", "to_frame", "chart_jet", "integrate_chart",
           "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates",
           "per_snapshot", "spectrum", "partials")
 
@@ -214,6 +214,27 @@ class TestCubedSphereGrid:
         exact = 3.0 * np.broadcast_to(g.Y2[None], (6, g.M, g.M)) ** 2
         assert np.max(np.abs(d - exact)) < 1e-12
 
+    def test_d1_face_closures_equal_the_written_out_formulas(self, sphere33):
+        # the four edge rows, computed at once, keep the bits of each closure
+        # written out term by term, on any layout of the field
+        g = sphere33
+        rng = np.random.default_rng(11)
+        c = 1.0 / (12.0 * g.h)
+        for shape, axis in (((6, g.M, g.M), 1), ((6, g.M, g.M), 2), ((2, 6, g.M, g.M, 3), 3)):
+            x = rng.standard_normal(shape)
+            v, d = np.moveaxis(x, axis, -1), np.moveaxis(g.d1_face(x, axis), axis, -1)
+            want = {0: c * (-25 * v[..., 0] + 48 * v[..., 1] - 36 * v[..., 2]
+                            + 16 * v[..., 3] - 3 * v[..., 4]),
+                    1: c * (-3 * v[..., 0] - 10 * v[..., 1] + 18 * v[..., 2]
+                            - 6 * v[..., 3] + v[..., 4]),
+                    -1: -c * (-25 * v[..., -1] + 48 * v[..., -2] - 36 * v[..., -3]
+                              + 16 * v[..., -4] - 3 * v[..., -5]),
+                    -2: -c * (-3 * v[..., -1] - 10 * v[..., -2] + 18 * v[..., -3]
+                              - 6 * v[..., -4] + v[..., -5])}
+            for row, w in want.items():
+                assert np.array_equal(d[..., row], w)
+            assert np.array_equal(d[..., 2:-2], g.d1(v, -1))
+
     def test_sync_duplicates_averages_seams(self, sphere33):
         g = sphere33
         rng = np.random.default_rng(7)
@@ -287,12 +308,15 @@ class TestSharedInterface:
         lo, hi = g.sym_eigs(b)
         assert lo is b and hi is b and g.sym_det(b) is b and g.to_frame(b) is b
         assert all(v is b for v in g.spectrum(b))
-        assert np.array_equal(g.grad(s), g.deriv(s, 1)[:, None])
+        (ds,) = g.partials(s)
+        assert np.array_equal(ds, g.deriv(s, 1))
         X = s[:, None] * g.nodes
-        Xi, Xij = g.chart_jet(X)
+        Xi, Xij = g.chart_jet(X)   # component-first: (1, 2, N) and (1, 1, 2, N)
+        assert Xi.shape == (1, 2, 64) and Xij.shape == (1, 1, 2, 64)
+        assert Xi.flags.c_contiguous and Xij.flags.c_contiguous
         for c in range(2):
-            assert np.array_equal(Xi[:, 0, c], g.deriv(X[:, c], 1))
-            assert np.array_equal(Xij[:, 0, 0, c], g.deriv(X[:, c], 2))
+            assert np.array_equal(Xi[0, c], g.deriv(X[:, c], 1))
+            assert np.array_equal(Xij[0, 0, c], g.deriv(X[:, c], 2))
         assert g.integrate_chart(s) == g.integrate(s)
         rng = np.random.default_rng(5)
         dirs = rng.standard_normal((9, 2))
@@ -334,11 +358,13 @@ class TestSharedInterface:
             assert (where[k], vmax[k]) == g.refine_max(v)
             assert g.value_at(batch, where)[k] == g.value_at(v, g.refine_max(v)[0])
             assert rows[k] == g.per_snapshot(np.max, v)
-            assert np.array_equal(g.grad(batch)[..., k, :], g.grad(v))
+            for d_batch, d_one in zip(g.partials(batch), g.partials(v)):
+                assert np.array_equal(d_batch[..., k], d_one)
             jet = g.chart_jet(v[..., None] * p)
-            assert np.array_equal(Xi[..., k, :, :], jet[0])
-            assert np.array_equal(Xij[..., k, :, :, :], jet[1])
-            # the batch axis is last: after the nodes and any leading 2x2 pair
+            # the batch axis is last: after the nodes and any leading component axes
+            assert np.array_equal(Xi[..., k], jet[0])
+            assert np.array_equal(Xij[..., k], jet[1])
+            assert Xi.flags.c_contiguous and Xij.flags.c_contiguous
             assert np.array_equal(g.to_frame(D2)[..., k], g.to_frame(g.graph_hessian(v)))
         assert isinstance(g.integrate_chart(cols[1]), float)
         assert isinstance(g.refine_max(cols[1])[1], float)
@@ -466,6 +492,18 @@ class TestBitwiseKernels:
         u = g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2])
         f11, f12, f22 = g.chart_derivs(u, "deg1")[2:]
         assert np.array_equal(g.graph_hessian(u), np.array([[f11, f12], [f12, f22]]))
+
+    def test_chart_jet_is_component_first_chart_derivs(self, cube):
+        # one component-first extended array gives each component's stencils
+        g = cube
+        X = (1.0 + 0.2 * np.prod(g.nodes, axis=-1))[..., None] * g.nodes
+        Xi, Xij = g.chart_jet(X)
+        assert Xi.shape == (2, 3) + g.shape and Xij.shape == (2, 2, 3) + g.shape
+        assert Xi.flags.c_contiguous and Xij.flags.c_contiguous
+        for c in range(3):
+            f1, f2, f11, f12, f22 = g.chart_derivs(X[..., c])
+            assert np.array_equal(Xi[:, c], np.array([f1, f2]))
+            assert np.array_equal(Xij[:, :, c], np.array([[f11, f12], [f12, f22]]))
 
     def test_spectrum_equals_its_expressions(self, cube):
         # one determinant feeds the eigenpair; the values of sym_det and sym_eigs

@@ -316,7 +316,9 @@ class TestGaussRoutes:
         X = frame[..., n]
         X_ij = rng.standard_normal((nodes, n, n, d))
         X_ij = X_ij + np.swapaxes(X_ij, 1, 2)
-        g, Ghat, _, _, residual = inv_mod.gauss_decompose(X, X_i, X_ij)
+        # component-first, node axis last, as compute_invariants hands them over
+        g, Ghat, _, _, residual = inv_mod.gauss_decompose(
+            np.moveaxis(X, -1, 0), np.moveaxis(X_i, 0, -1), np.moveaxis(X_ij, 0, -1))
         # reference only: LU on the same frame, right sides indexed by (i, j)
         coef = np.linalg.solve(frame, X_ij.reshape(nodes, n * n, d).swapaxes(-1, -2))
         coef = np.moveaxis(coef.reshape(nodes, d, n, n), 0, -1)

@@ -3,7 +3,7 @@
     python tools/artifact_parity.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). The script runs the same 31 CLI commands
+(the `src/` of two checkouts). The script runs the same 33 CLI commands
 against each tree, in a fresh working directory per tree, and compares
 every file the commands write, in two stability classes:
 
@@ -67,6 +67,12 @@ INPUTS = {
         "n": 2, "resolution": 33,
         "initial": {"kind": "file", "params": {"path": "body33.json"}},
         "t_end": 0.005, "snapshot_interval": 0.0025, "output": "runs/file33"},
+    # the resolution of the surface-dense benchmark workload, where the
+    # invariant stack is largest: three snapshots, a few RK4 steps apart
+    "file65.json": {
+        "n": 2, "resolution": 65,
+        "initial": {"kind": "file", "params": {"path": "body65.json"}},
+        "t_end": 2.4e-4, "snapshot_interval": 1.2e-4, "output": "runs/file65"},
     # the curve-sweep benchmark's resolution with 26 snapshots: SeriesBundle
     # reduces them in two blocks (16 snapshots at N=256, then 10)
     "blocks1.json": dict(FOURIER, resolution=256, t_end=0.125, snapshot_interval=0.005,
@@ -124,6 +130,8 @@ COMMANDS = (
     ("diagnose", "--trajectory", "runs/file2"),
     ("evolve", "--config", "file33.json"),
     ("diagnose", "--trajectory", "runs/file33"),
+    ("evolve", "--config", "file65.json"),
+    ("diagnose", "--trajectory", "runs/file65"),
     ("evolve", "--config", "blocks1.json"),
     ("diagnose", "--trajectory", "runs/blocks1"),
     ("evolve", "--config", "two1.json"),
@@ -171,7 +179,7 @@ def _body(M):
 
 def run_tree(src, workdir):
     """Write the inputs, run every command; returns [(argv, exit code, stdout)]."""
-    bodies = {"body17.json": _body(17), "body33.json": _body(33)}
+    bodies = {f"body{M}.json": _body(M) for M in (17, 33, 65)}
     for name, doc in dict(INPUTS, **bodies).items():
         with open(os.path.join(workdir, name), "w") as fh:
             json.dump(doc, fh)

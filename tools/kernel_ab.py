@@ -13,6 +13,14 @@ depend on the tree:
   extend.scalar       the scalar halo extend of s (cubed sphere)
   extend.vec3         the scalar halo extend of the 3-component embedding
                       (cubed sphere)
+  d1.axis1, d1.axis2, d2.axis1, d2.axis2
+                      the 4th-order stencils along each chart axis of the deg1
+                      extended graph values (cubed sphere)
+  chart_jet.X_i, chart_jet.X_ij
+                      the chart jet of the embedding, dumped component-first
+                      ((n, n+1) or (n, n, n+1), then the nodes) whatever
+                      layout the tree returns, so trees of either layout
+                      compare bit for bit
   sym_det, sym_eigs   the chart Hessian's determinant and (min, max) eigenvalues
   stable_dt           the step bound from the chart Hessian
   step.rk4, step.heun u after one step of each scheme from t = 0
@@ -43,6 +51,7 @@ alike. A worker times a kernel over a batch of calls sized once to take
 about 20 ms and reports the batch time over its length. The table gives the
 median per-call time of each side over the rounds and their ratio.
 graph_hessian is timed too, as the input of sym_det, sym_eigs and stable_dt.
+A d1 or d2 call differentiates along both chart axes.
 
 stable_dt is fed what the tree's step feeds it: grid.spectrum of the chart
 Hessian where the grid offers one (its time then includes the spectrum), and
@@ -71,6 +80,15 @@ NUMERIC = ("refine_max.block.theta", "refine_max.block.value", "value_at.block")
 
 def _sizes(Ms, Ns):
     return [("M", M) for M in Ms] + [("N", N) for N in Ns]
+
+
+def _component_first(jet, n):
+    """A chart jet (X_i, X_ij) with its component axes first, C-contiguous:
+    node-first jets (component axes trailing) are moved, component-first ones kept."""
+    X_i, X_ij = jet
+    if X_i.shape[:2] != (n, n + 1):
+        X_i, X_ij = np.moveaxis(X_i, (-2, -1), (0, 1)), np.moveaxis(X_ij, (-3, -2, -1), (0, 1, 2))
+    return np.ascontiguousarray(X_i), np.ascontiguousarray(X_ij)
 
 
 def _kernels(kind, res):
@@ -110,11 +128,15 @@ def _kernels(kind, res):
              "step.heun": one_step("heun"),
              "compute_invariants": lambda: compute_invariants(field),
              "compute_invariants.block": lambda: compute_invariants(block)}
+    X = embed(field)
+    calls["chart_jet"] = lambda: g.chart_jet(X)
     if kind == "M":
-        X = embed(field)
+        ext = g.extend(u, kind="deg1")
         calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1"),
                       "extend.scalar": lambda: g.extend(field.s),
-                      "extend.vec3": lambda: g.extend(X)}, **calls)
+                      "extend.vec3": lambda: g.extend(X),
+                      "d1": lambda: (g.d1(ext, 1), g.d1(ext, 2)),
+                      "d2": lambda: (g.d2(ext, 1), g.d2(ext, 2))}, **calls)
     else:
         T2 = compute_invariants(block).norm_T2
         angles = np.linspace(0.1, 6.0, T2.shape[-1])
@@ -128,6 +150,8 @@ def _kernels(kind, res):
                "step.heun.u": calls["step.heun"]()[0].field.u,
                "compute_invariants.area": np.float64(iv.area),
                "compute_invariants.norm_T2": iv.norm_T2}
+    outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = _component_first(
+        calls["chart_jet"](), g.n)
     ivb = calls["compute_invariants.block"]()
     for name in ("area", "norm_T2", "residual_gauss_cross", "residual_C_symmetry",
                  "residual_relsupport"):
@@ -135,6 +159,8 @@ def _kernels(kind, res):
     if kind == "M":
         for name in ("extend.deg1", "extend.scalar", "extend.vec3"):
             outputs[name] = calls[name]()
+        for name in ("d1", "d2"):
+            outputs[f"{name}.axis1"], outputs[f"{name}.axis2"] = calls[name]()
     else:
         theta, value = calls["refine_max.block"]()
         outputs.update({"refine_max.block.theta": theta, "refine_max.block.value": value,
