@@ -52,7 +52,7 @@ def main():
 
     banner("flower 1 + 0.1 cos(3 theta)")
     iv = compute_invariants(fourier_support(grid, 1.0, a=[0.0, 0.0, 0.1]))
-    stats("g_theta", iv.g[..., 0, 0])
+    stats("g_theta", iv.g[0, 0])
     stats("|C|^2", iv.norm_C2)
     stats("|T|^2", iv.norm_T2)
     stats("psi", iv.psi)
@@ -65,7 +65,7 @@ def main():
     f = fourier_support(grid, 1.0, a=[0.0, 0.0, 0.1])
     b = grid.deriv(f.s, 2) + f.s
     print(f"  closed-form g  err    "
-          f"{np.max(np.abs(iv.g[..., 0, 0] - b / f.s)):.3e}")
+          f"{np.max(np.abs(iv.g[0, 0] - b / f.s)):.3e}")
     print(f"  closed-form psi err   "
           f"{np.max(np.abs(iv.psi - 1.0 / (f.s ** 3 * b))):.3e}")
 

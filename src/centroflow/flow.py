@@ -177,6 +177,9 @@ def step(state, control, t_stop):
     return FlowState(state.t + dt, SupportField(g, u=u), state.step_count + 1), landed
 
 
+# every termination evolve writes: t_end reached, a stop radius crossed, a guard tripped
+TERMINATIONS = ("ReachedTEnd", "Extinction", "Blowup", "ConvexityLost", "NumericalBlowup")
+
 # the termination a guard error raised by step ends the run with
 _GUARD_TERMINATION = {ConvexityLost: "ConvexityLost", OriginCrossed: "Extinction",
                       NumericalBlowup: "NumericalBlowup"}

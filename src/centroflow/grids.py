@@ -15,12 +15,14 @@ Node ordering contract (documented so snapshots are bit-stable):
 
 Batch axis: the grid operations also take a field that carries one more
 axis right after the node axes, one column per snapshot. Every field a grid
-returns with component axes (chart Hessian, frame curvature, chart jet) is
-component-first: components, then node axes, then the batch axis. Grid
-constants broadcast over it. A field's batch shape is what trails its node
-axes, () for one body and (B,) for a batch, and every per-snapshot result
-(integrals, maxima and where they sit) has exactly that shape: numpy scalars
-for one body.
+takes or returns with component axes (chart Hessian, frame curvature, the
+embedding and its chart jet) is component-first: components, then node axes,
+then the batch axis, and so are the constants the embedding is built from
+(radial, face_basis); nodes keeps its directions as rows, as a query does.
+Grid constants broadcast over the batch axis. A field's batch shape is what
+trails its node axes, () for one body and (B,) for a batch, and every
+per-snapshot result (integrals, maxima and where they sit) has exactly that
+shape: numpy scalars for one body.
 A query (angles, directions) gives results of its own shape. Each column is
 reduced as one C-contiguous row, so its sums add in the order they would for
 that snapshot alone. Only diagnostics.SeriesBundle builds such fields.
@@ -77,6 +79,7 @@ class CircleGrid:
         self.h = 2 * np.pi / N
         self.thetas = 2 * np.pi * np.arange(N) / N
         self.nodes = np.stack([np.cos(self.thetas), np.sin(self.thetas)], axis=-1)
+        self.radial = np.ascontiguousarray(self.nodes.T)   # component-first (2, N)
         self.weights = np.full(N, 2 * np.pi / N)
         self.shape = (N,)
         self.node_axes = (0,)
@@ -142,10 +145,10 @@ class CircleGrid:
         return (self.deriv(values, 1),)
 
     def chart_jet(self, X):
-        """(X_i, X_ij) of an ambient-valued field X (N, 2), component-first:
-        (1, 2, N) and (1, 1, 2, N), from one spectrum of X (C-contiguous, as the
-        FFT keeps its input's memory order)."""
-        vhat = np.fft.rfft(np.ascontiguousarray(np.moveaxis(X, -1, 0)), axis=1)
+        """(X_i, X_ij) of an ambient-valued field X (2, N), component-first:
+        (1, 2, N) and (1, 1, 2, N), from one spectrum of X (C-contiguous when X
+        is, as the FFT keeps its input's memory order)."""
+        vhat = np.fft.rfft(X, axis=1)
         return self._from_spectrum(vhat, 1, 1)[None], self._from_spectrum(vhat, 2, 1)[None, None]
 
     def sync_duplicates(self, u):
@@ -297,6 +300,11 @@ class CubedSphereGrid:
              + Y2[None, :, :, None] * self.tangents[:, None, None, 1, :])
         self.w = np.sqrt(1.0 + Y1**2 + Y2**2)[None, :, :] * np.ones((6, 1, 1))
         self.nodes = z / self.w[..., None]          # (6,M,M,3) unit directions
+        self.radial = np.ascontiguousarray(np.moveaxis(self.nodes, -1, 0))   # (3,6,M,M)
+        # per face the chart tangents t1, t2 and the axis a, component-first
+        # (3, 3, 6, 1, 1): the embedding's basis
+        self.face_basis = np.array([self.tangents[:, 0].T, self.tangents[:, 1].T,
+                                    self.axes.T])[..., None, None]
 
         self.shape = (6, M, M)
         self.node_axes = (0, 1, 2)
@@ -515,9 +523,9 @@ class CubedSphereGrid:
         return b
 
     def chart_jet(self, X):
-        """(X_i, X_ij) of an ambient-valued field X (6,M,M,3), component-first: (2,3,6,M,M)
-        and (2,2,3,6,M,M), from stencils on one component-first extended array."""
-        ext = np.ascontiguousarray(np.moveaxis(self.extend(X), -1, 0))
+        """(X_i, X_ij) of an ambient-valued field X (3,6,M,M), component-first: (2,3,6,M,M)
+        and (2,2,3,6,M,M), from stencils on the stack of its components' scalar extends."""
+        ext = np.array([self.extend(c) for c in X])
         f1, f2, f11, f12, f22 = self._derivs(ext, 2)
         return np.array([f1, f2]), np.array([[f11, f12], [f12, f22]])
 

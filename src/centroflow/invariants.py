@@ -12,13 +12,13 @@ scalar curvature chi = J - (n/(n-1))|T|^2 + 1.
 Everything is frame-generic; closed-form shortcuts exist for both n (for n=1
 g = (s+s'')/s etc.) and the tests pin them against this generic pipeline.
 
-Layout: every per-node contraction runs component-first (component axes of
-length n or n+1 first, node axes last), so each einsum's inner loop runs
-along the nodes. The grids hand over component-first jets and differentiate
-one component at a time (partials): nothing is transposed between a grid and
-the stack. The public entry points (compute_invariants, t2_evolution_rhs,
-covariant_grad, c_evolution_rhs) are node-first, component axes trailing; the
-InvariantFields are transposed views of the component-first arrays.
+Layout: every field is component-first (component axes of length n or n+1
+first, then the node axes, then a batch axis), so each einsum's inner loop
+runs along the nodes. support.embed and the grids hand over component-first
+embeddings and jets and differentiate one component at a time (partials);
+every entry point (compute_invariants, t2_evolution_rhs, covariant_grad,
+c_evolution_rhs) takes and returns that layout, and the InvariantFields are
+the arrays as the stack computes them: nothing is transposed on the way.
 
 The metric's inverse and determinant are computed once per call in closed
 form (inv_det). The Gauss decomposition is solved by Cramer's rule in
@@ -29,10 +29,9 @@ residual max|X_ij - Ghat^k_ij X_k + g_ij X| / max|X_ij|: it checks the
 decomposition against its definition, whatever route solved it.
 
 A batch field (grids: one trailing batch axis of snapshots) runs through the
-same code: the node-first arrays carry the batch axis after the node axes,
-the component-first ones last, and every scalar (area, residuals, the
-transversality guard) is taken per snapshot. Each scalar has the field's
-batch shape: () for one body (a numpy scalar), (B,) for a batch.
+same code, every array carrying the batch axis last, and every scalar (area,
+residuals, the transversality guard) is taken per snapshot. Each scalar has
+the field's batch shape: () for one body (a numpy scalar), (B,) for a batch.
 """
 
 import numpy as np
@@ -48,23 +47,6 @@ class InvariantFields:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
-
-
-def _node_first(a, k):
-    """Node-first view of a field whose first k axes are components."""
-    # transpose, not np.moveaxis: same view, a sixth of the call overhead,
-    # which matters on the 256-node circle
-    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
-
-
-def _comp_first(a, k):
-    """Component-first form of a node-first field with k trailing component axes.
-
-    C-contiguous, because einsum runs ~10x slower on a strided operand: no copy
-    when a is a node-first view of a component-first array, a copy otherwise.
-    """
-    lead = a.ndim - k
-    return np.ascontiguousarray(a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead))))
 
 
 def inv_det(m):
@@ -130,8 +112,9 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
 
     Takes component-first X (n+1, ...), X_i (n, n+1, ...), X_ij (n, n, n+1, ...),
     X_ij symmetric in (i, j). Returns (g, Ghat, frame, frame_det, residual):
-      g: (n, n, ...) and Ghat: (n, n, n, ...) [k, i, j], component-first;
-      frame: (..., n+1, n+1) columns X_1..X_n, X, frame_det its bracket;
+      g: (n, n, ...) and Ghat: (n, n, n, ...) [k, i, j];
+      frame: (n+1, n+1, ...), frame[r] the frame vector X_1..X_n, X (so X is
+      frame[n]), frame_det its bracket;
       residual: max|X_ij - Ghat^k_ij X_k + g_ij X| / max|X_ij|, the
       decomposition checked against its definition.
     batched=1 says the last of the "..." axes holds snapshots; the residual
@@ -165,9 +148,7 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
             coef[:, j, i] = c
             err = _later_max(err, _peak(np.abs(Y - np.einsum("r...,ra...->a...", c, cols)),
                                         batched))
-    frame = _node_first(cols, 2).swapaxes(-1, -2)
-    residual = err / scale
-    return -coef[n], coef[:n], frame, frame_det, residual
+    return -coef[n], coef[:n], cols, frame_det, err / scale
 
 
 def levi_civita(grid, gmat, ginv):
@@ -240,21 +221,23 @@ def integrate_mu(grid, values, sqrt_det_g):
 def compute_invariants(field):
     """Full invariant stack for a support field; returns InvariantFields.
 
-    A batch field gives fields with its batch axis after the node axes. The
-    scalars (area and the residuals) take the field's batch shape: numpy
-    scalars for one body, arrays (B,) for a batch.
+    A batch field gives fields with its batch axis last. The scalars (area
+    and the residuals) take the field's batch shape: numpy scalars for one
+    body, arrays (B,) for a batch.
 
-    Array shapes (leading axes = node axes of the grid):
-      g, g_inv: (..., n, n);  gamma_hat, gamma, C_mixed: (..., n, n, n) [k,i,j];
-      C_low: (..., n, n, n) [i,j,k];  T_low, T_up: (..., n);
-      X (the embedding), frame: (..., n+1), (..., n+1, n+1);  scalars: node-shaped.
+    Array shapes, component-first (trailing axes = node axes of the grid):
+      g, g_inv: (n, n, ...);  gamma_hat, gamma, C_mixed: (n, n, n, ...) [k,i,j];
+      C_low: (n, n, n, ...) [i,j,k];  T_low, T_up: (n, ...);
+      frame: (n+1, n+1, ...) [r, a], frame vector r = X_1..X_n, X;
+      X (the embedding): frame[n], (n+1, ...);  curvature: as grid.to_frame
+      returns it, (2, 2, ...) on the cubed sphere, node-shaped on the circle;
+      scalars: node-shaped.
     """
     grid = field.grid
     n = grid.n
     batched = len(field.batch_shape)
     X = sup.embed(field)
-    gmat, Ghat, frame, frame_det, cross = gauss_decompose(
-        np.moveaxis(X, -1, 0), *grid.chart_jet(X), batched)
+    gmat, Ghat, frame, frame_det, cross = gauss_decompose(X, *grid.chart_jet(X), batched)
     del X   # the frame keeps a copy; dropping X and the jet lowers the transient peak
     ginv, det_g = inv_det(gmat)
     Gam = levi_civita(grid, gmat, ginv)
@@ -284,15 +267,12 @@ def compute_invariants(field):
 
     return InvariantFields(
         n=n, grid=grid,
-        g=_node_first(gmat, 2), g_inv=_node_first(ginv, 2),
-        gamma_hat=_node_first(Ghat, 3), gamma=_node_first(Gam, 3),
-        C_mixed=_node_first(C, 3), C_low=_node_first(C_low, 3),
-        T_low=_node_first(T_low, 1), T_up=_node_first(T_up, 1),
-        norm_T2=norm_T2, norm_C2=norm_C2,
+        g=gmat, g_inv=ginv, gamma_hat=Ghat, gamma=Gam, C_mixed=C, C_low=C_low,
+        T_low=T_low, T_up=T_up, norm_T2=norm_T2, norm_C2=norm_C2,
         psi=psi, rho=rho, H=H, J=J, chi=chi, det_curvature=det_b, gauss_K=K,
-        curvature=_node_first(bmat, bmat.ndim - field.u.ndim),
-        # the embedding is the frame's last column: a view, no second copy
-        X=frame[..., n], frame=frame, frame_det=frame_det,
+        curvature=bmat,
+        # the embedding is the frame's last vector: a view, no second copy
+        X=frame[n], frame=frame, frame_det=frame_det,
         det_g=det_g, sqrt_det_g=sqrt_det_g,
         residual_gauss_cross=cross, residual_C_symmetry=sym_C,
         residual_relsupport=r_rel,
@@ -310,33 +290,31 @@ def t2_evolution_rhs(inv):
     """
     grid = inv.grid
     n = inv.n
-    T_up = _comp_first(inv.T_up, 1)
+    T_up = inv.T_up
     TiHi = np.einsum("i...,i...->...", np.array(grid.partials(inv.H)), T_up)
-    CTT = np.einsum("ijk...,j...,k...->i...", _comp_first(inv.C_low, 3), T_up, T_up)
+    CTT = np.einsum("ijk...,j...,k...->i...", inv.C_low, T_up, T_up)
     CTTT = np.einsum("i...,i...->...", CTT, T_up)
     return TiHi + 2.0 * (1.0 + 1.0 / n) * inv.norm_T2 - CTTT
 
 
 def covariant_grad(grid, tensor, Gam):
-    """Covariant derivative of a lowered rank-1 or rank-2 field, new axis last.
+    """Covariant derivative of a lowered rank-1 or rank-2 field, new component
+    axis last among the components.
 
-    rank 1: out[..., i, j]    = d_j T_i  - Gam^p_ij T_p
-    rank 2: out[..., i, j, l] = d_l S_ij - Gam^p_il S_pj - Gam^p_jl S_ip
-    Node-first in and out, like the InvariantFields it is fed.
+    rank 1: out[i, j]    = d_j T_i  - Gam^p_ij T_p
+    rank 2: out[i, j, l] = d_l S_ij - Gam^p_il S_pj - Gam^p_jl S_ip
+    Component-first in and out, like the InvariantFields it is fed.
     """
-    rank = np.asarray(tensor).ndim - len(grid.shape)
+    S = np.asarray(tensor)
+    rank = S.ndim - len(grid.shape)
     if rank not in (1, 2):
         raise Unsupported("covariant_grad handles rank 1 and 2 fields only")
-    S = _comp_first(tensor, rank)
     d = np.array([grid.partials(c) for c in S.reshape((-1,) + S.shape[rank:])])
     d = d.reshape(S.shape[:rank] + d.shape[1:])              # d[.., l] = d S[..] / d y_l
-    G = _comp_first(Gam, 3)
     if rank == 1:
-        out = d - np.einsum("pij...,p...->ij...", G, S)
-    else:
-        out = (d - np.einsum("pil...,pj...->ijl...", G, S)
-               - np.einsum("pjl...,ip...->ijl...", G, S))
-    return _node_first(out, rank + 1)
+        return d - np.einsum("pij...,p...->ij...", Gam, S)
+    return (d - np.einsum("pil...,pj...->ijl...", Gam, S)
+            - np.einsum("pjl...,ip...->ijl...", Gam, S))
 
 
 def c_evolution_rhs(inv):
@@ -356,14 +334,11 @@ def c_evolution_rhs(inv):
     For n=1 the two lines are algebraically consistent: lowering the mixed
     rhs with g and adding C^l_ij d/dt g_lk = C^l_ij T_p C^p_lk recovers the
     lowered rhs exactly (no curvature commutators in one dimension).
-    Node-first (..., n, n, n) results, like the InvariantFields.
+    Component-first (n, n, n, ...) results, like the InvariantFields.
     """
     S = covariant_grad(inv.grid, inv.T_low, inv.gamma)      # T_{i;j}
-    U = _comp_first(covariant_grad(inv.grid, S, inv.gamma), 3)   # T_{i;jl}
-    ginv = _comp_first(inv.g_inv, 2)
-    g = _comp_first(inv.g, 2)
-    T = _comp_first(inv.T_low, 1)
-    C = _comp_first(inv.C_mixed, 3)
+    U = covariant_grad(inv.grid, S, inv.gamma)              # T_{i;jl}
+    ginv, g, T, C = inv.g_inv, inv.g, inv.T_low, inv.C_mixed
     up = np.einsum("kl...,lij...->kij...", ginv, U)          # T^k_{;ij}
     rhs_mixed = 0.5 * (up + up.swapaxes(1, 2)
                        - np.einsum("kl...,ijl...->kij...", ginv, U))
@@ -377,4 +352,4 @@ def c_evolution_rhs(inv):
         + 0.5 * np.einsum("ik...,j...->ijk...", g, T) \
         + 0.5 * np.einsum("jk...,i...->ijk...", g, T) \
         + np.einsum("ij...,k...->ijk...", g, T)
-    return _node_first(rhs_mixed, 3), _node_first(rhs_low, 3)
+    return rhs_mixed, rhs_low

@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import SERIES_COLUMNS
 from .errors import ConfigError
-from .flow import FlowState, Trajectory, is_number
+from .flow import TERMINATIONS, FlowState, Trajectory, is_number
 from .grids import grid_shape, make_grid
 from .support import SupportField, require_single
 
@@ -157,7 +157,8 @@ def load_trajectory(outdir):
     states = []
     for name in names:
         t, field, snap_hash = load_snapshot(os.path.join(snapdir, name), grid)
-        if snap_hash is not None and snap_hash != meta.get("config_hash"):
+        # a null hash matches only a metadata file without one
+        if snap_hash != meta.get("config_hash"):
             raise ConfigError(f"snapshot {name} hash does not match metadata")
         grid = field.grid
         states.append(FlowState(t=t, field=field, step_count=0))
@@ -169,9 +170,13 @@ def load_trajectory(outdir):
                           f"got {factors!r}")
     if len(factors) != len(states):
         raise ConfigError("renorm_factors length does not match snapshots")
-    traj = Trajectory(states, meta.get("termination", "ReachedTEnd"),
-                      meta.get("step_count", 0), [float(f) for f in factors])
-    return traj, meta
+    termination = meta.get("termination", "ReachedTEnd")
+    if termination not in TERMINATIONS:
+        raise ConfigError(f"termination must be one of {TERMINATIONS}, got {termination!r}")
+    steps = meta.get("step_count", 0)
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
+        raise ConfigError(f"step_count must be a nonnegative integer, got {steps!r}")
+    return Trajectory(states, termination, steps, [float(f) for f in factors]), meta
 
 
 def write_csv(path, columns, rows, cfg_hash=None):

@@ -35,17 +35,14 @@ class SupportField:
         if vals.shape != grid.shape + self.batch_shape[:1] or 0 in self.batch_shape:
             raise GridError(f"expected shape {grid.shape} or {grid.shape} + (batch,), "
                             f"got {vals.shape}")
-        # at_nodes(grid.w), in the form that costs least: the flow builds a field per stage
-        w = grid.w[(...,) + (None,) * len(self.batch_shape)]
+        w = self.at_nodes(grid.w)
         self.u = vals if u is not None else w * vals
         self.s = self.u / w
 
     def at_nodes(self, const):
-        """A node-first grid constant (node axes, then component axes), reshaped
-        to broadcast against this field: a length-1 axis stands for the batch axis."""
-        lead = len(self.grid.shape)
-        return const.reshape(const.shape[:lead] + (1,) * len(self.batch_shape)
-                             + const.shape[lead:])
+        """A grid constant (component axes, then node axes) as a view that
+        broadcasts against this field: a trailing length-1 axis stands for the batch axis."""
+        return const[(...,) + (None,) * len(self.batch_shape)]
 
     def copy(self):
         return SupportField(self.grid, u=self.u.copy())
@@ -116,24 +113,19 @@ def fourier_support(grid, c0, a=(), b=()):
 
 
 def embed(field):
-    """Map support values to surface points X = s p + grad s.
+    """Map support values to surface points X = s p + grad s, component-first.
 
-    n=1 returns X (N,2); n=2 returns X (6,M,M,3) in ambient coordinates. A
-    batch gets its batch axis before the component axis.
+    n=1 returns X (2,N); n=2 returns X (3,6,M,M) in ambient coordinates. A
+    batch gets its batch axis last.
     """
     g = field.grid
     if field.n == 1:
-        sp = g.deriv(field.s, 1)
-        tang = np.stack([-np.sin(g.thetas), np.cos(g.thetas)], axis=-1)
-        return (field.s[..., None] * field.at_nodes(g.nodes)
-                + sp[..., None] * field.at_nodes(tang))
+        p = field.at_nodes(g.radial)
+        return field.s * p + g.deriv(field.s, 1) * np.stack([-p[1], p[0]])
     u1, u2 = g.chart_gradient(field.u, kind="deg1")
-    t1 = field.at_nodes(g.tangents[:, None, None, 0, :])
-    t2 = field.at_nodes(g.tangents[:, None, None, 1, :])
-    a = field.at_nodes(g.axes[:, None, None, :])
-    Y1, Y2 = field.at_nodes(g.Y1[None]), field.at_nodes(g.Y2[None])
-    return (u1[..., None] * t1 + u2[..., None] * t2
-            + (field.u - Y1 * u1 - Y2 * u2)[..., None] * a)
+    t1, t2, a = field.at_nodes(g.face_basis)
+    Y1, Y2 = field.at_nodes(g.Y1), field.at_nodes(g.Y2)
+    return u1 * t1 + u2 * t2 + (field.u - Y1 * u1 - Y2 * u2) * a
 
 
 def curvature_matrix(field):
@@ -167,8 +159,7 @@ def gradient_norm(field, X=None):
     """
     if X is None:
         X = embed(field)
-    p = field.at_nodes(field.grid.nodes)
-    return np.linalg.norm(X - field.s[..., None] * p, axis=-1)
+    return np.linalg.norm(X - field.s * field.at_nodes(field.grid.radial), axis=0)
 
 
 def homogeneity_residual(field):

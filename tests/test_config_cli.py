@@ -19,6 +19,7 @@ from centroflow.config import (
     validate_sweep,
 )
 from centroflow.errors import ConfigError
+from centroflow.flow import TERMINATIONS
 from centroflow.grids import CircleGrid, CubedSphereGrid, make_grid
 from centroflow.support import SupportField, ellipsoid_support
 
@@ -496,11 +497,21 @@ class TestCLI:
         ("diagnose", "snapshot", "n", True),
         ("diagnose", "snapshot", "resolution", 64.9),
         ("diagnose", "snapshot", "resolution", 128),
+        ("diagnose", "metadata", "termination", 123),
+        ("diagnose", "metadata", "termination", "Finished"),
+        ("diagnose", "metadata", "termination", None),
+        ("diagnose", "metadata", "step_count", -1),
+        ("diagnose", "metadata", "step_count", True),
+        ("diagnose", "metadata", "step_count", 7.0),
+        ("diagnose", "metadata", "step_count", "7"),
+        ("diagnose", "snapshot", "config_hash", None),
     ], ids=["ragged-values", "text-values", "text-time", "null-time",
             "text-renorm-factors", "scalar-renorm-factors", "number-snapshot",
             "number-metadata", "evolve-from-ragged-file",
             "validate-list-time-file", "bool-n", "float-resolution",
-            "resolution-not-values"])
+            "resolution-not-values", "number-termination", "unknown-termination",
+            "null-termination", "negative-step-count", "bool-step-count",
+            "float-step-count", "text-step-count", "null-snapshot-hash"])
     def test_corrupt_artifact_exits_2(self, tmp_path, command, artifact, key, value):
         out = self.run_dir(tmp_path, flower_cfg())
         path = out / ("metadata.json" if artifact == "metadata"
@@ -568,6 +579,23 @@ class TestCLI:
         path.write_text(json.dumps({"n": 2, "resolution": 17, "time": 0, "values": values}))
         with pytest.raises(ConfigError, match="not JSON numbers"):
             iomod.load_snapshot(str(path))
+
+    def test_every_termination_loads_and_a_datum_file_may_have_a_null_hash(self, tmp_path):
+        out = self.run_dir(tmp_path, flower_cfg())
+        path = out / "metadata.json"
+        doc = json.loads(path.read_text())
+        for termination in TERMINATIONS:
+            path.write_text(json.dumps(dict(doc, termination=termination, step_count=0)))
+            traj, _ = iomod.load_trajectory(str(out))
+            assert traj.termination == termination and traj.step_count == 0
+        # null is the hash of a standalone initial datum, not of a run's snapshot
+        snap = out / "snapshots" / "snap_000000.json"
+        snap.write_text(json.dumps(dict(json.loads(snap.read_text()), config_hash=None)))
+        with pytest.raises(ConfigError, match="hash does not match"):
+            iomod.load_trajectory(str(out))
+        cfg = flower_cfg(output=str(tmp_path / "from_file"),
+                         initial={"kind": "file", "params": {"path": str(snap)}})
+        assert main(["validate-config", "--config", write_cfg(tmp_path / "f.json", cfg)]) == 0
 
     def test_missing_renorm_factors_default_to_one(self, tmp_path):
         out = self.run_dir(tmp_path, flower_cfg())

@@ -6,7 +6,7 @@ from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, make_grid
 from centroflow.support import SupportField, homogeneity_residual
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
-SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "graph_hessian",
+SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "radial", "graph_hessian",
           "sym_eigs", "sym_det", "to_frame", "chart_jet", "integrate_chart",
           "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates",
           "per_snapshot", "spectrum", "partials")
@@ -310,13 +310,13 @@ class TestSharedInterface:
         assert all(v is b for v in g.spectrum(b))
         (ds,) = g.partials(s)
         assert np.array_equal(ds, g.deriv(s, 1))
-        X = s[:, None] * g.nodes
+        X = s * g.radial
         Xi, Xij = g.chart_jet(X)   # component-first: (1, 2, N) and (1, 1, 2, N)
         assert Xi.shape == (1, 2, 64) and Xij.shape == (1, 1, 2, 64)
         assert Xi.flags.c_contiguous and Xij.flags.c_contiguous
         for c in range(2):
-            assert np.array_equal(Xi[0, c], g.deriv(X[:, c], 1))
-            assert np.array_equal(Xij[0, 0, c], g.deriv(X[:, c], 2))
+            assert np.array_equal(Xi[0, c], g.deriv(X[c], 1))
+            assert np.array_equal(Xij[0, 0, c], g.deriv(X[c], 2))
         assert g.integrate_chart(s) == g.integrate(s)
         rng = np.random.default_rng(5)
         dirs = rng.standard_normal((9, 2))
@@ -345,7 +345,7 @@ class TestSharedInterface:
                 1.0 + 0.05 * p[..., 1] ** 3, 1.2 - 0.2 * p[..., 0] * p[..., 1]]
         batch = np.stack(cols, axis=-1)
         where, vmax = g.refine_max(batch)
-        X = np.stack([v[..., None] * p for v in cols], axis=-2)
+        X = np.stack([v * g.radial for v in cols], axis=-1)
         Xi, Xij = g.chart_jet(X)
         D2 = g.graph_hessian(batch)
         rows = g.per_snapshot(np.max, batch)
@@ -360,7 +360,7 @@ class TestSharedInterface:
             assert rows[k] == g.per_snapshot(np.max, v)
             for d_batch, d_one in zip(g.partials(batch), g.partials(v)):
                 assert np.array_equal(d_batch[..., k], d_one)
-            jet = g.chart_jet(v[..., None] * p)
+            jet = g.chart_jet(v * g.radial)
             # the batch axis is last: after the nodes and any leading component axes
             assert np.array_equal(Xi[..., k], jet[0])
             assert np.array_equal(Xij[..., k], jet[1])
@@ -494,14 +494,14 @@ class TestBitwiseKernels:
         assert np.array_equal(g.graph_hessian(u), np.array([[f11, f12], [f12, f22]]))
 
     def test_chart_jet_is_component_first_chart_derivs(self, cube):
-        # one component-first extended array gives each component's stencils
+        # the stack of the components' extends gives each component's stencils
         g = cube
-        X = (1.0 + 0.2 * np.prod(g.nodes, axis=-1))[..., None] * g.nodes
+        X = (1.0 + 0.2 * np.prod(g.nodes, axis=-1)) * g.radial
         Xi, Xij = g.chart_jet(X)
         assert Xi.shape == (2, 3) + g.shape and Xij.shape == (2, 2, 3) + g.shape
         assert Xi.flags.c_contiguous and Xij.flags.c_contiguous
         for c in range(3):
-            f1, f2, f11, f12, f22 = g.chart_derivs(X[..., c])
+            f1, f2, f11, f12, f22 = g.chart_derivs(X[c])
             assert np.array_equal(Xi[:, c], np.array([f1, f2]))
             assert np.array_equal(Xij[:, :, c], np.array([[f11, f12], [f12, f22]]))
 

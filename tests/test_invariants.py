@@ -254,7 +254,7 @@ class TestKernels:
 
 class TestLayout:
     @pytest.mark.parametrize("grid", GRIDS)
-    def test_node_first_shapes(self, request, grid):
+    def test_component_first_shapes(self, request, grid):
         g = request.getfixturevalue(grid)
         f = _bumpy(g)
         iv = compute_invariants(f)
@@ -262,19 +262,23 @@ class TestLayout:
         want = {"g": (n, n), "g_inv": (n, n), "gamma_hat": (n, n, n),
                 "gamma": (n, n, n), "C_mixed": (n, n, n), "C_low": (n, n, n),
                 "T_low": (n,), "T_up": (n,), "X": (n + 1,), "frame": (n + 1, n + 1),
+                # the frame curvature as the grid's to_frame returns it
+                "curvature": g.graph_hessian(f.u).shape[:-len(sh)],
                 "norm_T2": (), "norm_C2": (), "psi": (), "rho": (), "H": (),
                 "det_g": (), "sqrt_det_g": (), "frame_det": (),
                 "det_curvature": (), "gauss_K": ()}
         for name, comp in want.items():
-            assert getattr(iv, name).shape == sh + comp, name
-        # node-first view of the grid's (component-first) frame curvature
-        assert iv.curvature.shape == sh + g.graph_hessian(f.u).shape[:-len(sh)]
+            field = getattr(iv, name)
+            assert field.shape == comp + sh, name
+            assert field.flags.c_contiguous, name
         for name in ("J", "chi"):
             assert (getattr(iv, name) is None) if n == 1 else getattr(iv, name).shape == sh
-        # the views index the right components: g^{-1} g = id, T^i = g^{ij} T_j
-        eye = np.matmul(iv.g_inv, iv.g)
-        assert np.max(np.abs(eye - np.eye(n))) < 1e-12
-        T_up = np.matmul(iv.g_inv, iv.T_low[..., None])[..., 0]
+        # the embedding is the frame's last vector
+        assert np.array_equal(iv.X, iv.frame[n])
+        # the fields index the right components: g^{-1} g = id, T^i = g^{ij} T_j
+        eye = np.einsum("ij...,jk...->ik...", iv.g_inv, iv.g)
+        assert np.max(np.abs(eye - np.eye(n)[(...,) + (None,) * len(sh)])) < 1e-12
+        T_up = np.einsum("ij...,j...->i...", iv.g_inv, iv.T_low)
         assert np.max(np.abs(T_up - iv.T_up)) < 1e-12 * max(1.0, np.abs(iv.T_up).max())
 
 

@@ -16,15 +16,17 @@ def test_same_tree_on_both_sides_has_no_differences():
     done = subprocess.run([sys.executable, str(TOOL), src, src, "--M", "17", "--N", "256",
                            "--rounds", "1"], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-    # 22 outputs at M=17 (the three extends, d1 and d2 along both chart axes
-    # and the chart jet among them) and 18 at N=256 (the chart jet and the
-    # block's refine_max angle and value and value_at among them), each with 5
-    # from one block of bodies
-    assert "outputs: 40 compared, 0 difference(s)" in done.stdout
+    # 32 outputs at M=17 (the three extends, d1 and d2 along both chart axes,
+    # the embedding, its chart jet and the stack's 9 tensor fields among them)
+    # and 28 at N=256 (the embedding, its chart jet, the 9 tensor fields and
+    # the block's refine_max angle and value and value_at among them), each
+    # with 5 from one block of bodies
+    assert "outputs: 60 compared, 0 difference(s)" in done.stdout
     assert "M=17/step.rk4" in done.stdout and "N=256/compute_invariants" in done.stdout
     assert "M=17/extend.vec3" in done.stdout and "N=256/compute_invariants.block" in done.stdout
     assert "M=17/d1" in done.stdout and "M=17/d2" in done.stdout
     assert "M=17/chart_jet" in done.stdout and "N=256/chart_jet" in done.stdout
+    assert "M=17/embed" in done.stdout and "N=256/embed" in done.stdout
     assert "N=256/refine_max.block" in done.stdout and "N=256/value_at.block" in done.stdout
 
 
@@ -51,16 +53,17 @@ def test_compare_reports_one_ulp_and_a_missing_output():
 
 
 def test_component_first_takes_either_jet_layout():
+    # the jet, the embedding and the stack's fields, each in either layout
     tool = _tool()
     rng = np.random.default_rng(3)
     for n, nodes in ((1, (16,)), (2, (6, 17, 17))):
-        X_i = rng.standard_normal((n, n + 1) + nodes)
-        X_ij = rng.standard_normal((n, n, n + 1) + nodes)
-        node_first = (np.moveaxis(X_i, (0, 1), (-2, -1)), np.moveaxis(X_ij, (0, 1, 2), (-3, -2, -1)))
-        for jet in ((X_i, X_ij), node_first):
-            got = tool._component_first(jet, n)
-            assert all(a.flags.c_contiguous for a in got)
-            assert np.array_equal(got[0], X_i) and np.array_equal(got[1], X_ij)
+        for comp in ((n, n + 1), (n, n, n + 1), (n + 1,), (n, n), (n, n, n), ()):
+            a = rng.standard_normal(comp + nodes)
+            k = len(comp)
+            node_first = np.moveaxis(a, tuple(range(k)), tuple(range(-k, 0)))
+            for field in (a, node_first):
+                got = tool._component_first(field, nodes)
+                assert got.flags.c_contiguous and np.array_equal(got, a)
 
 
 def test_compare_holds_the_circle_max_rows_to_the_numeric_rule():

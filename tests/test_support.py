@@ -107,14 +107,14 @@ class TestGeometry:
         f = ellipsoid_support(circle64, Q)
         X = embed(f)
         # image points satisfy x^T Q^{-1} x = 1
-        r = np.einsum("...i,ij,...j->...", X, np.linalg.inv(Q), X)
+        r = np.einsum("i...,ij,j...->...", X, np.linalg.inv(Q), X)
         assert np.max(np.abs(r - 1.0)) < 1e-10
 
     def test_embed_lies_on_ellipsoid(self, sphere33, rng):
         Q = random_spd(rng, 3, cond_max=4.0)
         f = ellipsoid_support(sphere33, Q)
         X = embed(f)
-        r = np.einsum("...i,ij,...j->...", X, np.linalg.inv(Q), X)
+        r = np.einsum("i...,ij,j...->...", X, np.linalg.inv(Q), X)
         assert np.max(np.abs(r - 1.0)) < 5e-5
 
     def test_homogeneity_residual(self, sphere17):
@@ -176,7 +176,7 @@ class TestBatchField:
         scalars = ("area", "residual_gauss_cross", "residual_C_symmetry",
                    "residual_relsupport")
         for k, f in enumerate(singles):
-            assert np.array_equal(X[..., k, :], embed(f))
+            assert np.array_equal(X[..., k], embed(f))
             assert np.array_equal(b[k], curvature_matrix(f))
             assert np.array_equal(gradient_norm(batch, X)[..., k], gradient_norm(f))
             # every per-snapshot result has the batch shape: () for one body

@@ -6,25 +6,28 @@
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
 (the `src/` of two checkouts). Each tree runs in its own worker subprocess.
 The worker builds one fixed convex body per size (per-face M on the cubed
-sphere, N on the circle) and dumps the kernel outputs whose layout does not
-depend on the tree:
+sphere, N on the circle) and dumps the kernel outputs in one canonical
+layout, component-first (component axes, then the nodes), whatever layout
+the tree returns, so trees of either layout compare bit for bit:
 
   extend.deg1         the deg1 halo extend of the graph values (cubed sphere)
   extend.scalar       the scalar halo extend of s (cubed sphere)
-  extend.vec3         the scalar halo extend of the 3-component embedding
-                      (cubed sphere)
+  extend.vec3         the scalar halo extends of the 3 components of the
+                      embedding, stacked (cubed sphere)
   d1.axis1, d1.axis2, d2.axis1, d2.axis2
                       the 4th-order stencils along each chart axis of the deg1
                       extended graph values (cubed sphere)
+  embed               the embedding X, (n+1, nodes)
   chart_jet.X_i, chart_jet.X_ij
-                      the chart jet of the embedding, dumped component-first
-                      ((n, n+1) or (n, n, n+1), then the nodes) whatever
-                      layout the tree returns, so trees of either layout
-                      compare bit for bit
+                      the chart jet of the embedding, (n, n+1, nodes) and
+                      (n, n, n+1, nodes), each tree fed its own embedding
   sym_det, sym_eigs   the chart Hessian's determinant and (min, max) eigenvalues
   stable_dt           the step bound from the chart Hessian
   step.rk4, step.heun u after one step of each scheme from t = 0
-  compute_invariants  area and norm_T2
+  compute_invariants  area and norm_T2, and the tensor fields of the stack
+                      (TENSORS: the metric and its inverse, both connections,
+                      the cubic form mixed and lowered, T lowered and raised,
+                      and the frame curvature)
   compute_invariants.block
                       area, norm_T2 and the three residuals of one block of
                       bodies, the batch field diagnostics.SeriesBundle reduces
@@ -82,13 +85,20 @@ def _sizes(Ms, Ns):
     return [("M", M) for M in Ms] + [("N", N) for N in Ns]
 
 
-def _component_first(jet, n):
-    """A chart jet (X_i, X_ij) with its component axes first, C-contiguous:
-    node-first jets (component axes trailing) are moved, component-first ones kept."""
-    X_i, X_ij = jet
-    if X_i.shape[:2] != (n, n + 1):
-        X_i, X_ij = np.moveaxis(X_i, (-2, -1), (0, 1)), np.moveaxis(X_ij, (-3, -2, -1), (0, 1, 2))
-    return np.ascontiguousarray(X_i), np.ascontiguousarray(X_ij)
+# InvariantFields tensors dumped besides area and norm_T2 (the frame is the
+# embedding and its first derivatives, dumped as embed and chart_jet.X_i)
+TENSORS = ("g", "g_inv", "gamma_hat", "gamma", "C_mixed", "C_low", "T_low", "T_up",
+           "curvature")
+
+
+def _component_first(a, nodes):
+    """One body's field on the node shape `nodes`, component axes first and
+    C-contiguous: a node-first field (its component axes trailing) is moved, a
+    component-first one kept."""
+    k = a.ndim - len(nodes)
+    if k and a.shape[:len(nodes)] == nodes:
+        a = np.moveaxis(a, tuple(range(len(nodes), a.ndim)), tuple(range(k)))
+    return np.ascontiguousarray(a)
 
 
 def _kernels(kind, res):
@@ -129,12 +139,13 @@ def _kernels(kind, res):
              "compute_invariants": lambda: compute_invariants(field),
              "compute_invariants.block": lambda: compute_invariants(block)}
     X = embed(field)
-    calls["chart_jet"] = lambda: g.chart_jet(X)
+    Xc = _component_first(X, g.shape)
+    calls.update({"embed": lambda: embed(field), "chart_jet": lambda: g.chart_jet(X)})
     if kind == "M":
         ext = g.extend(u, kind="deg1")
         calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1"),
                       "extend.scalar": lambda: g.extend(field.s),
-                      "extend.vec3": lambda: g.extend(X),
+                      "extend.vec3": lambda: np.array([g.extend(c) for c in Xc]),
                       "d1": lambda: (g.d1(ext, 1), g.d1(ext, 2)),
                       "d2": lambda: (g.d2(ext, 1), g.d2(ext, 2))}, **calls)
     else:
@@ -149,9 +160,11 @@ def _kernels(kind, res):
                "step.rk4.u": calls["step.rk4"]()[0].field.u,
                "step.heun.u": calls["step.heun"]()[0].field.u,
                "compute_invariants.area": np.float64(iv.area),
-               "compute_invariants.norm_T2": iv.norm_T2}
-    outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = _component_first(
-        calls["chart_jet"](), g.n)
+               "compute_invariants.norm_T2": iv.norm_T2, "embed": Xc}
+    outputs.update({f"compute_invariants.{name}": _component_first(getattr(iv, name), g.shape)
+                    for name in TENSORS})
+    outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = (
+        _component_first(a, g.shape) for a in calls["chart_jet"]())
     ivb = calls["compute_invariants.block"]()
     for name in ("area", "norm_T2", "residual_gauss_cross", "residual_C_symmetry",
                  "residual_relsupport"):
