@@ -21,8 +21,8 @@ def run(*argv):
     return code
 
 
-def main():
-    tmp = Path(tempfile.mkdtemp(prefix="centroflow_demo_"))
+def pipeline(tmp):
+    """Write a config under the directory tmp, then run the pipeline on it there."""
     cfg = {
         "n": 1,
         "resolution": 128,
@@ -64,6 +64,12 @@ def main():
     print("\noracle_compare.csv:")
     for line in (outdir / "oracle_compare.csv").read_text().splitlines():
         print(f"  {line}")
+
+
+def main():
+    # the run directory goes when the demo ends
+    with tempfile.TemporaryDirectory(prefix="centroflow_demo_") as tmp:
+        pipeline(Path(tmp))
 
 
 if __name__ == "__main__":

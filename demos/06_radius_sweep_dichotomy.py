@@ -15,8 +15,8 @@ from pathlib import Path
 from centroflow.cli import main as cli
 
 
-def main():
-    tmp = Path(tempfile.mkdtemp(prefix="centroflow_sweep_"))
+def sweep(tmp):
+    """Sweep the radius axis with its cells under the directory tmp."""
     spec = {
         "base": {
             "n": 1,
@@ -48,6 +48,12 @@ def main():
 
     print("\nthe unit sphere is the only fixed point on this axis; the"
           "\nclassifier calls everything else within the horizon.")
+
+
+def main():
+    # the cells' run directories go when the demo ends
+    with tempfile.TemporaryDirectory(prefix="centroflow_sweep_") as tmp:
+        sweep(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .errors import (
     CentroflowError,
     ConfigError,
     ConvexityLost,
-    FitDegenerate,
     GridError,
     NumericalBlowup,
     OriginCrossed,
@@ -41,7 +40,6 @@ __all__ = [
     "ConvexityLost",
     "CubedSphereGrid",
     "EllipsoidSpec",
-    "FitDegenerate",
     "FlowState",
     "GridError",
     "NumericalBlowup",

@@ -114,7 +114,7 @@ def _block_rows(states, s0, with_rhs):
     per = grid.per_snapshot
     iv = inva.compute_invariants(field)
     where, supT2 = grid.refine_max(iv.norm_T2)
-    lo, hi = grid.sym_eigs(iv.curvature)
+    _, lo, hi = grid.spectrum(iv.curvature)
     row = {"area": iv.area,
            "int_T2": inva.integrate_mu(grid, iv.norm_T2, iv.sqrt_det_g),
            "supT2": supT2,

@@ -47,9 +47,5 @@ class TransversalityLost(GuardError):
     """Frame determinant [X_1,...,X_n,X] too close to zero."""
 
 
-class FitDegenerate(CentroflowError):
-    """Least-squares ellipsoid fit produced a non-SPD shape matrix."""
-
-
 class Unsupported(CentroflowError):
     """Operation not defined for this dimension (e.g. Pick invariant at n=1)."""

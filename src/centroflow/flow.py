@@ -116,12 +116,6 @@ def _rhs_values(field, convexity_floor, spec):
     return out
 
 
-def rhs(field):
-    """ds/dt per node (sphere values, both n)."""
-    g = field.grid
-    return _rhs_values(field, 0.0, g.spectrum(g.graph_hessian(field.u))) / g.w
-
-
 def stable_dt(field, control, spec):
     """Explicit step from the linearized diffusion coefficient (s/2n) b^{-1}.
 
@@ -238,10 +232,3 @@ def evolve(field0, control, renormalize=False):
         snapshots.append(state)
         factors.append(1.0)
     return Trajectory(snapshots, termination, state.step_count, factors)
-
-
-def lambda_rescaling(t, lam, n):
-    """Factor f(t) mapping the lambda-augmented flow to the plain flow,
-    f(t) = exp((n lam/(n+1)) (1 - exp(((n+1)/n) t)))."""
-    t = np.asarray(t, dtype=float)
-    return np.exp((n * lam / (n + 1.0)) * (1.0 - np.exp((n + 1.0) / n * t)))

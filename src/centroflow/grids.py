@@ -110,11 +110,10 @@ class CircleGrid:
         mult = self._deriv_mult[order].reshape((-1,) + (1,) * (vhat.ndim - axis - 1))
         return np.fft.irfft(vhat * mult, n=self.N, axis=axis)
 
-    def integrate(self, values):
+    def integrate_chart(self, values):
         # trapezoid on a periodic grid == spectrally accurate quadrature
         return self.per_snapshot(np.sum, values) * self.h
 
-    integrate_chart = integrate
     per_snapshot = per_snapshot
 
     def graph_hessian(self, u):
@@ -122,27 +121,19 @@ class CircleGrid:
         return u + self.deriv(u, 2)
 
     @staticmethod
-    def sym_eigs(b):
-        """(min, max) eigenvalue of the 1x1 curvature operator: b itself."""
-        return b, b
-
-    @staticmethod
     def spectrum(b):
         """(determinant, min, max eigenvalue) of the 1x1 curvature operator: b each."""
         return b, b, b
 
     @staticmethod
-    def sym_det(b):
-        return b
-
-    @staticmethod
     def to_frame(D2):
         return D2
 
-    def partials(self, values):
-        """The chart derivatives of a nodal field (node axis first), one array per
-        chart axis: (d/dtheta,)."""
-        return (self.deriv(values, 1),)
+    def partials(self, stack):
+        """d/dtheta of every component of a component-first stack (k, N) or
+        (k, N, B), from one spectrum: a view (1, k, ...), [l, c] the derivative
+        of component c along chart axis l."""
+        return self._from_spectrum(np.fft.rfft(stack, axis=1), 1, 1)[None]
 
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (2, N), component-first:
@@ -228,25 +219,6 @@ class CircleGrid:
                 in_batch_shape(self, values, np.where(keep, val, vmax)))
 
 
-def sym_det(D2):
-    """Determinant of 2x2 fields, component-first (the pair axes lead)."""
-    return D2[0, 0] * D2[1, 1] - D2[0, 1] * D2[1, 0]
-
-
-def spectrum(D2):
-    """(det, min, max eigenvalue) of symmetric 2x2 fields, component-first, closed
-    form: one determinant, and the eigenpair from it."""
-    det = sym_det(D2)
-    half = (D2[0, 0] + D2[1, 1]) / 2
-    disc = np.sqrt(np.maximum(half ** 2 - det, 0.0))
-    return det, half - disc, half + disc
-
-
-def hessian_eigs(D2):
-    """Eigenvalues (min, max) of symmetric 2x2 fields, component-first."""
-    return spectrum(D2)[1:]
-
-
 def _lagrange_weights(xs, xq):
     """Weights w_m with f(xq) ~= sum_m w_m f(xs[m]) for the points xs (last axis)."""
     # xs: (..., P), xq: (...,); plain barycentric-free product form, P is small
@@ -317,7 +289,7 @@ class CubedSphereGrid:
         # reference chart factor processed through the same extend+stencil
         # pipeline as any graph field; fields are compared against it so that
         # every exact sphere is an exact discrete fixed point of the flow
-        self.ref_det = self.sym_det(self.graph_hessian(self.w))
+        self.ref_det = self.spectrum(self.graph_hessian(self.w))[0]
 
     # ---------- quadrature ----------
 
@@ -340,10 +312,6 @@ class CubedSphereGrid:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         return w * (h / 3.0)
-
-    def integrate_sphere(self, node_values):
-        """Integral over S^2 of a per-node field, exact cell-area weights."""
-        return float(np.sum(node_values * self.sphere_weights))
 
     def integrate_chart(self, density):
         """Integral over the six chart squares of a chart density (e.g. sqrt(det g))."""
@@ -486,16 +454,10 @@ class CubedSphereGrid:
                 + self._second_derivs(ext, e1, a))
 
     def chart_gradient(self, values, kind):
-        """(f_1, f_2) on the interior nodes, through the halo of `kind`.
-
-        The same values as chart_derivs' first two, without its second derivatives.
-        """
+        """(f_1, f_2) on the interior nodes, through the halo of `kind`: the first
+        two of _derivs' values, without its second derivatives."""
         ext = self.extend(values, kind)
         return self.d1(_interior(ext, 2), 1), self.d1(_interior(ext, 1), 2)
-
-    def chart_derivs(self, values, kind="scalar"):
-        """(f_1, f_2, f_11, f_12, f_22) on the interior nodes, through the halo of `kind`."""
-        return self._derivs(self.extend(values, kind))
 
     def graph_hessian(self, u):
         """Chart Hessian D^2 u of graph values, component-first (2,2,6,M,M) (or (2,2,6,M,M,B)).
@@ -506,9 +468,14 @@ class CubedSphereGrid:
         f11, f12, f22 = self._second_derivs(ext, self.d1(ext, 1))
         return np.array([[f11, f12], [f12, f22]])
 
-    sym_eigs = staticmethod(hessian_eigs)
-    sym_det = staticmethod(sym_det)
-    spectrum = staticmethod(spectrum)
+    @staticmethod
+    def spectrum(D2):
+        """(det, min, max eigenvalue) of symmetric 2x2 fields, component-first,
+        closed form: one determinant, and the eigenpair from it."""
+        det = D2[0, 0] * D2[1, 1] - D2[0, 1] * D2[1, 0]
+        half = (D2[0, 0] + D2[1, 1]) / 2
+        disc = np.sqrt(np.maximum(half ** 2 - det, 0.0))
+        return det, half - disc, half + disc
 
     def to_frame(self, D2):
         """Orthonormal-frame components of b = hess s + s id: w P^{-T} D2 P^{-1}.
@@ -551,9 +518,11 @@ class CubedSphereGrid:
         out[..., [0, 1, -2, -1]] = edge * np.array([c, c, -c, -c])
         return np.moveaxis(out, -1, axis)
 
-    def partials(self, values):
-        """(d/dy1, d/dy2) of a per-chart nodal field, on-face stencils, one array each."""
-        return self.d1_face(values, 1), self.d1_face(values, 2)
+    def partials(self, stack):
+        """(d/dy1, d/dy2) of every component of a component-first stack of per-chart
+        fields (k, 6, M, M) or (k, 6, M, M, B), on-face stencils: (2, k, ...),
+        [l, c] the derivative of component c along chart axis l."""
+        return np.array([self.d1_face(stack, 2), self.d1_face(stack, 3)])
 
     # ---------- orthonormal tangent frames ----------
 

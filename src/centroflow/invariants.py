@@ -15,10 +15,12 @@ g = (s+s'')/s etc.) and the tests pin them against this generic pipeline.
 Layout: every field is component-first (component axes of length n or n+1
 first, then the node axes, then a batch axis), so each einsum's inner loop
 runs along the nodes. support.embed and the grids hand over component-first
-embeddings and jets and differentiate one component at a time (partials);
-every entry point (compute_invariants, t2_evolution_rhs, covariant_grad,
-c_evolution_rhs) takes and returns that layout, and the InvariantFields are
-the arrays as the stack computes them: nothing is transposed on the way.
+embeddings and jets, and the grids differentiate a stack of components in
+one call (partials); both entry points (compute_invariants, t2_evolution_rhs)
+take and return that layout, and the InvariantFields are the arrays as the
+stack computes them: nothing is transposed on the way. The evolution laws of
+the cubic form itself, which need second covariant derivatives of T, are
+written out in the tests' reference module only.
 
 The metric's inverse and determinant are computed once per call in closed
 form (inv_det). The Gauss decomposition is solved by Cramer's rule in
@@ -153,12 +155,13 @@ def gauss_decompose(X, X_i, X_ij, batched=0):
 
 def levi_civita(grid, gmat, ginv):
     """Christoffel symbols [k, i, j] of the metric field, component-first."""
-    # dg[l, i, j] = d g_ij / d y_l, from the n(n+1)/2 distinct entries
+    # dg[l, i, j] = d g_ij / d y_l, from the n(n+1)/2 distinct entries in one call;
+    # their pairs i <= j come from a list (np.triu_indices takes ~20 us a call)
     n = len(gmat)
+    i, j = np.array([(a, b) for a in range(n) for b in range(a, n)]).T
+    d = grid.partials(gmat[i, j])
     dg = np.empty((n,) + gmat.shape)
-    for i, j in [(i, j) for i in range(n) for j in range(i, n)]:
-        for l, d in enumerate(grid.partials(gmat[i, j])):
-            dg[l, i, j] = dg[l, j, i] = d
+    dg[:, i, j] = dg[:, j, i] = d
     # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     sym = dg + dg.swapaxes(0, 1) - np.moveaxis(dg, 0, 2)
     Gam = np.einsum("kl...,ijl...->kij...", ginv, sym)
@@ -186,9 +189,9 @@ def tchebychev(grid, C, ginv, Gam):
     T_low = np.einsum("kki...->i...", C) / n
     T_up = np.einsum("ij...,j...->i...", ginv, T_low)
     norm_T2 = np.einsum("i...,i...->...", T_low, T_up)
-    dT = np.array([grid.partials(T_i) for T_i in T_low])     # [i, j] = d_j T_i
+    dT = grid.partials(T_low)                                 # [j, i] = d_j T_i
     GamT = np.einsum("kij...,k...->ij...", Gam, T_low)
-    covdiv = np.einsum("ij...,ji...->...", ginv, dT) \
+    covdiv = np.einsum("ij...,ij...->...", ginv, dT) \
         - np.einsum("ij...,ij...->...", ginv, GamT)
     H = covdiv / n
     return T_low, T_up, norm_T2, H
@@ -245,7 +248,7 @@ def compute_invariants(field):
     T_low, T_up, norm_T2, H = tchebychev(grid, C, ginv, Gam)
     psi = tchebychev_function(det_g, frame_det)
     bmat = sup.curvature_matrix(field)
-    det_b = grid.sym_det(bmat)
+    det_b = grid.spectrum(bmat)[0]
     K = 1.0 / det_b
     rho = equiaffine_support(field.s, K, n)
     if n >= 2:
@@ -255,11 +258,10 @@ def compute_invariants(field):
     sqrt_det_g = np.sqrt(np.maximum(det_g, 0.0))
 
     # rel-support residuals: T against the gradients of log psi and log rho,
-    # one chart axis at a time (T_low[i] is a contiguous component); the max
-    # over the axes is exact in any order
+    # both differentiated in one call, one chart axis at a time (T_low[i] is a
+    # contiguous component); the max over the axes is exact in any order
     r_psi = r_rho = -np.inf
-    for T_i, d_lpsi, d_lrho in zip(T_low, grid.partials(np.log(psi)),
-                                   grid.partials(np.log(rho))):
+    for T_i, (d_lpsi, d_lrho) in zip(T_low, grid.partials(np.log(np.array([psi, rho])))):
         r_psi = np.maximum(r_psi, grid.per_snapshot(np.max, np.abs(T_i + d_lpsi / (2 * n))))
         r_rho = np.maximum(r_rho, grid.per_snapshot(
             np.max, np.abs(T_i - (n + 2) / (2 * n) * d_lrho)))
@@ -291,65 +293,7 @@ def t2_evolution_rhs(inv):
     grid = inv.grid
     n = inv.n
     T_up = inv.T_up
-    TiHi = np.einsum("i...,i...->...", np.array(grid.partials(inv.H)), T_up)
+    TiHi = np.einsum("i...,i...->...", grid.partials(inv.H[None])[:, 0], T_up)
     CTT = np.einsum("ijk...,j...,k...->i...", inv.C_low, T_up, T_up)
     CTTT = np.einsum("i...,i...->...", CTT, T_up)
     return TiHi + 2.0 * (1.0 + 1.0 / n) * inv.norm_T2 - CTTT
-
-
-def covariant_grad(grid, tensor, Gam):
-    """Covariant derivative of a lowered rank-1 or rank-2 field, new component
-    axis last among the components.
-
-    rank 1: out[i, j]    = d_j T_i  - Gam^p_ij T_p
-    rank 2: out[i, j, l] = d_l S_ij - Gam^p_il S_pj - Gam^p_jl S_ip
-    Component-first in and out, like the InvariantFields it is fed.
-    """
-    S = np.asarray(tensor)
-    rank = S.ndim - len(grid.shape)
-    if rank not in (1, 2):
-        raise Unsupported("covariant_grad handles rank 1 and 2 fields only")
-    d = np.array([grid.partials(c) for c in S.reshape((-1,) + S.shape[rank:])])
-    d = d.reshape(S.shape[:rank] + d.shape[1:])              # d[.., l] = d S[..] / d y_l
-    if rank == 1:
-        return d - np.einsum("pij...,p...->ij...", Gam, S)
-    return (d - np.einsum("pil...,pj...->ijl...", Gam, S)
-            - np.einsum("pjl...,ip...->ijl...", Gam, S))
-
-
-def c_evolution_rhs(inv):
-    """Formula right sides for the cubic tensor evolution, (mixed, lowered).
-
-    mixed:   d/dt C^k_ij = 1/2 (T^k_;ij + T^k_;ji - g^{kl} T_{i;jl})
-                           + T_i delta^k_j + T_j delta^k_i
-    lowered: d/dt C_ijk  = 1/2 T_{i;jk} + 1/2 T_l C^p_ik C^l_pj
-                           + 1/2 T_l C^p_jk C^l_ip
-                           + 1/2 g_ik T_j + 1/2 g_jk T_i + g_ij T_k
-
-    Both need second covariant derivatives of T (fourth derivatives of the
-    support data), so they sit near the stencil noise floor; and the solver
-    realizes the motion without its tangential component, which perturbs
-    raw tensor components at the quadratic order in the anisotropy. Meant
-    for loose smoke comparisons against centered time differences only.
-    For n=1 the two lines are algebraically consistent: lowering the mixed
-    rhs with g and adding C^l_ij d/dt g_lk = C^l_ij T_p C^p_lk recovers the
-    lowered rhs exactly (no curvature commutators in one dimension).
-    Component-first (n, n, n, ...) results, like the InvariantFields.
-    """
-    S = covariant_grad(inv.grid, inv.T_low, inv.gamma)      # T_{i;j}
-    U = covariant_grad(inv.grid, S, inv.gamma)              # T_{i;jl}
-    ginv, g, T, C = inv.g_inv, inv.g, inv.T_low, inv.C_mixed
-    up = np.einsum("kl...,lij...->kij...", ginv, U)          # T^k_{;ij}
-    rhs_mixed = 0.5 * (up + up.swapaxes(1, 2)
-                       - np.einsum("kl...,ijl...->kij...", ginv, U))
-    eye = np.eye(inv.n)
-    rhs_mixed += np.einsum("i...,kj->kij...", T, eye) \
-        + np.einsum("j...,ki->kij...", T, eye)
-    TC = np.einsum("l...,lpj...->pj...", T, C)                # T_l C^l_pj
-    rhs_low = 0.5 * U \
-        + 0.5 * np.einsum("pik...,pj...->ijk...", C, TC) \
-        + 0.5 * np.einsum("pjk...,ip...->ijk...", C, TC) \
-        + 0.5 * np.einsum("ik...,j...->ijk...", g, T) \
-        + 0.5 * np.einsum("jk...,i...->ijk...", g, T) \
-        + np.einsum("ij...,k...->ijk...", g, T)
-    return rhs_mixed, rhs_low

@@ -101,6 +101,10 @@ def load_snapshot(path, grid=None):
         raise ConfigError(f"snapshot {path}: {exc}")
     if not is_number(doc["time"]):
         raise ConfigError(f"snapshot {path} holds a non-numeric time {doc['time']!r}")
+    cfg_hash = doc.get("config_hash")
+    if cfg_hash is not None and not isinstance(cfg_hash, str):
+        raise ConfigError(f"snapshot {path} config_hash must be a string or null, "
+                          f"got {cfg_hash!r}")
     try:
         values = np.asarray(doc["values"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -121,7 +125,7 @@ def load_snapshot(path, grid=None):
         raise ConfigError(f"snapshot {path} grid mismatch")
     if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
         raise ConfigError(f"snapshot {path} holds non-positive or non-finite s")
-    return float(doc["time"]), SupportField(grid, s=values), doc.get("config_hash")
+    return float(doc["time"]), SupportField(grid, s=values), cfg_hash
 
 
 def write_trajectory(outdir, traj, config, cfg_hash, wall_time):
@@ -200,16 +204,5 @@ def write_series_csv(path, rows, cfg_hash):
     write_csv(path, SERIES_COLUMNS, rows, cfg_hash)
 
 
-def read_csv_rows(path):
-    """Rows of a #-commented CSV as dicts of floats (hash line returned too)."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-        cfg_hash = first.split("=", 1)[1] if first.startswith("# config_hash=") else None
-        reader = csv.DictReader(fh)
-        rows = [{k: float(v) for k, v in row.items()} for row in reader]
-    return rows, cfg_hash
-
-
 def write_report(path, report, cfg_hash):
     write_json(path, dict(report.to_dict(), config_hash=cfg_hash))
-

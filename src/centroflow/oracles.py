@@ -11,7 +11,6 @@ import weakref
 
 import numpy as np
 
-from .errors import FitDegenerate
 from .grids import in_batch_shape, snapshot_rows
 
 SPD_FLOOR = 1e-12
@@ -111,9 +110,3 @@ def best_fit_ellipsoid(field):
     num = np.sqrt(np.sum(wq * (s - fits) ** 2, axis=1))
     den = np.sqrt(np.sum(wq * s ** 2, axis=1))
     return spec, in_batch_shape(grid, field.s, num / den)
-
-
-def require_fit(spec):
-    if np.any(spec.degenerate):
-        raise FitDegenerate("ellipsoid fit left the SPD cone")
-    return spec

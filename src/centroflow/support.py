@@ -9,10 +9,7 @@ right-hand side need; on the circle w = 1 and u = s.
 
 import numpy as np
 
-from .errors import ConfigError, ConvexityLost, GridError
-
-# smallest graph-Hessian eigenvalue require_convex accepts
-CONVEXITY_EPS = 1e-10
+from .errors import ConfigError, GridError
 
 
 class SupportField:
@@ -141,15 +138,8 @@ def curvature_matrix(field):
 def convexity_margin(field):
     """Smallest graph-Hessian eigenvalue over the grid; > 0 means strictly convex."""
     g = field.grid
-    lo, _ = g.sym_eigs(g.graph_hessian(field.u))
+    _, lo, _ = g.spectrum(g.graph_hessian(field.u))
     return float(np.min(lo))
-
-
-def require_convex(field):
-    m = convexity_margin(field)
-    if not np.isfinite(m) or m <= CONVEXITY_EPS:
-        raise ConvexityLost("curvature matrix lost positivity", value=m)
-    return m
 
 
 def gradient_norm(field, X=None):
@@ -160,15 +150,6 @@ def gradient_norm(field, X=None):
     if X is None:
         X = embed(field)
     return np.linalg.norm(X - field.s * field.at_nodes(field.grid.radial), axis=0)
-
-
-def homogeneity_residual(field):
-    """Max mismatch of s across duplicate chart nodes (coherence of the six charts)."""
-    g = field.grid
-    if g._dup_dst.size == 0:
-        return 0.0
-    flat = field.s.reshape(-1)
-    return float(np.max(np.abs(flat[g._dup_dst] - flat[g._dup_src])))
 
 
 def apply_linear_map(field, A):

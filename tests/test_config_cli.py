@@ -22,6 +22,7 @@ from centroflow.errors import ConfigError
 from centroflow.flow import TERMINATIONS
 from centroflow.grids import CircleGrid, CubedSphereGrid, make_grid
 from centroflow.support import SupportField, ellipsoid_support
+from reference import read_csv_rows
 
 FLOWER = {
     "n": 1, "resolution": 64,
@@ -287,7 +288,7 @@ class TestCLI:
         want = 1.0 + 0.05 * np.cos(3 * th)
         assert np.max(np.abs(np.asarray(doc["values"]) - want)) < 1e-15
         assert doc["config_hash"] == meta["config_hash"]
-        rows, h = iomod.read_csv_rows(out / "series.csv")
+        rows, h = read_csv_rows(out / "series.csv")
         assert h == meta["config_hash"] and len(rows) == 3
 
     def test_evolve_override_flags(self, tmp_path):
@@ -395,7 +396,7 @@ class TestCLI:
         path = write_cfg(tmp_path / "ell.json", cfg)
         assert main(["oracle-compare", "--config", path,
                      "--tolerance", "1e-6"]) == 0
-        rows, _ = iomod.read_csv_rows(tmp_path / "ell" / "oracle_compare.csv")
+        rows, _ = read_csv_rows(tmp_path / "ell" / "oracle_compare.csv")
         assert rows[0]["factor_exact"] == 1.0
         assert all(r["max_rel_err_support"] <= 1e-6 for r in rows)
         # same run against an impossible tolerance
@@ -579,6 +580,23 @@ class TestCLI:
         path.write_text(json.dumps({"n": 2, "resolution": 17, "time": 0, "values": values}))
         with pytest.raises(ConfigError, match="not JSON numbers"):
             iomod.load_snapshot(str(path))
+
+    @pytest.mark.parametrize("bad", [123, [1, 2], True, {"h": "x"}],
+                             ids=["int", "list", "bool", "object"])
+    def test_snapshot_hash_of_the_wrong_type_exits_2(self, tmp_path, bad):
+        # a standalone datum's hash is compared with nothing, so its type is
+        # the only check it gets: a string, or null
+        out = self.run_dir(tmp_path, flower_cfg())
+        snap = out / "snapshots" / "snap_000000.json"
+        snap.write_text(json.dumps(dict(json.loads(snap.read_text()), config_hash=bad)))
+        with pytest.raises(ConfigError, match="config_hash must be a string or null"):
+            iomod.load_snapshot(str(snap))
+        cfg = flower_cfg(output=str(tmp_path / "from_file"),
+                         initial={"kind": "file", "params": {"path": str(snap)}})
+        path = write_cfg(tmp_path / "f.json", cfg)
+        assert main(["validate-config", "--config", path]) == 2
+        assert main(["evolve", "--config", path]) == 2
+        assert main(["diagnose", "--trajectory", str(out)]) == 2
 
     def test_every_termination_loads_and_a_datum_file_may_have_a_null_hash(self, tmp_path):
         out = self.run_dir(tmp_path, flower_cfg())

@@ -18,11 +18,12 @@ def test_the_quick_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_0(demo, tmp_path):
-    # the CLI demos write their runs under the temporary directory
+    # the CLI demos write their runs under the temporary directory and remove them
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+    assert not any(tmp_path.iterdir()), sorted(p.name for p in tmp_path.iterdir())
     if demo.startswith("03"):
         # its n=1 closed forms read a misindexed field as an O(1) error, not a crash
         errs = [float(line.split()[-1]) for line in done.stdout.splitlines()

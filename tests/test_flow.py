@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
 
-from centroflow import flow, grids
+from centroflow import flow
 from centroflow.errors import (ConfigError, ConvexityLost, GuardError,
                                NumericalBlowup, OriginCrossed, TransversalityLost)
-from centroflow.flow import (
-    FlowState,
-    StepControl,
-    _rhs_values,
-    evolve,
-    lambda_rescaling,
-    rhs,
-    stable_dt,
-    step,
-)
+from centroflow.flow import FlowState, StepControl, _rhs_values, evolve, stable_dt, step
 from centroflow.grids import CircleGrid, CubedSphereGrid
 from centroflow.invariants import compute_invariants
 from centroflow.oracles import exact_sphere_radius
 from centroflow.support import SupportField, fourier_support
+from reference import lambda_rescaling, rhs
 
 
 def spectrum(field):
@@ -318,7 +310,7 @@ class TestGuardsFailClosed:
     def test_nonconvex_raises_convexity_lost(self, n):
         f = guard_body(n, convex=False)
         g = f.grid
-        lo = g.sym_eigs(g.graph_hessian(f.u))[0]
+        lo = g.spectrum(g.graph_hessian(f.u))[1]
         lowest = float(lo.min())
         assert lowest < 0.0 < f.min_s()
         with pytest.raises(ConvexityLost) as info:
@@ -357,11 +349,11 @@ class TestHessianReuse:
 
     @pytest.mark.parametrize("scheme, stages", [("rk4", 4), ("heun", 2)])
     def test_one_determinant_and_eigenpair_per_stage(self, monkeypatch, scheme, stages):
-        # every eigenpair is computed from a determinant, so counting the
-        # determinants counts both; the step bound reads the spectrum of the
-        # state that stage k1 uses
+        # the determinant and the eigenpair come only from grid.spectrum, so
+        # counting its calls counts both; the step bound reads the spectrum of
+        # the state that stage k1 uses
         g = CubedSphereGrid(17)
-        calls = {"sym_det": 0, "spectrum": 0}
+        calls = {"spectrum": 0}
         seen = []
 
         def counting(name, fn):
@@ -376,16 +368,13 @@ class TestHessianReuse:
                 return fn(field, arg, spec)
             return wrapped
 
-        monkeypatch.setattr(grids, "sym_det", counting("sym_det", grids.sym_det))
-        monkeypatch.setattr(g, "sym_det", counting("sym_det", g.sym_det))
         monkeypatch.setattr(g, "spectrum", counting("spectrum", g.spectrum))
         monkeypatch.setattr(flow, "stable_dt", recording("dt", flow.stable_dt))
         monkeypatch.setattr(flow, "_rhs_values", recording("k", flow._rhs_values))
         traj = evolve(bumpy_sphere(g), StepControl(t_end=0.02, snapshot_interval=0.01,
                                                    scheme=scheme))
         assert traj.termination == "ReachedTEnd" and traj.step_count >= 2
-        assert calls == {"sym_det": stages * traj.step_count,
-                         "spectrum": stages * traj.step_count}
+        assert calls == {"spectrum": stages * traj.step_count}
         bounds = [i for i, (tag, _) in enumerate(seen) if tag == "dt"]
         assert len(bounds) == traj.step_count
         assert all(seen[i + 1][0] == "k" and seen[i + 1][1] is seen[i][1] for i in bounds)

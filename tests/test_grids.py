@@ -3,13 +3,14 @@ import pytest
 
 from centroflow.errors import ConfigError, GridError
 from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, make_grid
-from centroflow.support import SupportField, homogeneity_residual
+from centroflow.support import SupportField
+from reference import chart_derivs, homogeneity_residual
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
 SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "radial", "graph_hessian",
-          "sym_eigs", "sym_det", "to_frame", "chart_jet", "integrate_chart",
-          "refine_max", "value_at", "interpolate_at_directions", "sync_duplicates",
-          "per_snapshot", "spectrum", "partials")
+          "to_frame", "chart_jet", "integrate_chart", "refine_max", "value_at",
+          "interpolate_at_directions", "sync_duplicates", "per_snapshot", "spectrum",
+          "partials")
 
 
 def _full_spectrum(v, theta, order=0):
@@ -85,8 +86,8 @@ class TestCircleGrid:
 
     def test_integrate_trig_poly(self, circle64):
         g = circle64
-        assert g.integrate(np.cos(3 * g.thetas) ** 2) == pytest.approx(np.pi, abs=1e-13)
-        assert g.integrate(np.ones(g.N)) == pytest.approx(2 * np.pi, abs=1e-13)
+        assert g.integrate_chart(np.cos(3 * g.thetas) ** 2) == pytest.approx(np.pi, abs=1e-13)
+        assert g.integrate_chart(np.ones(g.N)) == pytest.approx(2 * np.pi, abs=1e-13)
 
     def test_interpolate_band_limited(self, circle64):
         g = circle64
@@ -173,7 +174,7 @@ class TestCubedSphereGrid:
         total = float(np.sum(g.sphere_weights))
         assert total == pytest.approx(4 * np.pi, rel=1e-10)
         # quadrature of a smooth function: int z1^2 over S^2 = 4pi/3
-        val = g.integrate_sphere(g.nodes[..., 0] ** 2)
+        val = float(np.sum(g.nodes[..., 0] ** 2 * g.sphere_weights))
         assert val == pytest.approx(4 * np.pi / 3, rel=1e-8)
 
     def test_extend_reproduces_smooth_function(self, sphere33):
@@ -190,7 +191,7 @@ class TestCubedSphereGrid:
         # u = w: du/dy1 = y1/w, d2u/dy1dy2 = -y1 y2/w^3; halo path accuracy.
         # graph values are degree-1 homogeneous data, hence kind="deg1"
         g = sphere33
-        f1, f2, f11, f12, f22 = g.chart_derivs(g.w.copy(), kind="deg1")
+        f1, f2, f11, f12, f22 = chart_derivs(g, g.w.copy(), kind="deg1")
         Y1, Y2, w = g.Y1[None] + 0 * g.w, g.Y2[None] + 0 * g.w, g.w
         # 4th-order truncation at M=33: h^4 ~ 1.5e-5
         assert np.max(np.abs(f1 - Y1 / w)) < 1e-5
@@ -305,11 +306,12 @@ class TestSharedInterface:
         s = 1.0 + 0.1 * np.cos(3 * g.thetas) + 0.05 * np.sin(2 * g.thetas)
         b = g.graph_hessian(s)
         assert np.array_equal(b, s + g.deriv(s, 2))
-        lo, hi = g.sym_eigs(b)
-        assert lo is b and hi is b and g.sym_det(b) is b and g.to_frame(b) is b
-        assert all(v is b for v in g.spectrum(b))
-        (ds,) = g.partials(s)
-        assert np.array_equal(ds, g.deriv(s, 1))
+        assert g.to_frame(b) is b and all(v is b for v in g.spectrum(b))
+        stack = np.array([s, b])
+        ds = g.partials(stack)     # a view (1, 2, N) of one spectrum of the stack
+        assert ds.shape == (1, 2, 64) and ds.base is not None
+        assert np.array_equal(ds[0, 0], g.deriv(s, 1))
+        assert np.array_equal(ds[0, 1], g.deriv(b, 1))
         X = s * g.radial
         Xi, Xij = g.chart_jet(X)   # component-first: (1, 2, N) and (1, 1, 2, N)
         assert Xi.shape == (1, 2, 64) and Xij.shape == (1, 1, 2, 64)
@@ -317,7 +319,7 @@ class TestSharedInterface:
         for c in range(2):
             assert np.array_equal(Xi[0, c], g.deriv(X[c], 1))
             assert np.array_equal(Xij[0, 0, c], g.deriv(X[c], 2))
-        assert g.integrate_chart(s) == g.integrate(s)
+        assert g.integrate_chart(s) == np.sum(s) * g.h
         rng = np.random.default_rng(5)
         dirs = rng.standard_normal((9, 2))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
@@ -358,8 +360,7 @@ class TestSharedInterface:
             assert (where[k], vmax[k]) == g.refine_max(v)
             assert g.value_at(batch, where)[k] == g.value_at(v, g.refine_max(v)[0])
             assert rows[k] == g.per_snapshot(np.max, v)
-            for d_batch, d_one in zip(g.partials(batch), g.partials(v)):
-                assert np.array_equal(d_batch[..., k], d_one)
+            assert np.array_equal(g.partials(batch[None])[..., k], g.partials(v[None]))
             jet = g.chart_jet(v * g.radial)
             # the batch axis is last: after the nodes and any leading component axes
             assert np.array_equal(Xi[..., k], jet[0])
@@ -490,7 +491,7 @@ class TestBitwiseKernels:
     def test_graph_hessian_equals_chart_derivs(self, cube):
         g = cube
         u = g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2])
-        f11, f12, f22 = g.chart_derivs(u, "deg1")[2:]
+        f11, f12, f22 = chart_derivs(g, u, "deg1")[2:]
         assert np.array_equal(g.graph_hessian(u), np.array([[f11, f12], [f12, f22]]))
 
     def test_chart_jet_is_component_first_chart_derivs(self, cube):
@@ -501,21 +502,29 @@ class TestBitwiseKernels:
         assert Xi.shape == (2, 3) + g.shape and Xij.shape == (2, 2, 3) + g.shape
         assert Xi.flags.c_contiguous and Xij.flags.c_contiguous
         for c in range(3):
-            f1, f2, f11, f12, f22 = g.chart_derivs(X[c])
+            f1, f2, f11, f12, f22 = chart_derivs(g, X[c])
             assert np.array_equal(Xi[:, c], np.array([f1, f2]))
             assert np.array_equal(Xij[:, :, c], np.array([[f11, f12], [f12, f22]]))
 
+    def test_partials_differentiates_each_component_of_a_stack(self, cube):
+        g = cube
+        stack = np.array([1.0 + 0.2 * np.prod(g.nodes, axis=-1), g.w, g.nodes[..., 2]])
+        d = g.partials(stack)
+        assert d.shape == (2, 3) + g.shape
+        for c in range(3):
+            assert np.array_equal(d[0, c], g.d1_face(stack[c], 1))
+            assert np.array_equal(d[1, c], g.d1_face(stack[c], 2))
+
     def test_spectrum_equals_its_expressions(self, cube):
-        # one determinant feeds the eigenpair; the values of sym_det and sym_eigs
+        # one determinant feeds the eigenpair, each by its closed form
         g = cube
         D = g.graph_hessian(g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1)))
         det, lo, hi = g.spectrum(D)
         want_det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
         tr = D[0, 0] + D[1, 1]
         disc = np.sqrt(np.maximum((tr / 2) ** 2 - want_det, 0.0))
-        assert np.array_equal(det, want_det) and np.array_equal(det, g.sym_det(D))
+        assert np.array_equal(det, want_det)
         assert np.array_equal(lo, tr / 2 - disc) and np.array_equal(hi, tr / 2 + disc)
-        assert all(np.array_equal(a, b) for a, b in zip((lo, hi), g.sym_eigs(D)))
 
     def test_stencils_equal_their_expressions(self, cube):
         g = cube

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from centroflow import invariants as inv_mod
-from centroflow.flow import rhs
 from centroflow.grids import CircleGrid
 from centroflow.invariants import (
     compute_invariants,
@@ -22,6 +21,7 @@ from centroflow.invariants import (
 )
 from centroflow.support import SupportField, apply_linear_map, ellipsoid_support, fourier_support
 from conftest import random_spd
+from reference import rhs
 
 TWO_THIRDS_ROOT2 = 1.5874010519681995  # 2^(2/3)
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from centroflow.errors import ConfigError, ConvexityLost, GridError
+from centroflow.errors import ConfigError, GridError
 from centroflow.flow import FlowState, StepControl, evolve, step
-from centroflow.grids import CubedSphereGrid, hessian_eigs
+from centroflow.grids import CubedSphereGrid
 from centroflow.invariants import compute_invariants
 from centroflow.io import write_snapshot
 from centroflow.support import (
@@ -15,11 +15,10 @@ from centroflow.support import (
     embed,
     fourier_support,
     gradient_norm,
-    homogeneity_residual,
-    require_convex,
     require_single,
 )
 from conftest import random_spd
+from reference import homogeneity_residual
 
 
 class TestConstruction:
@@ -75,15 +74,12 @@ class TestCurvature:
     def test_hessian_eigs_closed_form(self, rng):
         m = rng.standard_normal((40, 2, 2))
         m = m + np.swapaxes(m, -1, -2)
-        lo, hi = hessian_eigs(m.transpose(1, 2, 0))   # component-first (2,2,40)
+        # component-first (2, 2, 40)
+        det, lo, hi = CubedSphereGrid.spectrum(m.transpose(1, 2, 0))
         want = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(det - np.linalg.det(m))) < 1e-12
         assert np.max(np.abs(lo - want[..., 0])) < 1e-12
         assert np.max(np.abs(hi - want[..., 1])) < 1e-12
-
-    def test_require_convex_raises(self, circle64):
-        f = fourier_support(circle64, 1.0, a=[0.0, 0.9])  # b dips to 1-2.7
-        with pytest.raises(ConvexityLost):
-            require_convex(f)
 
 
 class TestGeometry:

@@ -21,7 +21,9 @@ the tree returns, so trees of either layout compare bit for bit:
   chart_jet.X_i, chart_jet.X_ij
                       the chart jet of the embedding, (n, n+1, nodes) and
                       (n, n, n+1, nodes), each tree fed its own embedding
-  sym_det, sym_eigs   the chart Hessian's determinant and (min, max) eigenvalues
+  spectrum.det, spectrum.lo, spectrum.hi
+                      grid.spectrum of the chart Hessian: its determinant and
+                      (min, max) eigenvalues
   stable_dt           the step bound from the chart Hessian
   step.rk4, step.heun u after one step of each scheme from t = 0
   compute_invariants  area and norm_T2, and the tensor fields of the stack
@@ -53,12 +55,11 @@ and from round to round, so a load spike on the machine falls on both sides
 alike. A worker times a kernel over a batch of calls sized once to take
 about 20 ms and reports the batch time over its length. The table gives the
 median per-call time of each side over the rounds and their ratio.
-graph_hessian is timed too, as the input of sym_det, sym_eigs and stable_dt.
+graph_hessian is timed too, as the input of spectrum and stable_dt.
 A d1 or d2 call differentiates along both chart axes.
 
-stable_dt is fed what the tree's step feeds it: grid.spectrum of the chart
-Hessian where the grid offers one (its time then includes the spectrum), and
-the Hessian itself otherwise.
+stable_dt is fed what the tree's step feeds it, grid.spectrum of the chart
+Hessian, and its time includes the spectrum.
 
 Exits 0 when every output is equal by its rule, 1 when one differs, 2 when
 a worker fails. Runs on numpy and the standard library only.
@@ -124,16 +125,14 @@ def _kernels(kind, res):
         [body(k).u for k in range(max(1, BLOCK_NODES // g.w.size))], axis=-1))
     u = field.u
     D2 = g.graph_hessian(u)
-    bound_input = getattr(g, "spectrum", lambda D: D)
     controls = {s: StepControl(scheme=s) for s in ("rk4", "heun")}
 
     def one_step(scheme):
         return lambda: step(FlowState(0.0, field), controls[scheme], 1.0)
 
     calls = {"graph_hessian": lambda: g.graph_hessian(u),
-             "sym_det": lambda: g.sym_det(D2),
-             "sym_eigs": lambda: g.sym_eigs(D2),
-             "stable_dt": lambda: stable_dt(field, controls["rk4"], bound_input(D2)),
+             "spectrum": lambda: g.spectrum(D2),
+             "stable_dt": lambda: stable_dt(field, controls["rk4"], g.spectrum(D2)),
              "step.rk4": one_step("rk4"),
              "step.heun": one_step("heun"),
              "compute_invariants": lambda: compute_invariants(field),
@@ -153,9 +152,9 @@ def _kernels(kind, res):
         angles = np.linspace(0.1, 6.0, T2.shape[-1])
         calls.update({"refine_max.block": lambda: g.refine_max(T2),
                       "value_at.block": lambda: g.value_at(T2, angles)})
-    lo, hi = calls["sym_eigs"]()
+    det, lo, hi = calls["spectrum"]()
     iv = calls["compute_invariants"]()
-    outputs = {"sym_det": calls["sym_det"](), "sym_eigs.lo": lo, "sym_eigs.hi": hi,
+    outputs = {"spectrum.det": det, "spectrum.lo": lo, "spectrum.hi": hi,
                "stable_dt": np.float64(calls["stable_dt"]()),
                "step.rk4.u": calls["step.rk4"]()[0].field.u,
                "step.heun.u": calls["step.heun"]()[0].field.u,
