@@ -18,7 +18,6 @@ from .errors import (
     NumericalBlowup,
     OriginCrossed,
     TransversalityLost,
-    Unsupported,
 )
 from .grids import CircleGrid, CubedSphereGrid, make_grid
 from .support import SupportField
@@ -49,7 +48,6 @@ __all__ = [
     "SupportField",
     "Trajectory",
     "TransversalityLost",
-    "Unsupported",
     "__version__",
     "best_fit_ellipsoid",
     "classify",

@@ -25,26 +25,24 @@ from .flow import SCHEMES, evolve
 GUARD_TERMINATIONS = {"ConvexityLost", "NumericalBlowup"}
 
 
+# evolve's and oracle-compare's config overrides; an absent flag reads None
+OVERRIDE_FLAGS = (("resolution", {"type": int}), ("scheme", {"choices": SCHEMES}),
+                  ("cfl", {"type": float}), ("t_end", {"type": float}),
+                  ("snapshot_interval", {"type": float}), ("seed", {"type": int}),
+                  ("output", {"type": str}),
+                  ("renormalize", {"action": "store_true", "default": None}))
+
+
 def _apply_overrides(cfg, args):
-    for field in ("resolution", "scheme", "cfl", "t_end", "snapshot_interval",
-                  "seed", "output"):
-        v = getattr(args, field, None)
-        if v is not None:
-            cfg[field] = v
-    if getattr(args, "renormalize", False):
-        cfg["renormalize"] = True
+    for field, _ in OVERRIDE_FLAGS:
+        if getattr(args, field) is not None:
+            cfg[field] = getattr(args, field)
     return cfg
 
 
 def _add_override_flags(p):
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--snapshot-interval", dest="snapshot_interval", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", type=str)
-    p.add_argument("--renormalize", action="store_true")
+    for field, kw in OVERRIDE_FLAGS:
+        p.add_argument("--" + field.replace("_", "-"), dest=field, **kw)
 
 
 def _run_config(cfg, outdir):

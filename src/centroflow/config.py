@@ -8,6 +8,7 @@ trip halfway through a run.
 """
 
 import copy
+import itertools
 import os
 
 import numpy as np
@@ -201,18 +202,16 @@ def validate_sweep(raw):
 
 
 def sweep_cells(spec):
-    """Cartesian product of the axes: list of (overrides dict, validated config)."""
+    """Cartesian product of the axes, first axis slowest: (overrides, validated
+    config) per cell, deep copies of its values set into a deep copy of the base."""
     axes = spec.get("axes", [])
-    cells = [({}, copy.deepcopy(spec["base"]))]
-    for ax in axes:
-        nxt = []
-        for overrides, cfg in cells:
-            for v in ax["values"]:
-                o2, c2 = dict(overrides), copy.deepcopy(cfg)
-                o2[ax["path"]] = v
-                set_by_path(c2, ax["path"], v)
-                nxt.append((o2, c2))
-        cells = nxt
+    paths = [ax["path"] for ax in axes]
+    cells = []
+    for values in itertools.product(*(ax["values"] for ax in axes)):
+        cfg = copy.deepcopy(spec["base"])
+        for path, v in zip(paths, values):
+            set_by_path(cfg, path, copy.deepcopy(v))
+        cells.append((dict(zip(paths, values)), cfg))
     # value substitution must leave the config valid; each cell runs and
     # hashes the canonical form, as evolve does
     return [(overrides, validate(cfg)) for overrides, cfg in cells]

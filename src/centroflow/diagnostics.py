@@ -114,14 +114,14 @@ def _block_rows(states, s0, with_rhs):
     per = grid.per_snapshot
     iv = inva.compute_invariants(field)
     where, supT2 = grid.refine_max(iv.norm_T2)
-    _, lo, hi = grid.spectrum(iv.curvature)
     row = {"area": iv.area,
            "int_T2": inva.integrate_mu(grid, iv.norm_T2, iv.sqrt_det_g),
            "supT2": supT2,
            "supC2": grid.refine_max(iv.norm_C2)[1],
            "min_s": field.min_s(), "max_s": field.max_s(),
            "drift": per(np.max, np.abs(field.s - field.at_nodes(s0))),
-           "eig_min_b": per(np.min, lo), "eig_max_b": per(np.max, hi),
+           "eig_min_b": per(np.min, iv.curvature_spectrum[1]),
+           "eig_max_b": per(np.max, iv.curvature_spectrum[2]),
            "rho_min": per(np.min, iv.rho), "rho_max": per(np.max, iv.rho),
            "roundness": oracles.best_fit_ellipsoid(field)[1],
            "residual_relsupport": iv.residual_relsupport,

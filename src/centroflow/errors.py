@@ -45,7 +45,3 @@ class NumericalBlowup(CentroflowError):
 
 class TransversalityLost(GuardError):
     """Frame determinant [X_1,...,X_n,X] too close to zero."""
-
-
-class Unsupported(CentroflowError):
-    """Operation not defined for this dimension (e.g. Pick invariant at n=1)."""

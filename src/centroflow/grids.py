@@ -13,12 +13,18 @@ Node ordering contract (documented so snapshots are bit-stable):
        ys = linspace(-1, 1, M), faces ordered +x,-x,+y,-y,+z,-z,
        flattening is row-major (C order).
 
+Graph jet: graph_jet(u) gives (Du, D2), the chart gradient (n, ...) and
+graph_hessian(u)'s chart Hessian bit for bit, from one differentiation of u:
+the embedding and the curvature share it, the step keeps graph_hessian.
+graph_chart (t, a, y) is each node's graph chart, tangents t (n, n+1, ...),
+axis a (n+1, ...), coordinates y (n, ...): X = sum_j u_j t_j + (u - y.Du) a.
+
 Batch axis: the grid operations also take a field that carries one more
 axis right after the node axes, one column per snapshot. Every field a grid
-takes or returns with component axes (chart Hessian, frame curvature, the
-embedding and its chart jet) is component-first: components, then node axes,
-then the batch axis, and so are the constants the embedding is built from
-(radial, face_basis); nodes keeps its directions as rows, as a query does.
+takes or returns with component axes (graph and chart jets, frame curvature,
+the embedding) is component-first: components, then node axes, then the
+batch axis, and so are the constants the embedding is built from (radial,
+graph_chart); nodes keeps its directions as rows, as a query does.
 Grid constants broadcast over the batch axis. A field's batch shape is what
 trails its node axes, () for one body and (B,) for a batch, and every
 per-snapshot result (integrals, maxima and where they sit) has exactly that
@@ -80,6 +86,9 @@ class CircleGrid:
         self.thetas = 2 * np.pi * np.arange(N) / N
         self.nodes = np.stack([np.cos(self.thetas), np.sin(self.thetas)], axis=-1)
         self.radial = np.ascontiguousarray(self.nodes.T)   # component-first (2, N)
+        # the tangent line at each node: t = p-perp (1, 2, N), a = p, y = 0
+        self.graph_chart = (np.stack([-self.radial[1], self.radial[0]])[None],
+                            self.radial, np.zeros((1, N)))
         self.weights = np.full(N, 2 * np.pi / N)
         self.shape = (N,)
         self.node_axes = (0,)
@@ -119,6 +128,12 @@ class CircleGrid:
     def graph_hessian(self, u):
         """Curvature radius b = u + u'' (the chart is theta, so u = s)."""
         return u + self.deriv(u, 2)
+
+    def graph_jet(self, u):
+        """(u', u + u'') from one spectrum of u: the chart gradient (1,) + u.shape
+        and graph_hessian(u)."""
+        uhat = np.fft.rfft(u, axis=0)
+        return self._from_spectrum(uhat, 1, 0)[None], u + self._from_spectrum(uhat, 2, 0)
 
     @staticmethod
     def spectrum(b):
@@ -244,6 +259,11 @@ def _interior(a, axis):
     return a[(slice(None),) * axis + (slice(HALO, -HALO),)]
 
 
+def _jet(f1, f2, f11, f12, f22):
+    """Chart derivatives as the pair (gradient, Hessian), component-first."""
+    return np.array([f1, f2]), np.array([[f11, f12], [f12, f22]])
+
+
 class CubedSphereGrid:
     """Six gnomonic face charts covering S^2 exactly once.
 
@@ -266,21 +286,20 @@ class CubedSphereGrid:
         self.tangents = np.array([[f[2], f[3]] for f in FACE_FRAMES], dtype=float)  # (6,2,3)
 
         Y1, Y2 = np.meshgrid(self.ys, self.ys, indexing="ij")
-        self.Y1, self.Y2 = Y1, Y2
         z = (self.axes[:, None, None, :]
              + Y1[None, :, :, None] * self.tangents[:, None, None, 0, :]
              + Y2[None, :, :, None] * self.tangents[:, None, None, 1, :])
         self.w = np.sqrt(1.0 + Y1**2 + Y2**2)[None, :, :] * np.ones((6, 1, 1))
         self.nodes = z / self.w[..., None]          # (6,M,M,3) unit directions
         self.radial = np.ascontiguousarray(np.moveaxis(self.nodes, -1, 0))   # (3,6,M,M)
-        # per face the chart tangents t1, t2 and the axis a, component-first
-        # (3, 3, 6, 1, 1): the embedding's basis
-        self.face_basis = np.array([self.tangents[:, 0].T, self.tangents[:, 1].T,
-                                    self.axes.T])[..., None, None]
+        # per face the chart tangents t (2, 3, 6, 1, 1) and axis a (3, 6, 1, 1),
+        # per node its chart coordinates y (2, 1, M, M)
+        self.graph_chart = (np.moveaxis(self.tangents, 0, -1)[..., None, None],
+                            self.axes.T[..., None, None], np.array([Y1, Y2])[:, None])
 
         self.shape = (6, M, M)
         self.node_axes = (0, 1, 2)
-        self.weights = self.sphere_weights = self._solid_angle_weights()
+        self.weights = self._solid_angle_weights()
         self.chart_weights_1d = self._simpson_weights()
         self._build_halo_tables()
         self._build_duplicate_map()
@@ -453,11 +472,10 @@ class CubedSphereGrid:
         return ((_interior(e1, a + 1), _interior(self.d1(ext, a + 1), a))
                 + self._second_derivs(ext, e1, a))
 
-    def chart_gradient(self, values, kind):
-        """(f_1, f_2) on the interior nodes, through the halo of `kind`: the first
-        two of _derivs' values, without its second derivatives."""
-        ext = self.extend(values, kind)
-        return self.d1(_interior(ext, 2), 1), self.d1(_interior(ext, 1), 2)
+    def graph_jet(self, u):
+        """(Du, D^2 u) of graph values through one deg1 halo, component-first:
+        (2,6,M,M) and graph_hessian(u)'s (2,2,6,M,M) (a batch axis last)."""
+        return _jet(*self._derivs(self.extend(u, kind="deg1")))
 
     def graph_hessian(self, u):
         """Chart Hessian D^2 u of graph values, component-first (2,2,6,M,M) (or (2,2,6,M,M,B)).
@@ -492,9 +510,7 @@ class CubedSphereGrid:
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (3,6,M,M), component-first: (2,3,6,M,M)
         and (2,2,3,6,M,M), from stencils on the stack of its components' scalar extends."""
-        ext = np.array([self.extend(c) for c in X])
-        f1, f2, f11, f12, f22 = self._derivs(ext, 2)
-        return np.array([f1, f2]), np.array([[f11, f12], [f12, f22]])
+        return _jet(*self._derivs(np.array([self.extend(c) for c in X]), 2))
 
     def d1_face(self, values, axis):
         """4th-order chart derivative from same-face values only.

@@ -1,13 +1,13 @@
 """Centro-affine invariant stack computed from support data.
 
-Pipeline per time slice: embed the body off its support function, differentiate
-the embedding in chart coordinates, solve the frame decomposition
-X_ij = Ghat^k_ij X_k - g_ij X for the metric g and induced connection Ghat,
-then assemble the Levi-Civita connection, the difference (cubic) tensor
-C = Ghat - Gamma, the Tchebychev field T = (1/n) trace C, the Tchebychev
-function psi = det g / bracket^2, the equi-affine support rho, the mean
-curvature H = (1/n) Div T, and (n=2) the Pick invariant J and the normalized
-scalar curvature chi = J - (n/(n-1))|T|^2 + 1.
+Pipeline per time slice: read the embedding and the curvature off one graph
+jet (grid.graph_jet), differentiate the embedding in chart coordinates, solve
+the frame decomposition X_ij = Ghat^k_ij X_k - g_ij X for the metric g and
+induced connection Ghat, then assemble the Levi-Civita connection, the
+difference (cubic) tensor C = Ghat - Gamma, the Tchebychev field
+T = (1/n) trace C, the Tchebychev function psi = det g / bracket^2, the
+equi-affine support rho, the mean curvature H = (1/n) Div T, and (n=2) the
+Pick invariant J and the normalized scalar curvature chi = J - (n/(n-1))|T|^2 + 1.
 
 Everything is frame-generic; closed-form shortcuts exist for both n (for n=1
 g = (s+s'')/s etc.) and the tests pin them against this generic pipeline.
@@ -38,7 +38,7 @@ the field's batch shape: () for one body (a numpy scalar), (B,) for a batch.
 
 import numpy as np
 
-from .errors import TransversalityLost, Unsupported
+from .errors import TransversalityLost
 from . import support as sup
 
 EPS_FRAME = 1e-12
@@ -208,12 +208,9 @@ def equiaffine_support(s, K, n):
 
 
 def pick_and_chi(norm_C2, norm_T2, n):
-    """Pick invariant J and normalized scalar curvature chi (n >= 2 only)."""
-    if n < 2:
-        raise Unsupported("the Pick invariant divides by n-1 and needs n >= 2")
+    """Pick invariant J and normalized scalar curvature chi (n >= 2: J divides by n - 1)."""
     J = norm_C2 / (n * (n - 1))
-    chi = J - (n / (n - 1)) * norm_T2 + 1.0
-    return J, chi
+    return J, J - (n / (n - 1)) * norm_T2 + 1.0
 
 
 def integrate_mu(grid, values, sqrt_det_g):
@@ -234,27 +231,25 @@ def compute_invariants(field):
       frame: (n+1, n+1, ...) [r, a], frame vector r = X_1..X_n, X;
       X (the embedding): frame[n], (n+1, ...);  curvature: as grid.to_frame
       returns it, (2, 2, ...) on the cubed sphere, node-shaped on the circle;
-      scalars: node-shaped.
+      curvature_spectrum: its grid.spectrum (det, lo, hi);  scalars: node-shaped.
     """
     grid = field.grid
     n = grid.n
     batched = len(field.batch_shape)
-    X = sup.embed(field)
+    jet = grid.graph_jet(field.u)
+    X, bmat = sup.embed(field, jet), sup.curvature_matrix(field, jet)
+    del jet
     gmat, Ghat, frame, frame_det, cross = gauss_decompose(X, *grid.chart_jet(X), batched)
-    del X   # the frame keeps a copy; dropping X and the jet lowers the transient peak
+    del X   # the frame keeps a copy; dropping X and both jets lowers the transient peak
     ginv, det_g = inv_det(gmat)
     Gam = levi_civita(grid, gmat, ginv)
     C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat, ginv, batched)
     T_low, T_up, norm_T2, H = tchebychev(grid, C, ginv, Gam)
     psi = tchebychev_function(det_g, frame_det)
-    bmat = sup.curvature_matrix(field)
-    det_b = grid.spectrum(bmat)[0]
-    K = 1.0 / det_b
+    spec = grid.spectrum(bmat)
+    K = 1.0 / spec[0]
     rho = equiaffine_support(field.s, K, n)
-    if n >= 2:
-        J, chi = pick_and_chi(norm_C2, norm_T2, n)
-    else:
-        J = chi = None
+    J, chi = pick_and_chi(norm_C2, norm_T2, n) if n >= 2 else (None, None)
     sqrt_det_g = np.sqrt(np.maximum(det_g, 0.0))
 
     # rel-support residuals: T against the gradients of log psi and log rho,
@@ -271,8 +266,8 @@ def compute_invariants(field):
         n=n, grid=grid,
         g=gmat, g_inv=ginv, gamma_hat=Ghat, gamma=Gam, C_mixed=C, C_low=C_low,
         T_low=T_low, T_up=T_up, norm_T2=norm_T2, norm_C2=norm_C2,
-        psi=psi, rho=rho, H=H, J=J, chi=chi, det_curvature=det_b, gauss_K=K,
-        curvature=bmat,
+        psi=psi, rho=rho, H=H, J=J, chi=chi, gauss_K=K,
+        curvature=bmat, curvature_spectrum=spec,
         # the embedding is the frame's last vector: a view, no second copy
         X=frame[n], frame=frame, frame_det=frame_det,
         det_g=det_g, sqrt_det_g=sqrt_det_g,

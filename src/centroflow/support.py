@@ -4,7 +4,9 @@ A convex body containing the origin is described by its support function s on
 the unit sphere.  The master unknown is the per-chart graph value u = w * s:
 on the cubed sphere w = sqrt(1 + |y|^2), because the Hessian D^2 u of the
 1-homogeneous extension is exactly what both the curvature matrix and the flow
-right-hand side need; on the circle w = 1 and u = s.
+right-hand side need; on the circle w = 1 and u = s. The embedding
+X = s p + grad s and the curvature b = hess s + s id are the first and second
+derivatives of the same u: both read one grid.graph_jet(u), (Du, D^2 u).
 """
 
 import numpy as np
@@ -40,9 +42,6 @@ class SupportField:
         """A grid constant (component axes, then node axes) as a view that
         broadcasts against this field: a trailing length-1 axis stands for the batch axis."""
         return const[(...,) + (None,) * len(self.batch_shape)]
-
-    def copy(self):
-        return SupportField(self.grid, u=self.u.copy())
 
     # the flow calls these every step, so they keep the method form; a min or
     # max is exact in any order, so no snapshot needs its own row
@@ -109,30 +108,30 @@ def fourier_support(grid, c0, a=(), b=()):
     return SupportField(grid, s=s)
 
 
-def embed(field):
-    """Map support values to surface points X = s p + grad s, component-first.
+def embed(field, jet):
+    """Surface points X = s p + grad s, component-first, from jet = grid.graph_jet(u).
 
-    n=1 returns X (2,N); n=2 returns X (3,6,M,M) in ambient coordinates. A
-    batch gets its batch axis last.
+    Over each node's graph chart (t, a, y) (grids.graph_chart), X = sum_j u_j t_j
+    + (u - y . Du) a: (2, N) on the circle, (3, 6, M, M) ambient on the cubed
+    sphere; a batch gets its batch axis last."""
+    Du = jet[0]
+    t, a, y = (field.at_nodes(c) for c in field.grid.graph_chart)
+    X = Du[0] * t[0]
+    intercept = field.u - y[0] * Du[0]   # of the tangent plane of the graph at y = 0
+    for Du_j, t_j, y_j in zip(Du[1:], t[1:], y[1:]):
+        X += Du_j * t_j
+        intercept -= y_j * Du_j
+    X += intercept * a
+    return X
+
+
+def curvature_matrix(field, jet):
+    """Frame components of b = hess s + s id (SPD iff convex), from jet = grid.graph_jet(u).
+
+    n=1 returns the scalar b = s + s''. n=2 returns component-first
+    (2,2,6,M,M) in the orthonormal tangent frame: b = w * P^{-T} (D^2 u) P^{-1}.
     """
-    g = field.grid
-    if field.n == 1:
-        p = field.at_nodes(g.radial)
-        return field.s * p + g.deriv(field.s, 1) * np.stack([-p[1], p[0]])
-    u1, u2 = g.chart_gradient(field.u, kind="deg1")
-    t1, t2, a = field.at_nodes(g.face_basis)
-    Y1, Y2 = field.at_nodes(g.Y1), field.at_nodes(g.Y2)
-    return u1 * t1 + u2 * t2 + (field.u - Y1 * u1 - Y2 * u2) * a
-
-
-def curvature_matrix(field):
-    """Frame components of b = hess s + s id (SPD iff the body is convex).
-
-    n=1 returns the scalar b = s + s''.  n=2 returns component-first (2,2,6,M,M)
-    in the orthonormal tangent frame: b = w * P^{-T} (D^2 u) P^{-1}.
-    """
-    g = field.grid
-    return g.to_frame(g.graph_hessian(field.u))
+    return field.grid.to_frame(jet[1])
 
 
 def convexity_margin(field):
@@ -142,13 +141,9 @@ def convexity_margin(field):
     return float(np.min(lo))
 
 
-def gradient_norm(field, X=None):
-    """Per-node |grad s| = |X - s p| on the sphere (tangential gradient).
-
-    X is the field's embedding when the caller already has it.
-    """
-    if X is None:
-        X = embed(field)
+def gradient_norm(field, X):
+    """Per-node |grad s| = |X - s p| on the sphere (tangential gradient), X the
+    field's embedding."""
     return np.linalg.norm(X - field.s * field.at_nodes(field.grid.radial), axis=0)
 
 

@@ -18,7 +18,6 @@ import csv
 
 import numpy as np
 
-from centroflow.errors import Unsupported
 from centroflow.flow import _rhs_values
 
 
@@ -46,7 +45,7 @@ def covariant_grad(grid, tensor, Gam):
     S = np.asarray(tensor)
     rank = S.ndim - len(grid.shape)
     if rank not in (1, 2):
-        raise Unsupported("covariant_grad handles rank 1 and 2 fields only")
+        raise NotImplementedError("covariant_grad handles rank 1 and 2 fields only")
     d = grid.partials(S.reshape((-1,) + S.shape[rank:]))    # [l, c]
     d = np.moveaxis(d, 0, 1).reshape(S.shape[:rank] + d.shape[:1] + S.shape[rank:])
     if rank == 1:                                           # d[.., l] = d S[..] / d y_l

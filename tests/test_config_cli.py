@@ -220,6 +220,22 @@ class TestSweepSpec:
         assert [ov["cfl"] for ov, _ in cells][:3] == [0.1, 0.2, 0.4]
         assert cells[3][1]["initial"]["params"]["a"][2] == 0.05
 
+    def test_cells_own_deep_copies_of_their_values(self):
+        # a later axis writes into the object an earlier axis sets: each cell
+        # writes into its own copy, and the spec keeps its values as given
+        params = [{"c0": 1.0, "a": [0.0, 0.0, 0.02]}, {"c0": 1.0, "a": [0.0, 0.0, 0.04]}]
+        spec = validate_sweep({"base": flower_cfg(), "axes": [
+            {"path": "initial.params", "values": copy.deepcopy(params)},
+            {"path": "initial.params.c0", "values": [1.0, 1.1]}]})
+        cells = sweep_cells(spec)
+        assert [(cfg["initial"]["params"]["a"][2], cfg["initial"]["params"]["c0"])
+                for _, cfg in cells] == [(0.02, 1.0), (0.02, 1.1), (0.04, 1.0), (0.04, 1.1)]
+        assert [ov["initial.params.c0"] for ov, _ in cells] == [1.0, 1.1, 1.0, 1.1]
+        assert spec["axes"][0]["values"] == params
+        # no axes: one cell, the base
+        assert sweep_cells(validate_sweep({"base": flower_cfg()})) == [
+            ({}, validate(flower_cfg()))]
+
     def test_bad_axis_path(self):
         spec = self.base_spec()
         spec["axes"][0]["path"] = "initial.params.q"
@@ -253,6 +269,21 @@ class TestCLI:
         path = write_cfg(tmp_path / f"{name}.json", cfg)
         assert main(["evolve", "--config", path]) == 0
         return tmp_path / name
+
+    @pytest.mark.parametrize("command", ["evolve", "oracle-compare"])
+    def test_override_flags_set_their_fields_and_absent_ones_none(self, command):
+        p = cli.build_parser()
+        kept = {"renormalize": True, "cfl": 0.3}
+        absent = p.parse_args([command, "--config", "c.json"])
+        assert cli._apply_overrides(dict(kept), absent) == kept
+        given = p.parse_args([command, "--config", "c.json", "--resolution", "33",
+                              "--scheme", "heun", "--cfl", "0.1", "--t-end", "2",
+                              "--snapshot-interval", "0.5", "--seed", "4", "--output", "o",
+                              "--renormalize"])
+        want = {"resolution": 33, "scheme": "heun", "cfl": 0.1, "t_end": 2.0,
+                "snapshot_interval": 0.5, "seed": 4, "output": "o", "renormalize": True}
+        assert cli._apply_overrides({"renormalize": False}, given) == want
+        assert [field for field, _ in cli.OVERRIDE_FLAGS] == list(want)
 
     def test_validate_config(self, tmp_path):
         good = write_cfg(tmp_path / "good.json", flower_cfg())

@@ -197,7 +197,7 @@ def _reference_series(traj):
     ref["supC2"] = np.array([iv.grid.refine_max(iv.norm_C2)[1] for iv in inv])
     ref["min_s"] = np.array([st.field.min_s() for st in traj.snapshots])
     ref["max_s"] = np.array([st.field.max_s() for st in traj.snapshots])
-    eigs = [iv.grid.spectrum(support.curvature_matrix(st.field))[1:]
+    eigs = [iv.grid.spectrum(support.curvature_matrix(st.field, iv.grid.graph_jet(st.field.u)))[1:]
             for iv, st in zip(inv, traj.snapshots)]
     ref["eig_min_b"] = np.array([float(np.min(lo)) for lo, _ in eigs])
     ref["eig_max_b"] = np.array([float(np.max(hi)) for _, hi in eigs])
@@ -305,7 +305,8 @@ class TestChecks:
             fresh = []
             for st in traj.snapshots:
                 run_max = max(run_max, st.field.max_s())
-                fresh.append(run_max - float(np.max(support.gradient_norm(st.field))))
+                X = support.embed(st.field, st.field.grid.graph_jet(st.field.u))
+                fresh.append(run_max - float(np.max(support.gradient_norm(st.field, X))))
             assert np.array_equal(check_c1(bundle).margins, fresh)
 
     def test_run_report_embeds_once_per_snapshot(self, monkeypatch, sphere_run):
@@ -313,10 +314,30 @@ class TestChecks:
         # check_c1 reuses them: M=17 puts 2 snapshots in a block, so 3 make 2
         calls = []
         embed = support.embed
-        monkeypatch.setattr(support, "embed", lambda field: calls.append(1) or embed(field))
+        monkeypatch.setattr(support, "embed",
+                            lambda field, jet: calls.append(1) or embed(field, jet))
         run_report(SeriesBundle(sphere_run))
         assert BLOCK_NODES // sphere_run.snapshots[0].field.u.size == 2
         assert len(sphere_run.snapshots) == 3 and len(calls) == 2
+
+    def test_one_graph_jet_and_one_spectrum_per_block(self, monkeypatch, sphere_run,
+                                                      gentle_run):
+        # the invariant stack takes one deg1 halo, shared by the embedding and
+        # the curvature, and the bundle reads the curvature's spectrum off it
+        kinds, spectra = [], []
+        extend = CubedSphereGrid.extend
+        monkeypatch.setattr(CubedSphereGrid, "extend", lambda self, values, kind="scalar":
+                            kinds.append(kind) or extend(self, values, kind))
+        inva.compute_invariants(sphere_run.snapshots[0].field)
+        assert kinds.count("deg1") == 1 and kinds.count("scalar") == 3
+        for cls in (CubedSphereGrid, CircleGrid):
+            spectrum = cls.spectrum
+            monkeypatch.setattr(cls, "spectrum", staticmethod(
+                lambda D2, spectrum=spectrum: spectra.append(1) or spectrum(D2)))
+        for traj, blocks in ((sphere_run, 2), (gentle_run, 1)):
+            spectra.clear()
+            SeriesBundle(traj)
+            assert len(spectra) == blocks
 
     def test_pinch(self, gentle_bundle):
         L, pinch = check_pinch(gentle_bundle)

@@ -7,7 +7,8 @@ from centroflow.support import SupportField
 from reference import chart_derivs, homogeneity_residual
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
-SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "radial", "graph_hessian",
+SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "radial", "graph_chart",
+          "graph_jet", "graph_hessian",
           "to_frame", "chart_jet", "integrate_chart", "refine_max", "value_at",
           "interpolate_at_directions", "sync_duplicates", "per_snapshot", "spectrum",
           "partials")
@@ -161,7 +162,8 @@ class TestCubedSphereGrid:
         g = sphere17
         assert g.M == 17 and g.h == pytest.approx(2.0 / 16)
         assert np.allclose(np.linalg.norm(g.nodes, axis=-1), 1.0, atol=1e-14)
-        assert np.allclose(g.w, np.sqrt(1 + g.Y1**2 + g.Y2**2), atol=1e-14)
+        Y1, Y2 = g.graph_chart[2]
+        assert np.allclose(g.w, np.sqrt(1 + Y1**2 + Y2**2), atol=1e-14)
 
     def test_frames_right_handed(self, sphere17):
         g = sphere17
@@ -171,10 +173,10 @@ class TestCubedSphereGrid:
 
     def test_solid_angle_weights(self, sphere33):
         g = sphere33
-        total = float(np.sum(g.sphere_weights))
+        total = float(np.sum(g.weights))
         assert total == pytest.approx(4 * np.pi, rel=1e-10)
         # quadrature of a smooth function: int z1^2 over S^2 = 4pi/3
-        val = float(np.sum(g.nodes[..., 0] ** 2 * g.sphere_weights))
+        val = float(np.sum(g.nodes[..., 0] ** 2 * g.weights))
         assert val == pytest.approx(4 * np.pi / 3, rel=1e-8)
 
     def test_extend_reproduces_smooth_function(self, sphere33):
@@ -192,7 +194,7 @@ class TestCubedSphereGrid:
         # graph values are degree-1 homogeneous data, hence kind="deg1"
         g = sphere33
         f1, f2, f11, f12, f22 = chart_derivs(g, g.w.copy(), kind="deg1")
-        Y1, Y2, w = g.Y1[None] + 0 * g.w, g.Y2[None] + 0 * g.w, g.w
+        (Y1, Y2), w = g.graph_chart[2] + 0 * g.w, g.w
         # 4th-order truncation at M=33: h^4 ~ 1.5e-5
         assert np.max(np.abs(f1 - Y1 / w)) < 1e-5
         assert np.max(np.abs(f2 - Y2 / w)) < 1e-5
@@ -203,16 +205,18 @@ class TestCubedSphereGrid:
     def test_d1_face_polynomial_exact(self, sphere33):
         # one-sided closures are degree-4 exact, centered rows degree-5+
         g = sphere33
-        vals = np.broadcast_to(g.Y1[None], (6, g.M, g.M)).copy() ** 4
+        Y1 = g.graph_chart[2][0]
+        vals = np.broadcast_to(Y1, (6, g.M, g.M)).copy() ** 4
         d = g.d1_face(vals, 1)
-        exact = 4.0 * np.broadcast_to(g.Y1[None], (6, g.M, g.M)) ** 3
+        exact = 4.0 * np.broadcast_to(Y1, (6, g.M, g.M)) ** 3
         assert np.max(np.abs(d - exact)) < 1e-11
 
     def test_d1_face_axis2(self, sphere33):
         g = sphere33
-        vals = np.broadcast_to(g.Y2[None], (6, g.M, g.M)).copy() ** 3
+        Y2 = g.graph_chart[2][1]
+        vals = np.broadcast_to(Y2, (6, g.M, g.M)).copy() ** 3
         d = g.d1_face(vals, 2)
-        exact = 3.0 * np.broadcast_to(g.Y2[None], (6, g.M, g.M)) ** 2
+        exact = 3.0 * np.broadcast_to(Y2, (6, g.M, g.M)) ** 2
         assert np.max(np.abs(d - exact)) < 1e-12
 
     def test_d1_face_closures_equal_the_written_out_formulas(self, sphere33):
@@ -307,6 +311,12 @@ class TestSharedInterface:
         b = g.graph_hessian(s)
         assert np.array_equal(b, s + g.deriv(s, 2))
         assert g.to_frame(b) is b and all(v is b for v in g.spectrum(b))
+        Du, D2 = g.graph_jet(s)     # one spectrum of s: s' and graph_hessian(s)
+        assert Du.shape == (1, 64) and np.array_equal(Du[0], g.deriv(s, 1))
+        assert np.array_equal(D2, b)
+        t, a, y = g.graph_chart     # the tangent line at each node
+        assert np.array_equal(t, np.stack([-g.radial[1], g.radial[0]])[None])
+        assert a is g.radial and y.shape == (1, 64) and not y.any()
         stack = np.array([s, b])
         ds = g.partials(stack)     # a view (1, 2, N) of one spectrum of the stack
         assert ds.shape == (1, 2, 64) and ds.base is not None
@@ -367,6 +377,8 @@ class TestSharedInterface:
             assert np.array_equal(Xij[..., k], jet[1])
             assert Xi.flags.c_contiguous and Xij.flags.c_contiguous
             assert np.array_equal(g.to_frame(D2)[..., k], g.to_frame(g.graph_hessian(v)))
+            for jet_batch, jet_one in zip(g.graph_jet(batch), g.graph_jet(v)):
+                assert np.array_equal(jet_batch[..., k], jet_one)
         assert isinstance(g.integrate_chart(cols[1]), float)
         assert isinstance(g.refine_max(cols[1])[1], float)
         # a query takes its own shape: one direction gives a scalar, the entry
@@ -491,8 +503,13 @@ class TestBitwiseKernels:
     def test_graph_hessian_equals_chart_derivs(self, cube):
         g = cube
         u = g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2])
-        f11, f12, f22 = chart_derivs(g, u, "deg1")[2:]
-        assert np.array_equal(g.graph_hessian(u), np.array([[f11, f12], [f12, f22]]))
+        f1, f2, f11, f12, f22 = chart_derivs(g, u, "deg1")
+        D2 = np.array([[f11, f12], [f12, f22]])
+        assert np.array_equal(g.graph_hessian(u), D2)
+        # the graph jet: the same Hessian and the gradient, from one deg1 halo
+        Du, jet_D2 = g.graph_jet(u)
+        assert Du.shape == (2,) + g.shape and np.array_equal(Du, np.array([f1, f2]))
+        assert np.array_equal(jet_D2, D2)
 
     def test_chart_jet_is_component_first_chart_derivs(self, cube):
         # the stack of the components' extends gives each component's stencils

@@ -266,7 +266,7 @@ class TestLayout:
                 "curvature": g.graph_hessian(f.u).shape[:-len(sh)],
                 "norm_T2": (), "norm_C2": (), "psi": (), "rho": (), "H": (),
                 "det_g": (), "sqrt_det_g": (), "frame_det": (),
-                "det_curvature": (), "gauss_K": ()}
+                "gauss_K": ()}
         for name, comp in want.items():
             field = getattr(iv, name)
             assert field.shape == comp + sh, name
@@ -275,6 +275,9 @@ class TestLayout:
             assert (getattr(iv, name) is None) if n == 1 else getattr(iv, name).shape == sh
         # the embedding is the frame's last vector
         assert np.array_equal(iv.X, iv.frame[n])
+        # the stack keeps the curvature's spectrum (det, lo, hi), node-shaped
+        for got, want in zip(iv.curvature_spectrum, g.spectrum(iv.curvature)):
+            assert got.shape == sh and np.array_equal(got, want)
         # the fields index the right components: g^{-1} g = id, T^i = g^{ij} T_j
         eye = np.einsum("ij...,jk...->ik...", iv.g_inv, iv.g)
         assert np.max(np.abs(eye - np.eye(n)[(...,) + (None,) * len(sh)])) < 1e-12

@@ -16,19 +16,20 @@ def test_same_tree_on_both_sides_has_no_differences():
     done = subprocess.run([sys.executable, str(TOOL), src, src, "--M", "17", "--N", "256",
                            "--rounds", "1"], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-    # 32 outputs at M=17 (the three extends, d1 and d2 along both chart axes,
-    # the spectrum's determinant and eigenpair, the embedding, its chart jet
-    # and the stack's 9 tensor fields among them) and 28 at N=256 (the
-    # spectrum, the embedding, its chart jet, the 9 tensor fields and
-    # the block's refine_max angle and value and value_at among them), each
-    # with 5 from one block of bodies
-    assert "outputs: 60 compared, 0 difference(s)" in done.stdout
+    # 34 outputs at M=17 (the three extends, d1 and d2 along both chart axes,
+    # the spectrum's determinant and eigenpair, the graph jet, the embedding,
+    # its chart jet and the stack's 9 tensor fields among them) and 30 at
+    # N=256 (the spectrum, the graph jet, the embedding, its chart jet, the 9
+    # tensor fields and the block's refine_max angle and value and value_at
+    # among them), each with 5 from one block of bodies
+    assert "outputs: 64 compared, 0 difference(s)" in done.stdout
     assert "M=17/step.rk4" in done.stdout and "N=256/compute_invariants" in done.stdout
     assert "M=17/spectrum" in done.stdout and "N=256/spectrum" in done.stdout
     assert "M=17/extend.vec3" in done.stdout and "N=256/compute_invariants.block" in done.stdout
     assert "M=17/d1" in done.stdout and "M=17/d2" in done.stdout
     assert "M=17/chart_jet" in done.stdout and "N=256/chart_jet" in done.stdout
     assert "M=17/embed" in done.stdout and "N=256/embed" in done.stdout
+    assert "M=17/graph_jet" in done.stdout and "N=256/graph_jet" in done.stdout
     assert "N=256/refine_max.block" in done.stdout and "N=256/value_at.block" in done.stdout
 
 

@@ -3,9 +3,9 @@
 Every other module calls the grid interface (see tests/test_grids.py). A
 comparison of ``n``, ``<obj>.n`` or ``<obj>["n"]`` with an integer literal is
 allowed only in the functions below, where a unified formula would change the
-last bits of the artifacts (flow right side and step bound, the embedding),
-where the n >= 2 restriction is the physics (Pick invariant), or where it
-validates input.
+last bits of the artifacts (flow right side and step bound), where the n >= 2
+restriction is the physics (the Pick invariant, computed only for n >= 2), or
+where it validates input.
 """
 
 import ast
@@ -20,8 +20,6 @@ ALLOWED = {
     ("flow", "_rhs_values"),
     ("flow", "stable_dt"),
     ("invariants", "compute_invariants"),
-    ("invariants", "pick_and_chi"),
-    ("support", "embed"),
     ("support", "fourier_support"),
 }
 

@@ -21,6 +21,14 @@ from conftest import random_spd
 from reference import homogeneity_residual
 
 
+def _jet(field):
+    return field.grid.graph_jet(field.u)
+
+
+def _embed(field):
+    return embed(field, _jet(field))
+
+
 class TestConstruction:
     def test_ellipse_support_closed_form(self, circle64):
         f = ellipsoid_support(circle64, np.diag([4.0, 1.0]))
@@ -51,23 +59,17 @@ class TestConstruction:
         f2 = SupportField(g, u=f.u.copy())
         assert np.allclose(f2.s, s, atol=1e-14)
 
-    def test_copy_is_independent(self, circle64):
-        f = fourier_support(circle64, 1.0)
-        f2 = f.copy()
-        f2.s[:] = 9.0
-        assert f.max_s() == pytest.approx(1.0)
-
 
 class TestCurvature:
     def test_circle_curvature_radius(self, circle256, flower256):
         # b = s'' + s = 1 - 8 c cos(3 theta) for s = 1 + c cos(3 theta)
-        b = curvature_matrix(flower256)
+        b = curvature_matrix(flower256, _jet(flower256))
         want = 1.0 - 0.8 * np.cos(3 * circle256.thetas)
         assert np.max(np.abs(b - want)) < 1e-10
         assert convexity_margin(flower256) == pytest.approx(0.2, abs=1e-10)
 
     def test_unit_sphere_curvature_is_identity(self, unit_sphere33):
-        b = curvature_matrix(unit_sphere33)
+        b = curvature_matrix(unit_sphere33, _jet(unit_sphere33))
         eye = np.eye(2).reshape(2, 2, 1, 1, 1)   # component-first (2,2,6,M,M)
         assert np.max(np.abs(b - eye)) < 2e-5
 
@@ -85,23 +87,31 @@ class TestCurvature:
 class TestGeometry:
     def test_gradient_norm_circle(self, circle256, flower256):
         want = np.abs(-0.3 * np.sin(3 * circle256.thetas))
-        assert np.max(np.abs(gradient_norm(flower256) - want)) < 1e-10
+        assert np.max(np.abs(gradient_norm(flower256, _embed(flower256)) - want)) < 1e-10
 
     def test_gradient_norm_circle_is_abs_derivative(self, flower256):
         # |X - s p| with X = s p + s' p^perp
         want = np.abs(flower256.grid.deriv(flower256.s, 1))
-        assert np.max(np.abs(gradient_norm(flower256) - want)) < 1e-12
+        assert np.max(np.abs(gradient_norm(flower256, _embed(flower256)) - want)) < 1e-12
+
+    def test_circle_embed_is_s_p_plus_ds_pperp(self, flower256):
+        # over the tangent line (y = 0) the graph-chart formula keeps the bits
+        # of X = s p + s' p^perp
+        g, s = flower256.grid, flower256.s
+        p = g.radial
+        want = s * p + g.deriv(s, 1) * np.stack([-p[1], p[0]])
+        assert np.array_equal(_embed(flower256), want)
 
     def test_gradient_norm_sphere(self, sphere33):
         g = sphere33
         f = SupportField(g, s=1.0 + 0.3 * g.nodes[..., 2])
         want = 0.3 * np.sqrt(1.0 - g.nodes[..., 2] ** 2)
-        assert np.max(np.abs(gradient_norm(f) - want)) < 1e-5
+        assert np.max(np.abs(gradient_norm(f, _embed(f)) - want)) < 1e-5
 
     def test_embed_lies_on_ellipse(self, circle64):
         Q = np.diag([4.0, 1.0])
         f = ellipsoid_support(circle64, Q)
-        X = embed(f)
+        X = _embed(f)
         # image points satisfy x^T Q^{-1} x = 1
         r = np.einsum("i...,ij,j...->...", X, np.linalg.inv(Q), X)
         assert np.max(np.abs(r - 1.0)) < 1e-10
@@ -109,7 +119,7 @@ class TestGeometry:
     def test_embed_lies_on_ellipsoid(self, sphere33, rng):
         Q = random_spd(rng, 3, cond_max=4.0)
         f = ellipsoid_support(sphere33, Q)
-        X = embed(f)
+        X = _embed(f)
         r = np.einsum("i...,ij,j...->...", X, np.linalg.inv(Q), X)
         assert np.max(np.abs(r - 1.0)) < 5e-5
 
@@ -166,15 +176,15 @@ class TestBatchField:
             assert np.array_equal(batch.s[..., k], f.s)
         assert np.array_equal(batch.min_s(), [f.min_s() for f in singles])
         assert np.array_equal(batch.max_s(), [f.max_s() for f in singles])
-        X = embed(batch)
-        b = np.moveaxis(curvature_matrix(batch), -1, 0)   # the batch axis is last
+        X = _embed(batch)
+        b = np.moveaxis(curvature_matrix(batch, _jet(batch)), -1, 0)   # the batch axis is last
         iv = compute_invariants(batch)
         scalars = ("area", "residual_gauss_cross", "residual_C_symmetry",
                    "residual_relsupport")
         for k, f in enumerate(singles):
-            assert np.array_equal(X[..., k], embed(f))
-            assert np.array_equal(b[k], curvature_matrix(f))
-            assert np.array_equal(gradient_norm(batch, X)[..., k], gradient_norm(f))
+            assert np.array_equal(X[..., k], _embed(f))
+            assert np.array_equal(b[k], curvature_matrix(f, _jet(f)))
+            assert np.array_equal(gradient_norm(batch, X)[..., k], gradient_norm(f, _embed(f)))
             # every per-snapshot result has the batch shape: () for one body
             one = compute_invariants(f)
             for name, v in [(n, getattr(one, n)) for n in scalars] + [
@@ -207,9 +217,17 @@ class TestBatchField:
 
 
 def test_sphere_embed_builds_no_second_derivatives(monkeypatch, sphere17):
+    # embed reads the jet it is handed: no halo and no stencil of its own
+    f = _columns(sphere17)[1]
+    jet = _jet(f)
     calls = []
-    d2 = CubedSphereGrid.d2
-    monkeypatch.setattr(CubedSphereGrid, "d2",
-                        lambda self, ext, axis: calls.append(axis) or d2(self, ext, axis))
-    embed(_columns(sphere17)[1])
+    for name in ("extend", "d1", "d2"):
+        kernel = getattr(CubedSphereGrid, name)
+        monkeypatch.setattr(CubedSphereGrid, name, lambda self, *a, kernel=kernel, name=name:
+                            calls.append(name) or kernel(self, *a))
+    X = embed(f, jet)
     assert calls == []
+    # the graph-chart formula, its terms accumulated in the order written out
+    u1, u2 = jet[0]
+    (t1, t2), a, (y1, y2) = sphere17.graph_chart
+    assert np.array_equal(X, u1 * t1 + u2 * t2 + (f.u - y1 * u1 - y2 * u2) * a)

@@ -17,6 +17,12 @@ the tree returns, so trees of either layout compare bit for bit:
   d1.axis1, d1.axis2, d2.axis1, d2.axis2
                       the 4th-order stencils along each chart axis of the deg1
                       extended graph values (cubed sphere)
+  graph_jet.Du, graph_jet.D2
+                      the chart gradient (n, nodes) and the chart Hessian of
+                      the graph values, as grid.graph_jet returns them; a
+                      tree without graph_jet gives its chart gradient
+                      (chart_gradient on the cubed sphere, the first deriv of
+                      s on the circle) and graph_hessian
   embed               the embedding X, (n+1, nodes)
   chart_jet.X_i, chart_jet.X_ij
                       the chart jet of the embedding, (n, n+1, nodes) and
@@ -56,7 +62,9 @@ alike. A worker times a kernel over a batch of calls sized once to take
 about 20 ms and reports the batch time over its length. The table gives the
 median per-call time of each side over the rounds and their ratio.
 graph_hessian is timed too, as the input of spectrum and stable_dt.
-A d1 or d2 call differentiates along both chart axes.
+A d1 or d2 call differentiates along both chart axes. graph_jet is timed as
+the calls that give its two rows, and embed with the derivatives it reads:
+graph_jet then embed, or embed alone on a tree whose embed differentiates.
 
 stable_dt is fed what the tree's step feeds it, grid.spectrum of the chart
 Hessian, and its time includes the spectrum.
@@ -137,9 +145,24 @@ def _kernels(kind, res):
              "step.heun": one_step("heun"),
              "compute_invariants": lambda: compute_invariants(field),
              "compute_invariants.block": lambda: compute_invariants(block)}
-    X = embed(field)
+    if hasattr(g, "graph_jet"):
+        def graph_jet():
+            return g.graph_jet(u)
+
+        def embed_u():
+            return embed(field, g.graph_jet(u))
+    else:   # a tree before graph_jet: the gradient and the Hessian by their own calls
+        def graph_jet():
+            Du = (np.array(g.chart_gradient(u, kind="deg1")) if kind == "M"
+                  else g.deriv(field.s, 1)[None])
+            return Du, g.graph_hessian(u)
+
+        def embed_u():
+            return embed(field)
+    X = embed_u()
     Xc = _component_first(X, g.shape)
-    calls.update({"embed": lambda: embed(field), "chart_jet": lambda: g.chart_jet(X)})
+    calls.update({"graph_jet": graph_jet, "embed": embed_u,
+                  "chart_jet": lambda: g.chart_jet(X)})
     if kind == "M":
         ext = g.extend(u, kind="deg1")
         calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1"),
@@ -164,6 +187,8 @@ def _kernels(kind, res):
                     for name in TENSORS})
     outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = (
         _component_first(a, g.shape) for a in calls["chart_jet"]())
+    outputs["graph_jet.Du"], outputs["graph_jet.D2"] = (
+        _component_first(a, g.shape) for a in graph_jet())
     ivb = calls["compute_invariants.block"]()
     for name in ("area", "norm_T2", "residual_gauss_cross", "residual_C_symmetry",
                  "residual_relsupport"):
