@@ -16,7 +16,8 @@ M=33 and M=65. numpy's per-call overhead dominates the small n=1 stacks,
 which a block shares among its snapshots. A block so holds at most
 max(BLOCK_NODES, one snapshot's nodes) nodes, and the bundle's peak memory is
 that of one such stack: one snapshot's from M=33 up (tracemalloc peak of one
-block: 4.5 MB at M=33, 6534 nodes; 17.3 MB at M=65, 25,350 nodes). Every
+block, its grid and fit design built before: 4.6 MB at M=33, 6534 nodes;
+17.7 MB at M=65, 25,350 nodes). Every
 per-snapshot scalar is reduced column by column from contiguous rows, so the
 series equal those of one snapshot at a time, bit for bit.
 """

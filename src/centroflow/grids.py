@@ -259,11 +259,6 @@ def _interior(a, axis):
     return a[(slice(None),) * axis + (slice(HALO, -HALO),)]
 
 
-def _jet(f1, f2, f11, f12, f22):
-    """Chart derivatives as the pair (gradient, Hessian), component-first."""
-    return np.array([f1, f2]), np.array([[f11, f12], [f12, f22]])
-
-
 class CubedSphereGrid:
     """Six gnomonic face charts covering S^2 exactly once.
 
@@ -441,41 +436,52 @@ class CubedSphereGrid:
 
     # d1 and d2 accumulate in place, term by term from the left: the same IEEE
     # operations as c * (a - 8 b + 8 d - e) and c * (-a + 16 b - 30 m + 16 d - e)
-    # (16 b - a rounds as -a + 16 b)
+    # (16 b - a rounds as -a + 16 b); out, when given, receives the result
 
-    def d1(self, ext, axis):
+    def d1(self, ext, axis, out=None):
         """4th-order first derivative along array axis (chart axis 1 or 2), consumes the halo."""
         a, b, _, d, e = self._taps(ext, axis)
-        out = a - 8 * b
+        out = np.multiply(b, 8, out=out)
+        np.subtract(a, out, out=out)
         out += 8 * d
         out -= e
         out *= 1.0 / (12.0 * self.h)
         return out
 
-    def d2(self, ext, axis):
+    def d2(self, ext, axis, out=None):
         a, b, m, d, e = self._taps(ext, axis)
-        out = 16 * b - a
+        out = np.multiply(b, 16, out=out)
+        out -= a
         out -= 30 * m
         out += 16 * d
         out -= e
         out *= 1.0 / (12.0 * self.h ** 2)
         return out
 
-    def _second_derivs(self, ext, e1, a=1):
-        """(f_11, f_12, f_22) on the interior nodes of ext from it and its d1 e1 along a."""
-        return (self.d2(_interior(ext, a + 1), a), self.d1(e1, a + 1),
-                self.d2(_interior(ext, a), a + 1))
+    def _hessian(self, ext, e1, a=1):
+        """The chart Hessian (2, 2, ...) on the interior nodes of ext, chart axes a
+        and a + 1, from ext and its d1 e1 along a, each stencil written in its slot."""
+        D2 = np.empty((2, 2) + _interior(e1, a + 1).shape)
+        self.d2(_interior(ext, a + 1), a, out=D2[0, 0])
+        self.d1(e1, a + 1, out=D2[0, 1])
+        D2[1, 0] = D2[0, 1]
+        self.d2(_interior(ext, a), a + 1, out=D2[1, 1])
+        return D2
 
-    def _derivs(self, ext, a=1):
-        """(f_1, f_2, f_11, f_12, f_22) on the interior nodes of ext, chart axes a and a + 1."""
+    def _jet(self, ext, a=1):
+        """(gradient (2, ...), Hessian (2, 2, ...)) on the interior nodes of ext,
+        chart axes a and a + 1, component-first."""
         e1 = self.d1(ext, a)
-        return ((_interior(e1, a + 1), _interior(self.d1(ext, a + 1), a))
-                + self._second_derivs(ext, e1, a))
+        D2 = self._hessian(ext, e1, a)
+        Du = np.empty((2,) + D2.shape[2:])
+        Du[0] = _interior(e1, a + 1)
+        self.d1(_interior(ext, a), a + 1, out=Du[1])
+        return Du, D2
 
     def graph_jet(self, u):
         """(Du, D^2 u) of graph values through one deg1 halo, component-first:
         (2,6,M,M) and graph_hessian(u)'s (2,2,6,M,M) (a batch axis last)."""
-        return _jet(*self._derivs(self.extend(u, kind="deg1")))
+        return self._jet(self.extend(u, kind="deg1"))
 
     def graph_hessian(self, u):
         """Chart Hessian D^2 u of graph values, component-first (2,2,6,M,M) (or (2,2,6,M,M,B)).
@@ -483,8 +489,7 @@ class CubedSphereGrid:
         Builds only the second derivatives (f_1 and f_2 are not needed).
         """
         ext = self.extend(u, kind="deg1")
-        f11, f12, f22 = self._second_derivs(ext, self.d1(ext, 1))
-        return np.array([[f11, f12], [f12, f22]])
+        return self._hessian(ext, self.d1(ext, 1))
 
     @staticmethod
     def spectrum(D2):
@@ -510,7 +515,7 @@ class CubedSphereGrid:
     def chart_jet(self, X):
         """(X_i, X_ij) of an ambient-valued field X (3,6,M,M), component-first: (2,3,6,M,M)
         and (2,2,3,6,M,M), from stencils on the stack of its components' scalar extends."""
-        return _jet(*self._derivs(np.array([self.extend(c) for c in X]), 2))
+        return self._jet(np.array([self.extend(c) for c in X]), 2)
 
     def d1_face(self, values, axis):
         """4th-order chart derivative from same-face values only.
@@ -643,7 +648,35 @@ def grid_shape(n, resolution):
     return shape(resolution)
 
 
+_SHARED = {}   # (n, resolution) -> the process's one grid from make_grid
+# np.take copies a read-only index array on every call, which made the M=33
+# halo gather 8x slower, so the gather's index table is left writable
+_TAKE_INDICES = ("_halo_srck",)
+
+
+def _freeze(value):
+    """Mark every ndarray in value, or in a tuple or dict of them, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, dict)):
+        for v in (value.values() if isinstance(value, dict) else value):
+            _freeze(v)
+
+
 def make_grid(n, resolution):
-    """Grid factory; resolution is N for n=1 and per-face M for n=2."""
+    """Grid factory; resolution is N for n=1 and per-face M for n=2.
+
+    One grid per (n, resolution) per process: the first call builds it and
+    freezes every array it holds but _TAKE_INDICES, so later calls, in any
+    thread, share it read-only. A grid is a pure function of (n, resolution).
+    The arguments pass grid_shape before the lookup, so True or 64.0 never
+    meet the grid of 1 or 64. A private, writable grid is CircleGrid(N) or
+    CubedSphereGrid(M).
+    """
     grid_shape(n, resolution)
-    return _GRIDS[n][0](resolution)
+    grid = _SHARED.get((n, resolution))
+    if grid is None:
+        grid = _GRIDS[n][0](resolution)
+        _freeze({k: v for k, v in vars(grid).items() if k not in _TAKE_INDICES})
+        grid = _SHARED.setdefault((n, resolution), grid)
+    return grid

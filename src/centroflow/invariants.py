@@ -65,18 +65,24 @@ def inv_det(m):
     return inv, det
 
 
-def cross_normal(Xi):
-    """Generalized cross product N of X_1..X_n, component-first (n, n+1, ...) -> (n+1, ...).
+def cross_normal(Xi, out=None):
+    """Generalized cross product N of X_1..X_n, component-first (n, n+1, ...) -> (n+1, ...),
+    written into out when one is given.
 
     The bracket [X_1..X_n, Y] (determinant of the columns X_1..X_n, Y) is N . Y.
     """
+    if out is None:
+        out = np.empty((len(Xi) + 1,) + np.shape(Xi[0][0]))
     if len(Xi) == 1:
         a = Xi[0]
-        return np.stack([-a[1], a[0]])
+        np.negative(a[1], out=out[0])
+        out[1] = a[0]
+        return out
     a, b = Xi
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[i], b[j], out=out[c])
+        out[c] -= a[j] * b[i]
+    return out
 
 
 def _peak(a, batched, op=np.max):
@@ -96,14 +102,17 @@ def frame_dual(cols):
     Returns dual (n+1, n+1, ...) with dual[r] . cols[s] = delta_rs, so dual[r] . Y
     is the coefficient of Y on column r. Cramer: that coefficient is the bracket
     with Y in place of column r over the frame bracket, which is
-    (-1)^(n-r) [columns without r, Y] / [X_1..X_n, X], a cross_normal dot Y.
+    (-1)^(n-r) [columns without r, Y] / [X_1..X_n, X], a cross_normal dot Y;
+    for r = n it is the normal of X_1..X_n itself.
     A degenerate bracket is refused by gauss_decompose, per snapshot.
     """
     n = len(cols) - 1
-    normal = cross_normal(cols[:n])
-    frame_det = np.einsum("a...,a...->...", normal, cols[n])
-    dual = np.stack([(-1) ** (n - r) * cross_normal(np.delete(cols, r, axis=0))
-                     for r in range(n)] + [normal])
+    dual = np.empty_like(cols)
+    for r in range(n + 1):
+        cross_normal([c for k, c in enumerate(cols) if k != r], out=dual[r])
+        if (n - r) % 2:
+            dual[r] *= -1
+    frame_det = np.einsum("a...,a...->...", dual[n], cols[n])
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero bracket is refused
         dual /= frame_det
     return dual, frame_det
@@ -162,25 +171,44 @@ def levi_civita(grid, gmat, ginv):
     d = grid.partials(gmat[i, j])
     dg = np.empty((n,) + gmat.shape)
     dg[:, i, j] = dg[:, j, i] = d
-    # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    sym = dg + dg.swapaxes(0, 1) - np.moveaxis(dg, 0, 2)
+    # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij, one contiguous node field at a
+    # time; it is symmetric in (i, j), as a + b = b + a
+    sym = np.empty_like(dg)
+    for a in range(n):
+        for b in range(a, n):
+            for l in range(n):
+                np.add(dg[a, b, l], dg[b, a, l], out=sym[a, b, l])
+                sym[a, b, l] -= dg[l, a, b]
+            sym[b, a] = sym[a, b]
     Gam = np.einsum("kl...,ijl...->kij...", ginv, sym)
     Gam *= 0.5
     return Gam
 
 
 def cubic_form(Ghat, Gam, gmat, ginv, batched):
-    """C = Ghat - Gamma (mixed), lowered form, |C|^2, and symmetry residual
-    (per snapshot, in the batch shape: () or, when batched=1, (B,))."""
+    """C = Ghat - Gamma (mixed), lowered form C_ijk = C^l_ij g_lk, |C|^2, and the
+    symmetry residual max|C_ijk - C_ikj| (per snapshot, in the batch shape: ()
+    or, when batched=1, (B,)).
+
+    C_ijk is mirrored in (i, j) by construction: gauss_decompose copies Ghat's
+    (i, j) slot into (j, i), and levi_civita's sym is a commutative sum, so the
+    (i, j) transposition holds bit for bit. The residual measures the (j, k)
+    transposition, which the discrete stack does not build in, over its
+    off-diagonal pairs (none for n = 1, where it is 0).
+    """
     C = Ghat - Gam                                            # [k, i, j]
     C_low = np.einsum("kij...,kl...->ijl...", C, gmat)        # C_ijl
     # C^{ijk} = g^{ia} g^{jb} C^k_ab, two single contractions
     C_up = np.einsum("jb...,ibk...->ijk...", ginv,
                      np.einsum("ia...,kab...->ibk...", ginv, C))
     norm_C2 = np.einsum("ijk...,ijk...->...", C_low, C_up)
-    sym = _later_max(_peak(np.abs(C_low - C_low.swapaxes(0, 1)), batched),
-                     _peak(np.abs(C_low - C_low.swapaxes(1, 2)), batched))
-    return C, C_low, norm_C2, sym
+    n = len(C)
+    sym = np.zeros(C.shape[C.ndim - batched:])
+    for j in range(n):
+        for k in range(j + 1, n):
+            d = C_low[:, j, k] - C_low[:, k, j]
+            sym = np.maximum(sym, _peak(np.abs(d, out=d), batched))
+    return C, C_low, norm_C2, sym[()]
 
 
 def tchebychev(grid, C, ginv, Gam):

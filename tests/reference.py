@@ -8,7 +8,8 @@ calls them.
   smoke-checked against centered time differences.
 - homogeneity_residual: the mismatch of s across duplicated cubed-sphere nodes.
 - chart_derivs: the cubed sphere's (f_1, f_2, f_11, f_12, f_22) through one
-  halo, the reference of graph_hessian and chart_jet.
+  halo, each a stencil of the extended field written out, the reference of
+  graph_hessian, graph_jet and chart_jet.
 - read_csv_rows: a CSV artifact read back as floats.
 
 Fields are component-first, like the package's.
@@ -19,6 +20,7 @@ import csv
 import numpy as np
 
 from centroflow.flow import _rhs_values
+from centroflow.grids import HALO
 
 
 def rhs(field):
@@ -103,8 +105,13 @@ def homogeneity_residual(field):
 
 def chart_derivs(grid, values, kind="scalar"):
     """(f_1, f_2, f_11, f_12, f_22) of a cubed-sphere field on the interior nodes,
-    through the halo of `kind`."""
-    return grid._derivs(grid.extend(values, kind))
+    through the halo of `kind`: the d1 and d2 stencils along array axes 1 and
+    2 of the extended field, the halo cut off the other axis after them."""
+    ext = grid.extend(values, kind)
+    H = HALO
+    e1 = grid.d1(ext, 1)
+    return (e1[:, :, H:-H], grid.d1(ext, 2)[:, H:-H], grid.d2(ext, 1)[:, :, H:-H],
+            grid.d1(e1, 2), grid.d2(ext, 2)[:, H:-H])
 
 
 def read_csv_rows(path):

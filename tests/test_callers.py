@@ -9,10 +9,18 @@ does not refer to itself by being defined. A name a function binds itself
 body) is a local there and in the functions nested in it, not a reference,
 even when it shares a definition's name. Dunders are exempt. Reference
 code that only tests call lives in tests/reference.py.
+
+The guard matches attributes by their bare name, so a definition named like
+a method of np.ndarray, dict, list or str (x.copy(), x.extend(...)) always
+looks called. SHADOWED lists every such definition, and each needs a
+reference whose owner is known without types (self.name in its own class,
+or Class.name), or the reason it has none.
 """
 
 import ast
 import pathlib
+
+import numpy as np
 
 import centroflow
 
@@ -96,11 +104,80 @@ def unreferenced(modules, caller_sources, exported):
             and bare not in exported and bare not in refs]
 
 
+# every definition whose bare name is a method of np.ndarray, dict, list or
+# str: None where a qualified reference calls it, else why none does
+SHADOWED = {"grids:CubedSphereGrid.extend": None}
+BUILTIN_METHODS = {name for t in (np.ndarray, dict, list, str) for name in dir(t)
+                   if not name.startswith("__")}
+
+
+def shadowed(modules):
+    """'module:qualified name' of each definition named like a BUILTIN_METHODS method."""
+    return sorted(f"{name}:{qual}" for name, source in modules
+                  for qual, bare in definitions(source) if bare in BUILTIN_METHODS)
+
+
+def qualified_references(source):
+    """'Class.attr' for each self.attr inside class Class and each Class.attr:
+    the attribute references whose owner is known without types."""
+    refs = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            refs.add(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.ClassDef):
+            refs.update(f"{node.name}.{sub.attr}" for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self")
+    return refs
+
+
+def uncalled_shadowed(modules, caller_sources, listed):
+    """Shadowed definitions missing from listed, or listed with no reason and
+    no qualified reference; and listed ones that are not shadowed definitions."""
+    found = shadowed(modules)
+    refs = set().union(*map(qualified_references, caller_sources))
+    return ([key for key in found if key not in listed
+             or (listed[key] is None and key.split(":", 1)[1] not in refs)]
+            + sorted(set(listed) - set(found)))
+
+
 def test_every_definition_has_a_caller():
     modules = [(p.stem, p.read_text()) for p in sorted(SRC.glob("*.py"))]
     callers = [p.read_text() for d in CALLERS for p in sorted((ROOT / d).rglob("*.py"))]
     stray = unreferenced(modules, callers, set(centroflow.__all__))
     assert not stray, "defined but never used outside the tests: " + ", ".join(stray)
+
+
+def test_every_shadowed_definition_has_a_qualified_caller():
+    modules = [(p.stem, p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    callers = [p.read_text() for d in CALLERS for p in sorted((ROOT / d).rglob("*.py"))]
+    stray = uncalled_shadowed(modules, callers, SHADOWED)
+    assert not stray, ("named like a builtin method, with no qualified caller or "
+                       "reason, or listed but not defined: " + ", ".join(stray))
+
+
+def test_shadowed_guard_needs_an_owner_or_a_reason():
+    module = ('class Field:\n'
+              '    def copy(self):\n'
+              '        return self\n'
+              '    def count(self):\n'
+              '        return self.copy()\n'
+              'def items():\n'
+              '    return 0\n')
+    assert shadowed([("m", module)]) == ["m:Field.copy", "m:Field.count", "m:items"]
+    # x.count() and x.items() may be a list's and a dict's: not qualified
+    caller = "x.count(), x.items()"
+    listed = dict.fromkeys(["m:Field.copy", "m:Field.count", "m:items"])
+    assert uncalled_shadowed([("m", module)], [module, caller], listed) \
+        == ["m:Field.count", "m:items"]
+    # Class.name qualifies, and so does a reason; an unlisted or stale entry is reported
+    listed["m:items"] = "called as field.items() by the report"
+    assert uncalled_shadowed([("m", module)], [module, "Field.count(f)"], listed) == []
+    del listed["m:Field.copy"]
+    listed["m:Field.gone"] = None
+    assert uncalled_shadowed([("m", module)], [module, "Field.count(f)"], listed) \
+        == ["m:Field.copy", "m:Field.gone"]
 
 
 def test_guard_counts_code_references_only():

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from centroflow import grids as grids_mod
 from centroflow.errors import ConfigError, GridError
-from centroflow.grids import HALO, CircleGrid, CubedSphereGrid, make_grid
+from centroflow.grids import _TAKE_INDICES, HALO, CircleGrid, CubedSphereGrid, make_grid
 from centroflow.support import SupportField
 from reference import chart_derivs, homogeneity_residual
 
@@ -283,6 +287,85 @@ def test_make_grid_dispatch():
 def test_make_grid_rejects_non_integers(n, resolution):
     with pytest.raises(ConfigError, match="must be an integer"):
         make_grid(n, resolution)
+
+
+def _arrays(grid):
+    """{attribute[.entry]: array} for every ndarray the grid holds, tuple and
+    dict entries included."""
+    out = {}
+    for name, value in vars(grid).items():
+        entries = (value.items() if isinstance(value, dict) else
+                   enumerate(value) if isinstance(value, tuple) else [(None, value)])
+        out.update({name if key is None else f"{name}.{key}": a for key, a in entries
+                    if isinstance(a, np.ndarray)})
+    return out
+
+
+class TestSharedGrid:
+    def test_one_grid_per_n_and_resolution(self):
+        assert make_grid(2, 17) is make_grid(2, 17)
+        assert make_grid(1, 64) is make_grid(1, 64)
+        assert make_grid(1, 64) is not make_grid(1, 65)
+        assert make_grid(2, 17) is not CubedSphereGrid(17)
+
+    def test_cached_grid_does_not_admit_bools_or_floats(self):
+        # True == 1 and 64.0 == 64 hash alike; the check runs before the lookup
+        make_grid(1, 64)
+        for n, resolution in ((True, 64), (1, 64.0)):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                make_grid(n, resolution)
+
+    def test_threads_racing_to_build_share_one_grid(self, monkeypatch):
+        # sweep cells call make_grid from a thread pool: whichever build
+        # lands first, every thread must get the one grid the process keeps
+        monkeypatch.delitem(grids_mod._SHARED, (1, 96), raising=False)
+        start, got = threading.Barrier(8), []
+
+        def build():
+            start.wait(timeout=10)
+            got.append(make_grid(1, 96))
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(g is make_grid(1, 96) for g in got)
+
+    @pytest.mark.parametrize("n, resolution", [(1, 64), (2, 17)])
+    def test_every_array_is_read_only(self, n, resolution):
+        g = make_grid(n, resolution)
+        arrays = _arrays(g)
+        assert {"w", "nodes", "weights", "graph_chart.0"} <= arrays.keys()
+        if n == 2:
+            assert {"_halo_srck", "_halo_wk", "frameP_inv", "ref_det"} <= arrays.keys()
+        for name, a in arrays.items():
+            if name in _TAKE_INDICES:   # np.take would copy it on every call
+                assert a.flags.writeable
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+        with pytest.raises(ValueError, match="read-only"):
+            g.w *= 2.0
+        # a private grid from the constructor stays writable
+        private = CubedSphereGrid(17) if n == 2 else CircleGrid(64)
+        assert private.w.flags.writeable and private.nodes.flags.writeable
+
+    @pytest.mark.parametrize("n, resolution, cls", [(1, 64, CircleGrid),
+                                                     (2, 17, CubedSphereGrid)])
+    def test_shared_arrays_equal_a_fresh_grid_bit_for_bit(self, n, resolution, cls):
+        shared, fresh = _arrays(make_grid(n, resolution)), _arrays(cls(resolution))
+        assert shared.keys() == fresh.keys()
+        for name, a in shared.items():
+            b = fresh[name]
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("cls, resolution", [(CircleGrid, 64.9), (CircleGrid, True),

@@ -21,8 +21,10 @@ def test_same_tree_on_both_sides_has_no_differences():
     # its chart jet and the stack's 9 tensor fields among them) and 30 at
     # N=256 (the spectrum, the graph jet, the embedding, its chart jet, the 9
     # tensor fields and the block's refine_max angle and value and value_at
-    # among them), each with 5 from one block of bodies
-    assert "outputs: 64 compared, 0 difference(s)" in done.stdout
+    # among them), each with 5 from one block of bodies; and the arrays of a
+    # fresh grid, 19 on the cubed sphere and 14 on the circle
+    assert "outputs: 97 compared, 0 difference(s)" in done.stdout
+    assert "M=17/grid.tables" in done.stdout and "N=256/grid.tables" in done.stdout
     assert "M=17/step.rk4" in done.stdout and "N=256/compute_invariants" in done.stdout
     assert "M=17/spectrum" in done.stdout and "N=256/spectrum" in done.stdout
     assert "M=17/extend.vec3" in done.stdout and "N=256/compute_invariants.block" in done.stdout

@@ -47,6 +47,12 @@ the tree returns, so trees of either layout compare bit for bit:
                       N=1024)
   value_at.block      the circle's interpolant of that block's norm_T2, each
                       body at its own fixed angle
+  grid.tables         every ndarray a freshly constructed grid holds, one
+                      output per attribute (a tuple's or dict's arrays one
+                      per entry, e.g. grid.tables.graph_chart.0): nodes,
+                      weights, the halo tables, frameP_inv, ref_det, the
+                      duplicate maps and the circle's Fourier multipliers;
+                      timed as the constructor, not the shared make_grid
 
 Every output is compared bit for bit: same shape and the same float64 bytes,
 but for the three circle max-polish and interpolation rows. Those feed only
@@ -110,6 +116,18 @@ def _component_first(a, nodes):
     return np.ascontiguousarray(a)
 
 
+def _tables(g):
+    """{grid.tables.<attribute>[.<entry>]: array} for every ndarray the grid holds."""
+    out = {}
+    for name, value in vars(g).items():
+        entries = (value.items() if isinstance(value, dict) else
+                   enumerate(value) if isinstance(value, tuple) else [(None, value)])
+        for key, a in entries:
+            if isinstance(a, np.ndarray):
+                out[f"grid.tables.{name}" + ("" if key is None else f".{key}")] = a
+    return out
+
+
 def _kernels(kind, res):
     """{name: (call, outputs)}: a zero-argument call per kernel and its outputs."""
     from centroflow.diagnostics import BLOCK_NODES
@@ -118,7 +136,8 @@ def _kernels(kind, res):
     from centroflow.invariants import compute_invariants
     from centroflow.support import SupportField, embed, fourier_support
 
-    g = CubedSphereGrid(res) if kind == "M" else CircleGrid(res)
+    cls = CubedSphereGrid if kind == "M" else CircleGrid
+    g = cls(res)
 
     def body(k):
         """The k-th convex body of a family; the kernels run on body 0."""
@@ -144,7 +163,8 @@ def _kernels(kind, res):
              "step.rk4": one_step("rk4"),
              "step.heun": one_step("heun"),
              "compute_invariants": lambda: compute_invariants(field),
-             "compute_invariants.block": lambda: compute_invariants(block)}
+             "compute_invariants.block": lambda: compute_invariants(block),
+             "grid.tables": lambda: cls(res)}
     if hasattr(g, "graph_jet"):
         def graph_jet():
             return g.graph_jet(u)
@@ -182,7 +202,7 @@ def _kernels(kind, res):
                "step.rk4.u": calls["step.rk4"]()[0].field.u,
                "step.heun.u": calls["step.heun"]()[0].field.u,
                "compute_invariants.area": np.float64(iv.area),
-               "compute_invariants.norm_T2": iv.norm_T2, "embed": Xc}
+               "compute_invariants.norm_T2": iv.norm_T2, "embed": Xc, **_tables(g)}
     outputs.update({f"compute_invariants.{name}": _component_first(getattr(iv, name), g.shape)
                     for name in TENSORS})
     outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = (
