@@ -667,8 +667,8 @@ def make_grid(n, resolution):
     """Grid factory; resolution is N for n=1 and per-face M for n=2.
 
     One grid per (n, resolution) per process: the first call builds it and
-    freezes every array it holds but _TAKE_INDICES, so later calls, in any
-    thread, share it read-only. A grid is a pure function of (n, resolution).
+    freezes every array it holds but _TAKE_INDICES, so later calls share it
+    read-only. A grid is a pure function of (n, resolution).
     The arguments pass grid_shape before the lookup, so True or 64.0 never
     meet the grid of 1 or 64. A private, writable grid is CircleGrid(N) or
     CubedSphereGrid(M).
@@ -678,5 +678,5 @@ def make_grid(n, resolution):
     if grid is None:
         grid = _GRIDS[n][0](resolution)
         _freeze({k: v for k, v in vars(grid).items() if k not in _TAKE_INDICES})
-        grid = _SHARED.setdefault((n, resolution), grid)
+        _SHARED[n, resolution] = grid
     return grid

@@ -65,14 +65,12 @@ def inv_det(m):
     return inv, det
 
 
-def cross_normal(Xi, out=None):
+def cross_normal(Xi, out):
     """Generalized cross product N of X_1..X_n, component-first (n, n+1, ...) -> (n+1, ...),
-    written into out when one is given.
+    written into out.
 
     The bracket [X_1..X_n, Y] (determinant of the columns X_1..X_n, Y) is N . Y.
     """
-    if out is None:
-        out = np.empty((len(Xi) + 1,) + np.shape(Xi[0][0]))
     if len(Xi) == 1:
         a = Xi[0]
         np.negative(a[1], out=out[0])
@@ -194,7 +192,8 @@ def cubic_form(Ghat, Gam, gmat, ginv, batched):
     (i, j) slot into (j, i), and levi_civita's sym is a commutative sum, so the
     (i, j) transposition holds bit for bit. The residual measures the (j, k)
     transposition, which the discrete stack does not build in, over its
-    off-diagonal pairs (none for n = 1, where it is 0).
+    off-diagonal pairs (none for n = 1, where it is 0). A snapshot whose C_ijk
+    holds a NaN or an infinity reads NaN, as the full comparison would.
     """
     C = Ghat - Gam                                            # [k, i, j]
     C_low = np.einsum("kij...,kl...->ijl...", C, gmat)        # C_ijl
@@ -203,7 +202,7 @@ def cubic_form(Ghat, Gam, gmat, ginv, batched):
                      np.einsum("ia...,kab...->ibk...", ginv, C))
     norm_C2 = np.einsum("ijk...,ijk...->...", C_low, C_up)
     n = len(C)
-    sym = np.zeros(C.shape[C.ndim - batched:])
+    sym = _peak(C_low - C_low, batched)   # 0, or NaN where an entry is not finite
     for j in range(n):
         for k in range(j + 1, n):
             d = C_low[:, j, k] - C_low[:, k, j]

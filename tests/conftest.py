@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -58,3 +61,12 @@ def random_spd(rng, dim, cond_max=16.0):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def load_tool(name):
+    """tools/<name>.py as a module: the tools are scripts, run against any tree."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool

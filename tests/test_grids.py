@@ -1,14 +1,13 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
-from centroflow import grids as grids_mod
 from centroflow.errors import ConfigError, GridError
 from centroflow.grids import _TAKE_INDICES, HALO, CircleGrid, CubedSphereGrid, make_grid
 from centroflow.support import SupportField
+from conftest import load_tool
 from reference import chart_derivs, homogeneity_residual
+
+KERNEL_AB = load_tool("kernel_ab")
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
 SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "radial", "graph_chart",
@@ -291,14 +290,8 @@ def test_make_grid_rejects_non_integers(n, resolution):
 
 def _arrays(grid):
     """{attribute[.entry]: array} for every ndarray the grid holds, tuple and
-    dict entries included."""
-    out = {}
-    for name, value in vars(grid).items():
-        entries = (value.items() if isinstance(value, dict) else
-                   enumerate(value) if isinstance(value, tuple) else [(None, value)])
-        out.update({name if key is None else f"{name}.{key}": a for key, a in entries
-                    if isinstance(a, np.ndarray)})
-    return out
+    dict entries included, as tools/kernel_ab.py dumps them."""
+    return {k.removeprefix("grid.tables."): a for k, a in KERNEL_AB._tables(grid).items()}
 
 
 class TestSharedGrid:
@@ -314,29 +307,6 @@ class TestSharedGrid:
         for n, resolution in ((True, 64), (1, 64.0)):
             with pytest.raises(ConfigError, match="must be an integer"):
                 make_grid(n, resolution)
-
-    def test_threads_racing_to_build_share_one_grid(self, monkeypatch):
-        # sweep cells call make_grid from a thread pool: whichever build
-        # lands first, every thread must get the one grid the process keeps
-        monkeypatch.delitem(grids_mod._SHARED, (1, 96), raising=False)
-        start, got = threading.Barrier(8), []
-
-        def build():
-            start.wait(timeout=10)
-            got.append(make_grid(1, 96))
-
-        threads = [threading.Thread(target=build) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == 8 and all(g is make_grid(1, 96) for g in got)
 
     @pytest.mark.parametrize("n, resolution", [(1, 64), (2, 17)])
     def test_every_array_is_read_only(self, n, resolution):

@@ -244,12 +244,47 @@ class TestKernels:
         # whose last column is replaced by Y
         F = rng.standard_normal((500, d, d))
         Y = rng.standard_normal((500, d))
-        normal = cross_normal(np.moveaxis(F[..., :d - 1], (-1, -2), (0, 1)))
+        normal = cross_normal(np.moveaxis(F[..., :d - 1], (-1, -2), (0, 1)),
+                              np.empty((d, 500)))
         assert normal.shape == (d, 500)
         got = np.einsum("a...,...a->...", normal, Y)
         F[..., d - 1] = Y
         want = np.linalg.det(F)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cubic_form_residual_is_the_full_comparison(self, rng, n, bad):
+        # Ghat and Gamma mirrored in (i, j), as the stack builds them; snapshot 1
+        # gets a non-finite C^0_00 (at n = 1 no (j, k) pair holds it)
+        nodes, B = 40, 3
+        Ghat, Gam = (rng.standard_normal((n, n, n, nodes, B)) for _ in range(2))
+        Ghat, Gam = Ghat + Ghat.swapaxes(1, 2), Gam + Gam.swapaxes(1, 2)
+        gmat = np.zeros((n, n, nodes, B))
+        for i in range(n):
+            gmat[i, i] = rng.uniform(0.5, 2.0, (nodes, B))
+        ginv = np.zeros_like(gmat)
+        for i in range(n):
+            ginv[i, i] = 1.0 / gmat[i, i]
+        Ghat[0, 0, 0, 7, 1] = bad
+
+        def full(C_low):
+            # both transpositions over every entry and node (batch axis last);
+            # |x - x| is NaN at a NaN or an inf
+            axes = (0, 1, 2, 3)
+            return np.maximum(np.max(np.abs(C_low - C_low.swapaxes(0, 1)), axis=axes),
+                              np.max(np.abs(C_low - C_low.swapaxes(1, 2)), axis=axes))
+
+        with np.errstate(invalid="ignore"):   # inf - inf
+            _, C_low, _, sym = inv_mod.cubic_form(Ghat, Gam, gmat, ginv, 1)
+            want = full(C_low)
+            assert np.isnan(want[1]) and np.isfinite(want[[0, 2]]).all()
+            assert np.array_equal(sym, want, equal_nan=True)
+            for b in range(B):   # one snapshot, unbatched: a scalar
+                _, C_low, _, sym = inv_mod.cubic_form(Ghat[..., b], Gam[..., b],
+                                                      gmat[..., b], ginv[..., b], 0)
+                assert np.ndim(sym) == 0
+                assert np.array_equal(sym, full(C_low[..., None])[0], equal_nan=True)
 
 
 class TestLayout:

@@ -1,11 +1,12 @@
 """tools/kernel_ab.py: the same tree on both sides agrees bit for bit."""
 
-import importlib.util
 import pathlib
 import subprocess
 import sys
 
 import numpy as np
+
+from conftest import load_tool
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "kernel_ab.py"
@@ -35,15 +36,8 @@ def test_same_tree_on_both_sides_has_no_differences():
     assert "N=256/refine_max.block" in done.stdout and "N=256/value_at.block" in done.stdout
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("kernel_ab", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def test_compare_reports_one_ulp_and_a_missing_output():
-    tool = _tool()
+    tool = load_tool("kernel_ab")
     a = {"x": np.linspace(1.0, 2.0, 5), "y": np.asarray(0.5), "z": np.asarray(0.5)}
     b = {k: v.copy() for k, v in a.items()}
     assert tool.compare(a, b) == []
@@ -59,7 +53,7 @@ def test_compare_reports_one_ulp_and_a_missing_output():
 
 def test_component_first_takes_either_jet_layout():
     # the jet, the embedding and the stack's fields, each in either layout
-    tool = _tool()
+    tool = load_tool("kernel_ab")
     rng = np.random.default_rng(3)
     for n, nodes in ((1, (16,)), (2, (6, 17, 17))):
         for comp in ((n, n + 1), (n, n, n + 1), (n + 1,), (n, n), (n, n, n), ()):
@@ -72,7 +66,7 @@ def test_component_first_takes_either_jet_layout():
 
 
 def test_compare_holds_the_circle_max_rows_to_the_numeric_rule():
-    tool = _tool()
+    tool = load_tool("kernel_ab")
     a = {f"N=256/{k}": np.array([0.5, 3.0, 250.0]) for k in tool.NUMERIC}
     b = {k: v.copy() for k, v in a.items()}
     theta, value, interp = sorted(a)
