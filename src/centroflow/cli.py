@@ -2,12 +2,15 @@
 
 Subcommands: evolve, diagnose, oracle-compare, sweep, validate-config.
 Exit codes: 0 success (including runs that legitimately end in Extinction or
-Blowup), 2 configuration or input error, 3 flow stopped by a numerical guard
-(ConvexityLost or NumericalBlowup). Outputs are deterministic for a fixed
-config: float fields use repr round-tripping and rows follow input order.
+Blowup), 1 a Violated diagnose verdict, an oracle-compare error beyond its
+tolerance or a failed sweep cell, 2 configuration or input error, 3 flow
+stopped by a numerical guard (ConvexityLost or NumericalBlowup). Outputs are
+deterministic for a fixed config: float fields use repr round-tripping and
+rows follow input order.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -49,7 +52,7 @@ def _run_config(cfg, outdir):
     """Evolve per config, write all artifacts; returns (traj, bundle, hash)."""
     cfg_hash = iomod.config_hash(cfg)
     t0 = time.perf_counter()
-    _, field = cfgmod.build_initial(cfg)
+    field = cfgmod.build_initial(cfg)
     traj = evolve(field, cfgmod.step_control(cfg), renormalize=cfg["renormalize"])
     wall = time.perf_counter() - t0
     os.makedirs(outdir, exist_ok=True)
@@ -133,8 +136,8 @@ def _sweep_cell(idx, overrides, cfg, outroot):
         traj, bundle, _ = _run_config(cfg, outdir)
         row.update(termination=traj.termination,
                    classification=diag.classify(bundle),
-                   final_roundness=iomod._fmt(bundle.roundness[-1]),
-                   final_supT2=iomod._fmt(bundle.supT2[-1]),
+                   final_roundness=bundle.roundness[-1],
+                   final_supT2=bundle.supT2[-1],
                    status="completed")
     except Exception as exc:  # crash isolation: the row records, sweep goes on
         row.update(termination="", classification="",
@@ -167,6 +170,7 @@ def cmd_validate_config(args):
     return 0
 
 
+@functools.cache   # holds no cmd_* function: main looks each one up per call
 def build_parser():
     p = argparse.ArgumentParser(
         prog="centroflow",
@@ -176,35 +180,33 @@ def build_parser():
     pe = sub.add_parser("evolve", help="run a flow and write its trajectory")
     pe.add_argument("--config", required=True)
     _add_override_flags(pe)
-    pe.set_defaults(func=cmd_evolve)
 
     pd = sub.add_parser("diagnose", help="check every law on a stored trajectory")
     pd.add_argument("--trajectory", required=True)
     pd.add_argument("--decay-ratio", dest="decay_ratio", type=float, default=None)
-    pd.set_defaults(func=cmd_diagnose)
 
     po = sub.add_parser("oracle-compare",
                         help="compare an ellipsoid run against the exact law")
     po.add_argument("--config", required=True)
     po.add_argument("--tolerance", type=float, default=1e-3)
     _add_override_flags(po)
-    po.set_defaults(func=cmd_oracle_compare)
 
     ps = sub.add_parser("sweep", help="run a parameter sweep")
     ps.add_argument("--spec", required=True)
     ps.add_argument("--output", default=None)
-    ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("validate-config", help="validate a config and exit")
     pv.add_argument("--config", required=True)
-    pv.set_defaults(func=cmd_validate_config)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    command = {"evolve": cmd_evolve, "diagnose": cmd_diagnose,
+               "oracle-compare": cmd_oracle_compare, "sweep": cmd_sweep,
+               "validate-config": cmd_validate_config}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -116,7 +116,7 @@ def ellipsoid_matrix(cfg):
 
 
 def build_initial(cfg):
-    """Grid + SupportField for a validated config; convexity-checks the datum."""
+    """SupportField of a validated config's initial datum; convexity-checks it."""
     grid = make_grid(cfg["n"], cfg["resolution"])
     init = cfg["initial"]
     kind, params = init["kind"], init.get("params", {})
@@ -137,7 +137,7 @@ def build_initial(cfg):
         if not os.path.exists(path):
             raise ConfigError(f"initial snapshot file not found: {path}")
         _, field, _ = load_snapshot(path, grid)
-    return grid, field
+    return field
 
 
 def load_config_file(path):

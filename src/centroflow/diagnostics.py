@@ -115,8 +115,9 @@ def _block_rows(states, s0, with_rhs):
     per = grid.per_snapshot
     iv = inva.compute_invariants(field)
     where, supT2 = grid.refine_max(iv.norm_T2)
+    # integrals against the centro-affine measure dmu = sqrt(det g) dy
     row = {"area": iv.area,
-           "int_T2": inva.integrate_mu(grid, iv.norm_T2, iv.sqrt_det_g),
+           "int_T2": grid.integrate_chart(iv.norm_T2 * iv.sqrt_det_g),
            "supT2": supT2,
            "supC2": grid.refine_max(iv.norm_C2)[1],
            "min_s": field.min_s(), "max_s": field.max_s(),
@@ -129,8 +130,8 @@ def _block_rows(states, s0, with_rhs):
            "grad_max": per(np.max, gradient_norm(field, iv.X))}
     if with_rhs:
         te = inva.t2_evolution_rhs(iv)
-        row["int_rhs"] = inva.integrate_mu(
-            grid, te + 0.5 * field.n * iv.norm_T2 ** 2, iv.sqrt_det_g)
+        row["int_rhs"] = grid.integrate_chart(
+            (te + 0.5 * field.n * iv.norm_T2 ** 2) * iv.sqrt_det_g)
         # evaluate at the grid's refined max, not the nearest node: on the circle
         # the node offset costs O(h^2 rhs'') which dominates the residual floor
         row["sup_rhs"] = grid.value_at(te, where)

@@ -87,25 +87,24 @@ class Trajectory:
         return len(self.snapshots)
 
 
-def _rhs_values(field, convexity_floor, spec):
+def _rhs_values(grid, u, convexity_floor, spec):
     """Right-hand side on the graph values u (u = s on the circle).
 
     spec is grid.spectrum of the chart Hessian of u: (det, lo, hi).
     """
-    g = field.grid
-    u = field.u
     if u.min() <= 0.0:
-        raise OriginCrossed("support function lost positivity", value=field.min_s(),
-                            where=np.unravel_index(np.argmin(field.s), u.shape))
+        s = u / grid.w
+        raise OriginCrossed("support function lost positivity", value=s.min(),
+                            where=np.unravel_index(np.argmin(s), u.shape))
     det, lo, _ = spec
     if lo.min() <= convexity_floor:
         raise ConvexityLost("graph Hessian lost positivity", value=float(lo.min()),
                             where=np.unravel_index(np.argmin(lo), lo.shape))
-    if field.n == 1:
+    if grid.n == 1:
         out = 0.5 * u * np.log(u**3 * det)
     else:
-        ratio = det / g.ref_det
-        srel = field.s
+        ratio = det / grid.ref_det
+        srel = u / grid.w
         out = 0.25 * u * np.log(ratio) + u * np.log(srel)
         # same value grouped as w * s_t; the two must agree to rounding
         alt = 0.25 * u * np.log(ratio * srel**4)
@@ -153,10 +152,10 @@ def step(state, control, t_stop):
     floor = control.convexity_floor
 
     def rate(delta):
-        f = SupportField(g, u=f0.u + delta)
-        return _rhs_values(f, floor, g.spectrum(g.graph_hessian(f.u)))
+        u = f0.u + delta
+        return _rhs_values(g, u, floor, g.spectrum(g.graph_hessian(u)))
 
-    k1 = _rhs_values(f0, floor, spec)
+    k1 = _rhs_values(g, f0.u, floor, spec)
     if control.scheme == "heun":
         delta = 0.5 * dt * (k1 + rate(dt * k1))
     else:

@@ -309,7 +309,7 @@ class CubedSphereGrid:
 
     def _solid_angle_weights(self):
         # exact solid angle of each node's gnomonic cell; cells tile the sphere
-        M, h = self.M, self.h
+        M = self.M
         edges = np.concatenate([[-1.0], (self.ys[:-1] + self.ys[1:]) / 2.0, [1.0]])
 
         def omega(a, b):

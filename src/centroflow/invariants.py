@@ -224,27 +224,6 @@ def tchebychev(grid, C, ginv, Gam):
     return T_low, T_up, norm_T2, H
 
 
-def tchebychev_function(det_g, frame_det):
-    """psi = det g / bracket^2 (positive, GL-covariant by det A^{-2})."""
-    return det_g / frame_det**2
-
-
-def equiaffine_support(s, K, n):
-    """rho = s * K^{-1/(n+2)} for Gauss curvature K > 0."""
-    return s * K ** (-1.0 / (n + 2))
-
-
-def pick_and_chi(norm_C2, norm_T2, n):
-    """Pick invariant J and normalized scalar curvature chi (n >= 2: J divides by n - 1)."""
-    J = norm_C2 / (n * (n - 1))
-    return J, J - (n / (n - 1)) * norm_T2 + 1.0
-
-
-def integrate_mu(grid, values, sqrt_det_g):
-    """Integral of a scalar against the centro-affine measure dmu = sqrt(det g) dy."""
-    return grid.integrate_chart(values * sqrt_det_g)
-
-
 def compute_invariants(field):
     """Full invariant stack for a support field; returns InvariantFields.
 
@@ -272,11 +251,14 @@ def compute_invariants(field):
     Gam = levi_civita(grid, gmat, ginv)
     C, C_low, norm_C2, sym_C = cubic_form(Ghat, Gam, gmat, ginv, batched)
     T_low, T_up, norm_T2, H = tchebychev(grid, C, ginv, Gam)
-    psi = tchebychev_function(det_g, frame_det)
+    psi = det_g / frame_det**2   # positive, GL-covariant by det A^{-2}
     spec = grid.spectrum(bmat)
     K = 1.0 / spec[0]
-    rho = equiaffine_support(field.s, K, n)
-    J, chi = pick_and_chi(norm_C2, norm_T2, n) if n >= 2 else (None, None)
+    rho = field.s * K ** (-1.0 / (n + 2))
+    J = chi = None
+    if n >= 2:   # the Pick invariant J divides by n - 1
+        J = norm_C2 / (n * (n - 1))
+        chi = J - (n / (n - 1)) * norm_T2 + 1.0
     sqrt_det_g = np.sqrt(np.maximum(det_g, 0.0))
 
     # rel-support residuals: T against the gradients of log psi and log rho,

@@ -47,12 +47,8 @@ def _fmt(v):
     return repr(float(v))
 
 
-def output_root():
-    return os.environ.get("CENTROFLOW_OUTPUT_ROOT", "")
-
-
 def resolve_outdir(path):
-    root = output_root()
+    root = os.environ.get("CENTROFLOW_OUTPUT_ROOT", "")
     if root and not os.path.isabs(path):
         return os.path.join(root, path)
     return path

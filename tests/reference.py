@@ -26,7 +26,7 @@ from centroflow.grids import HALO
 def rhs(field):
     """ds/dt per node (sphere values, both n)."""
     g = field.grid
-    return _rhs_values(field, 0.0, g.spectrum(g.graph_hessian(field.u))) / g.w
+    return _rhs_values(g, field.u, 0.0, g.spectrum(g.graph_hessian(field.u))) / g.w
 
 
 def lambda_rescaling(t, lam, n):

@@ -195,7 +195,7 @@ class TestBuildInitial:
     def test_radius_datum(self):
         cfg = validate({"n": 2, "resolution": 17,
                         "initial": {"kind": "ellipsoid", "params": {"radius": 1.3}}})
-        _, field = build_initial(cfg)
+        field = build_initial(cfg)
         assert np.max(np.abs(field.s - 1.3)) < 1e-14
 
     def test_missing_file_datum(self):
@@ -284,6 +284,20 @@ class TestCLI:
                 "snapshot_interval": 0.5, "seed": 4, "output": "o", "renormalize": True}
         assert cli._apply_overrides({"renormalize": False}, given) == want
         assert [field for field, _ in cli.OVERRIDE_FLAGS] == list(want)
+        # one parser per process: the flags given above read None when absent again
+        assert cli.build_parser() is p
+        again = p.parse_args([command, "--config", "c.json"])
+        assert all(getattr(again, field) is None for field, _ in cli.OVERRIDE_FLAGS)
+
+    def test_main_runs_the_command_bound_when_it_is_called(self, tmp_path, monkeypatch):
+        # the parser is cached, so a cmd_* rebound after the first main call
+        # (a tracer's wrapper, a test's stub) must still be the one that runs
+        missing = str(tmp_path / "missing")
+        assert main(["diagnose", "--trajectory", missing]) == 2
+        seen = []
+        monkeypatch.setattr(cli, "cmd_diagnose", lambda args: seen.append(args) or 7)
+        assert main(["diagnose", "--trajectory", missing]) == 7
+        assert [args.trajectory for args in seen] == [missing]
 
     def test_validate_config(self, tmp_path):
         good = write_cfg(tmp_path / "good.json", flower_cfg())
@@ -376,6 +390,18 @@ class TestCLI:
         # an unreachable decay target must flip the exit code
         assert main(["diagnose", "--trajectory", str(out),
                      "--decay-ratio", "1e-6"]) == 1
+
+    @pytest.fixture
+    def unit_sphere_run(self, tmp_path):
+        # the n=2 unit sphere, a bitwise fixed point of the flow, at M=17
+        return self.run_dir(tmp_path, {"n": 2, "resolution": 17, "initial": RADIUS,
+                                       "t_end": 0.01, "snapshot_interval": 0.0025})
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP direction 15: on the n=2 unit sphere tchebychev_identity reads "
+        "Violated (margin -0.950) against sup|T|^2 at the grid's truncation floor"))
+    def test_diagnose_n2_unit_sphere_exits_0(self, unit_sphere_run):
+        assert main(["diagnose", "--trajectory", str(unit_sphere_run)]) == 0
 
     def test_diagnose_decay_ratio_zero(self, tmp_path):
         out = self.run_dir(tmp_path, flower_cfg())

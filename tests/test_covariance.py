@@ -54,6 +54,6 @@ def test_a_wrong_exponent_breaks_the_covariance(monkeypatch):
     # 0.5 u log(u^(n + 2.01) det b) on the circle: the n=1 right side plus
     # 0.005 u log u, which a linear map does not commute with
     rhs = flow._rhs_values
-    monkeypatch.setattr(flow, "_rhs_values", lambda field, floor, spec:
-                        rhs(field, floor, spec) + 0.005 * field.u * np.log(field.u))
+    monkeypatch.setattr(flow, "_rhs_values", lambda g, u, floor, spec:
+                        rhs(g, u, floor, spec) + 0.005 * u * np.log(u))
     assert _defect(S) > 1e3 * TOL

@@ -189,7 +189,7 @@ def _reference_series(traj):
     inv = [inva.compute_invariants(st.field) for st in traj.snapshots]
     t, n, K = traj.times, inv[0].n, len(inv)
     ref = {"area": np.array([iv.area for iv in inv]),
-           "int_T2": np.array([inva.integrate_mu(iv.grid, iv.norm_T2, iv.sqrt_det_g)
+           "int_T2": np.array([iv.grid.integrate_chart(iv.norm_T2 * iv.sqrt_det_g)
                                for iv in inv])}
     ref["area_rhs"] = 0.5 * n * ref["int_T2"]
     t2max = [iv.grid.refine_max(iv.norm_T2) for iv in inv]
@@ -210,8 +210,9 @@ def _reference_series(traj):
         ref[key] = np.full(K, np.nan)
     if K >= 3:
         tevo = [inva.t2_evolution_rhs(iv) for iv in inv]
-        int_rhs = np.array([inva.integrate_mu(iv.grid, te + 0.5 * n * iv.norm_T2 ** 2,
-                                              iv.sqrt_det_g) for iv, te in zip(inv, tevo)])
+        int_rhs = np.array([iv.grid.integrate_chart((te + 0.5 * n * iv.norm_T2 ** 2)
+                                                    * iv.sqrt_det_g)
+                            for iv, te in zip(inv, tevo)])
         sup_rhs = np.array([iv.grid.value_at(te, where)
                             for iv, te, (where, _) in zip(inv, tevo, t2max)])
         for key, y, rhs in (("r_area", ref["area"], ref["area_rhs"]),

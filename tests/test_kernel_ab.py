@@ -51,20 +51,6 @@ def test_compare_reports_one_ulp_and_a_missing_output():
     assert lines[2] == "[diff] z: only on the base side"
 
 
-def test_component_first_takes_either_jet_layout():
-    # the jet, the embedding and the stack's fields, each in either layout
-    tool = load_tool("kernel_ab")
-    rng = np.random.default_rng(3)
-    for n, nodes in ((1, (16,)), (2, (6, 17, 17))):
-        for comp in ((n, n + 1), (n, n, n + 1), (n + 1,), (n, n), (n, n, n), ()):
-            a = rng.standard_normal(comp + nodes)
-            k = len(comp)
-            node_first = np.moveaxis(a, tuple(range(k)), tuple(range(-k, 0)))
-            for field in (a, node_first):
-                got = tool._component_first(field, nodes)
-                assert got.flags.c_contiguous and np.array_equal(got, a)
-
-
 def test_compare_holds_the_circle_max_rows_to_the_numeric_rule():
     tool = load_tool("kernel_ab")
     a = {f"N=256/{k}": np.array([0.5, 3.0, 250.0]) for k in tool.NUMERIC}

@@ -17,7 +17,9 @@ every file the commands write, in two stability classes:
 
 Exit codes and standard output of every command must match too (standard
 output under the numeric rule). Prints one line per command and per file
-that differs, then a summary; exits 0 when everything matches, 1 otherwise.
+that differs, then a summary; exits 0 when everything matches, 1 otherwise,
+and 2, before any command runs, when a tree does not provide the package
+(a checkout root given instead of its src/, say).
 """
 
 import csv
@@ -177,14 +179,28 @@ def _body(M):
     return {"n": 2, "resolution": M, "time": 0.0, "values": values}
 
 
+def _tree_env(src):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("CENTROFLOW_OUTPUT_ROOT", None)
+    return env
+
+
+def imports_from(src, cwd):
+    """Whether `import centroflow`, run in cwd with src on PYTHONPATH, loads
+    src/centroflow (not an installed copy, nor a package further down)."""
+    proc = subprocess.run([sys.executable, "-c", "import centroflow; print(centroflow.__file__)"],
+                          cwd=cwd, env=_tree_env(src), capture_output=True, text=True)
+    package = os.path.dirname(os.path.abspath(proc.stdout.strip()))
+    return proc.returncode == 0 and package == os.path.join(os.path.abspath(src), "centroflow")
+
+
 def run_tree(src, workdir):
     """Write the inputs, run every command; returns [(argv, exit code, stdout)]."""
     bodies = {f"body{M}.json": _body(M) for M in (17, 33, 65)}
     for name, doc in dict(INPUTS, **bodies).items():
         with open(os.path.join(workdir, name), "w") as fh:
             json.dump(doc, fh)
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.pop("CENTROFLOW_OUTPUT_ROOT", None)
+    env = _tree_env(src)
     results = []
     for argv in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "centroflow.cli", *argv],
@@ -302,6 +318,11 @@ def main(argv=None):
     base_src, head_src = argv
     diff = Diff()
     with tempfile.TemporaryDirectory() as tmp:
+        for src in dict.fromkeys(argv):
+            if not imports_from(src, tmp):
+                print(f"artifact parity: {src} does not provide the centroflow package "
+                      "(pass the src/ of a checkout)", file=sys.stderr)
+                return 2
         work = {}
         results = {}
         for side, src in (("base", base_src), ("head", head_src)):

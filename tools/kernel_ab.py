@@ -6,9 +6,8 @@
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
 (the `src/` of two checkouts). Each tree runs in its own worker subprocess.
 The worker builds one fixed convex body per size (per-face M on the cubed
-sphere, N on the circle) and dumps the kernel outputs in one canonical
-layout, component-first (component axes, then the nodes), whatever layout
-the tree returns, so trees of either layout compare bit for bit:
+sphere, N on the circle) and dumps the kernel outputs, component-first
+(component axes, then the nodes) as the package returns them:
 
   extend.deg1         the deg1 halo extend of the graph values (cubed sphere)
   extend.scalar       the scalar halo extend of s (cubed sphere)
@@ -19,10 +18,7 @@ the tree returns, so trees of either layout compare bit for bit:
                       extended graph values (cubed sphere)
   graph_jet.Du, graph_jet.D2
                       the chart gradient (n, nodes) and the chart Hessian of
-                      the graph values, as grid.graph_jet returns them; a
-                      tree without graph_jet gives its chart gradient
-                      (chart_gradient on the cubed sphere, the first deriv of
-                      s on the circle) and graph_hessian
+                      the graph values, as grid.graph_jet returns them
   embed               the embedding X, (n+1, nodes)
   chart_jet.X_i, chart_jet.X_ij
                       the chart jet of the embedding, (n, n+1, nodes) and
@@ -70,7 +66,7 @@ median per-call time of each side over the rounds and their ratio.
 graph_hessian is timed too, as the input of spectrum and stable_dt.
 A d1 or d2 call differentiates along both chart axes. graph_jet is timed as
 the calls that give its two rows, and embed with the derivatives it reads:
-graph_jet then embed, or embed alone on a tree whose embed differentiates.
+graph_jet then embed.
 
 stable_dt is fed what the tree's step feeds it, grid.spectrum of the chart
 Hessian, and its time includes the spectrum.
@@ -104,16 +100,6 @@ def _sizes(Ms, Ns):
 # embedding and its first derivatives, dumped as embed and chart_jet.X_i)
 TENSORS = ("g", "g_inv", "gamma_hat", "gamma", "C_mixed", "C_low", "T_low", "T_up",
            "curvature")
-
-
-def _component_first(a, nodes):
-    """One body's field on the node shape `nodes`, component axes first and
-    C-contiguous: a node-first field (its component axes trailing) is moved, a
-    component-first one kept."""
-    k = a.ndim - len(nodes)
-    if k and a.shape[:len(nodes)] == nodes:
-        a = np.moveaxis(a, tuple(range(len(nodes), a.ndim)), tuple(range(k)))
-    return np.ascontiguousarray(a)
 
 
 def _tables(g):
@@ -164,30 +150,16 @@ def _kernels(kind, res):
              "step.heun": one_step("heun"),
              "compute_invariants": lambda: compute_invariants(field),
              "compute_invariants.block": lambda: compute_invariants(block),
-             "grid.tables": lambda: cls(res)}
-    if hasattr(g, "graph_jet"):
-        def graph_jet():
-            return g.graph_jet(u)
-
-        def embed_u():
-            return embed(field, g.graph_jet(u))
-    else:   # a tree before graph_jet: the gradient and the Hessian by their own calls
-        def graph_jet():
-            Du = (np.array(g.chart_gradient(u, kind="deg1")) if kind == "M"
-                  else g.deriv(field.s, 1)[None])
-            return Du, g.graph_hessian(u)
-
-        def embed_u():
-            return embed(field)
-    X = embed_u()
-    Xc = _component_first(X, g.shape)
-    calls.update({"graph_jet": graph_jet, "embed": embed_u,
-                  "chart_jet": lambda: g.chart_jet(X)})
+             "grid.tables": lambda: cls(res),
+             "graph_jet": lambda: g.graph_jet(u),
+             "embed": lambda: embed(field, g.graph_jet(u))}
+    X = calls["embed"]()
+    calls["chart_jet"] = lambda: g.chart_jet(X)
     if kind == "M":
         ext = g.extend(u, kind="deg1")
         calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1"),
                       "extend.scalar": lambda: g.extend(field.s),
-                      "extend.vec3": lambda: np.array([g.extend(c) for c in Xc]),
+                      "extend.vec3": lambda: np.array([g.extend(c) for c in X]),
                       "d1": lambda: (g.d1(ext, 1), g.d1(ext, 2)),
                       "d2": lambda: (g.d2(ext, 1), g.d2(ext, 2))}, **calls)
     else:
@@ -202,13 +174,10 @@ def _kernels(kind, res):
                "step.rk4.u": calls["step.rk4"]()[0].field.u,
                "step.heun.u": calls["step.heun"]()[0].field.u,
                "compute_invariants.area": np.float64(iv.area),
-               "compute_invariants.norm_T2": iv.norm_T2, "embed": Xc, **_tables(g)}
-    outputs.update({f"compute_invariants.{name}": _component_first(getattr(iv, name), g.shape)
-                    for name in TENSORS})
-    outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = (
-        _component_first(a, g.shape) for a in calls["chart_jet"]())
-    outputs["graph_jet.Du"], outputs["graph_jet.D2"] = (
-        _component_first(a, g.shape) for a in graph_jet())
+               "compute_invariants.norm_T2": iv.norm_T2, "embed": X, **_tables(g)}
+    outputs.update({f"compute_invariants.{name}": getattr(iv, name) for name in TENSORS})
+    outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = calls["chart_jet"]()
+    outputs["graph_jet.Du"], outputs["graph_jet.D2"] = calls["graph_jet"]()
     ivb = calls["compute_invariants.block"]()
     for name in ("area", "norm_T2", "residual_gauss_cross", "residual_C_symmetry",
                  "residual_relsupport"):
