@@ -10,7 +10,6 @@ rows follow input order.
 """
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -170,7 +169,6 @@ def cmd_validate_config(args):
     return 0
 
 
-@functools.cache   # holds no cmd_* function: main looks each one up per call
 def build_parser():
     p = argparse.ArgumentParser(
         prog="centroflow",
@@ -180,33 +178,35 @@ def build_parser():
     pe = sub.add_parser("evolve", help="run a flow and write its trajectory")
     pe.add_argument("--config", required=True)
     _add_override_flags(pe)
+    pe.set_defaults(func=cmd_evolve)
 
     pd = sub.add_parser("diagnose", help="check every law on a stored trajectory")
     pd.add_argument("--trajectory", required=True)
     pd.add_argument("--decay-ratio", dest="decay_ratio", type=float, default=None)
+    pd.set_defaults(func=cmd_diagnose)
 
     po = sub.add_parser("oracle-compare",
                         help="compare an ellipsoid run against the exact law")
     po.add_argument("--config", required=True)
     po.add_argument("--tolerance", type=float, default=1e-3)
     _add_override_flags(po)
+    po.set_defaults(func=cmd_oracle_compare)
 
     ps = sub.add_parser("sweep", help="run a parameter sweep")
     ps.add_argument("--spec", required=True)
     ps.add_argument("--output", default=None)
+    ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("validate-config", help="validate a config and exit")
     pv.add_argument("--config", required=True)
+    pv.set_defaults(func=cmd_validate_config)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    command = {"evolve": cmd_evolve, "diagnose": cmd_diagnose,
-               "oracle-compare": cmd_oracle_compare, "sweep": cmd_sweep,
-               "validate-config": cmd_validate_config}[args.command]
     try:
-        return command(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

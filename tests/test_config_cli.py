@@ -284,20 +284,6 @@ class TestCLI:
                 "snapshot_interval": 0.5, "seed": 4, "output": "o", "renormalize": True}
         assert cli._apply_overrides({"renormalize": False}, given) == want
         assert [field for field, _ in cli.OVERRIDE_FLAGS] == list(want)
-        # one parser per process: the flags given above read None when absent again
-        assert cli.build_parser() is p
-        again = p.parse_args([command, "--config", "c.json"])
-        assert all(getattr(again, field) is None for field, _ in cli.OVERRIDE_FLAGS)
-
-    def test_main_runs_the_command_bound_when_it_is_called(self, tmp_path, monkeypatch):
-        # the parser is cached, so a cmd_* rebound after the first main call
-        # (a tracer's wrapper, a test's stub) must still be the one that runs
-        missing = str(tmp_path / "missing")
-        assert main(["diagnose", "--trajectory", missing]) == 2
-        seen = []
-        monkeypatch.setattr(cli, "cmd_diagnose", lambda args: seen.append(args) or 7)
-        assert main(["diagnose", "--trajectory", missing]) == 7
-        assert [args.trajectory for args in seen] == [missing]
 
     def test_validate_config(self, tmp_path):
         good = write_cfg(tmp_path / "good.json", flower_cfg())

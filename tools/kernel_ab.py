@@ -210,7 +210,8 @@ def worker(src, outdir, Ms, Ns):
     """
     import centroflow
 
-    if not os.path.abspath(centroflow.__file__).startswith(os.path.abspath(src) + os.sep):
+    package = os.path.dirname(os.path.abspath(centroflow.__file__))
+    if package != os.path.join(os.path.abspath(src), "centroflow"):
         raise SystemExit(f"centroflow imported from {centroflow.__file__}, not {src}")
     timed, dump = {}, {}
     for kind, res in _sizes(Ms, Ns):
