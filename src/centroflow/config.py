@@ -125,18 +125,18 @@ def build_initial(cfg):
     elif kind == "fourier":
         field = fourier_support(grid, params["c0"],
                                 a=params.get("a", ()), b=params.get("b", ()))
-        if field.min_s() <= 0:
-            raise ConfigError("fourier initial datum has non-positive support")
-        bmin = convexity_margin(field)
-        if bmin <= cfg["stops"]["convexity_floor"]:
-            raise ConfigError(
-                f"fourier initial datum is not uniformly convex (min curvature "
-                f"eigenvalue {bmin:.3e})")
     else:  # file
         path = params["path"]
         if not os.path.exists(path):
             raise ConfigError(f"initial snapshot file not found: {path}")
         _, field, _ = load_snapshot(path, grid)
+    if field.min_s() <= 0:
+        raise ConfigError(f"{kind} initial datum has non-positive support")
+    bmin = convexity_margin(field)
+    if bmin <= cfg["stops"]["convexity_floor"]:
+        raise ConfigError(
+            f"{kind} initial datum is not uniformly convex (min curvature "
+            f"eigenvalue {bmin:.3e})")
     return field
 
 

@@ -21,7 +21,7 @@ from centroflow.config import (
 from centroflow.errors import ConfigError
 from centroflow.flow import TERMINATIONS
 from centroflow.grids import CircleGrid, CubedSphereGrid, make_grid
-from centroflow.support import SupportField, ellipsoid_support
+from centroflow.support import SupportField, ellipsoid_support, fourier_support
 from reference import read_csv_rows
 
 FLOWER = {
@@ -184,13 +184,17 @@ class TestValidate:
 
 
 class TestBuildInitial:
-    def test_nonconvex_fourier_rejected(self):
-        # s = 1 + 0.9 cos(2 theta) is positive but b = 1 - 2.7 cos(2 theta) < 0
-        cfg = validate({"n": 1, "resolution": 64,
-                        "initial": {"kind": "fourier",
-                                    "params": {"c0": 1.0, "a": [0.0, 0.9]}}})
-        with pytest.raises(ConfigError, match="not uniformly convex"):
-            build_initial(cfg)
+    def test_nonconvex_fourier_rejected(self, tmp_path):
+        # s = 1 + 0.9 cos(2 theta) is positive but b = 1 - 2.7 cos(2 theta) < 0;
+        # the same datum read from a snapshot file is refused alike
+        path = str(tmp_path / "body.json")
+        iomod.write_snapshot(path, fourier_support(make_grid(1, 64), 1.0, a=[0.0, 0.9]),
+                             0.0, None)
+        for initial in ({"kind": "fourier", "params": {"c0": 1.0, "a": [0.0, 0.9]}},
+                        {"kind": "file", "params": {"path": path}}):
+            cfg = validate({"n": 1, "resolution": 64, "initial": initial})
+            with pytest.raises(ConfigError, match="not uniformly convex"):
+                build_initial(cfg)
 
     def test_radius_datum(self):
         cfg = validate({"n": 2, "resolution": 17,

@@ -7,7 +7,7 @@ from centroflow.support import SupportField
 from conftest import load_tool
 from reference import chart_derivs, homogeneity_residual
 
-KERNEL_AB = load_tool("kernel_ab")
+PARITY = load_tool("parity")
 
 # the dimension interface every grid offers; nothing outside grids.py branches on n
 SHARED = ("n", "w", "shape", "resolution", "weights", "nodes", "radial", "graph_chart",
@@ -290,8 +290,8 @@ def test_make_grid_rejects_non_integers(n, resolution):
 
 def _arrays(grid):
     """{attribute[.entry]: array} for every ndarray the grid holds, tuple and
-    dict entries included, as tools/kernel_ab.py dumps them."""
-    return {k.removeprefix("grid.tables."): a for k, a in KERNEL_AB._tables(grid).items()}
+    dict entries included, as tools/parity.py dumps them."""
+    return {k.removeprefix("grid.tables."): a for k, a in PARITY._tables(grid).items()}
 
 
 class TestSharedGrid:
