@@ -107,7 +107,7 @@ def _rhs_values(grid, u, convexity_floor, spec):
         srel = u / grid.w
         out = 0.25 * u * np.log(ratio) + u * np.log(srel)
         # same value grouped as w * s_t; the two must agree to rounding
-        alt = 0.25 * u * np.log(ratio * srel**4)
+        alt = 0.25 * u * np.log(ratio * (srel * srel) ** 2)
         if np.abs(out - alt).max() > 1e-10:
             raise NumericalBlowup("face/sphere right-hand sides disagree")
     if not np.isfinite(out).all():

@@ -1,7 +1,9 @@
-"""tools/parity.py: refuses a tree without the package before anything runs, finds
-no difference between a tree and itself, and reports what differs by its rule."""
+"""tools/parity.py: refuses a tree without the package before anything runs, exits 2
+when a tree's kernel dump fails, finds no difference between a tree and itself, and
+reports what differs by its rule."""
 
 import pathlib
+import shutil
 
 import numpy as np
 
@@ -25,9 +27,9 @@ def test_a_tree_without_the_package_exits_2_before_any_kernel_worker(tmp_path, m
     def started(*args):
         raise AssertionError("started before both trees were checked")
 
-    monkeypatch.setattr(tool, "Side", started)
+    monkeypatch.setattr(tool, "dump", started)
     monkeypatch.setattr(tool, "run_tree", started)
-    assert tool.main([SRC, str(tmp_path), "--M", "17", "--N", "256", "--rounds", "0"]) == 2
+    assert tool.main([SRC, str(tmp_path), "--M", "17", "--N", "256"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and str(tmp_path) in err
 
@@ -38,9 +40,33 @@ def test_a_checkout_root_is_not_its_src():
     assert not tool.imports_from(str(ROOT), str(ROOT / "tests"))
 
 
-def test_same_tree_on_both_sides_has_no_differences(capsys):
+def test_a_failed_kernel_dump_exits_2_and_names_its_side(tmp_path, monkeypatch, capsys):
     tool = load_tool("parity")
-    assert tool.check_kernels(SRC, SRC, [17], [256], 1) == 0
+    broken = tmp_path / "src"
+    shutil.copytree(SRC, broken, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(broken / "centroflow" / "invariants.py", "a") as fh:
+        fh.write("\n\ndef compute_invariants(*args, **kwargs):\n"
+                 "    raise RuntimeError(\"broken tree\")\n")
+    # the artifact part would run its 33 commands first; only the dump is under test
+    monkeypatch.setattr(tool, "check_artifacts", lambda base, head: 0)
+    assert tool.main([SRC, str(broken), "--M", "17", "--N", "256"]) == 2
+    out, err = capsys.readouterr()
+    assert "outputs:" not in out
+    assert "the head kernel dump failed" in err and "RuntimeError: broken tree" in err
+    assert "the base kernel dump" not in err
+
+
+def test_same_tree_on_both_sides_has_no_differences(monkeypatch, capsys):
+    tool = load_tool("parity")
+    keys = []
+    compare = tool.compare
+
+    def recorded(a, b):
+        keys.extend(a)
+        return compare(a, b)
+
+    monkeypatch.setattr(tool, "compare", recorded)
+    assert tool.check_kernels(SRC, SRC, [17], [256]) == 0
     out = capsys.readouterr().out
     # 34 outputs at M=17 (the three extends, d1 and d2 along both chart axes,
     # the spectrum's determinant and eigenpair, the graph jet, the embedding,
@@ -50,15 +76,16 @@ def test_same_tree_on_both_sides_has_no_differences(capsys):
     # among them), each with 5 from one block of bodies; and the arrays of a
     # fresh grid, 19 on the cubed sphere and 14 on the circle
     assert "outputs: 97 compared, 0 difference(s)" in out
-    assert "M=17/grid.tables" in out and "N=256/grid.tables" in out
-    assert "M=17/step.rk4" in out and "N=256/compute_invariants" in out
-    assert "M=17/spectrum" in out and "N=256/spectrum" in out
-    assert "M=17/extend.vec3" in out and "N=256/compute_invariants.block" in out
-    assert "M=17/d1" in out and "M=17/d2" in out
-    assert "M=17/chart_jet" in out and "N=256/chart_jet" in out
-    assert "M=17/embed" in out and "N=256/embed" in out
-    assert "M=17/graph_jet" in out and "N=256/graph_jet" in out
-    assert "N=256/refine_max.block" in out and "N=256/value_at.block" in out
+    names = "\n".join(keys)
+    assert "M=17/grid.tables" in names and "N=256/grid.tables" in names
+    assert "M=17/step.rk4" in names and "N=256/compute_invariants" in names
+    assert "M=17/spectrum" in names and "N=256/spectrum" in names
+    assert "M=17/extend.vec3" in names and "N=256/compute_invariants.block" in names
+    assert "M=17/d1" in names and "M=17/d2" in names
+    assert "M=17/chart_jet" in names and "N=256/chart_jet" in names
+    assert "M=17/embed" in names and "N=256/embed" in names
+    assert "M=17/graph_jet" in names and "N=256/graph_jet" in names
+    assert "N=256/refine_max.block" in names and "N=256/value_at.block" in names
 
 
 def test_compare_reports_one_ulp_and_a_missing_output():

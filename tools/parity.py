@@ -1,12 +1,12 @@
 """Compare two centroflow source trees' artifacts and kernels in one pass.
 
     python tools/parity.py BASE_SRC HEAD_SRC [--M 17 33 65] [--N 256 1024]
-                           [--rounds 15]
 
 BASE_SRC and HEAD_SRC are directories that hold the `centroflow` package
-(the `src/` of two checkouts). Before any command or worker starts, each tree
-must provide the package itself (not an installed copy, nor a package further
-down, as in a checkout root given instead of its src/), or the tool exits 2.
+(the `src/` of two checkouts). Before any command or kernel dump starts,
+each tree must provide the package itself (not an installed copy, nor a
+package further down, as in a checkout root given instead of its src/), or
+the tool exits 2.
 Every subprocess runs with its tree on PYTHONPATH, without
 CENTROFLOW_OUTPUT_ROOT, in a temporary working directory.
 
@@ -26,34 +26,27 @@ they write is compared in its stability class:
 Exit codes and standard output (by the numeric rule) must match too, and a
 traceback on standard error is a difference on either side.
 
-Kernels. Each tree runs one worker process. It builds one fixed convex body
-per size (per-face M on the cubed sphere, N on the circle) and dumps the
-outputs of the kernels in `_kernels`, component-first as the package returns
-them: the halo extends and d1/d2 stencils (cubed sphere), the graph jet, the
-embedding and its chart jet, grid.spectrum of the chart Hessian, stable_dt,
-one RK4 and one Heun step, compute_invariants' area, norm_T2 and TENSORS for
-that body and area, norm_T2 and residuals for one block of bodies (as
-diagnostics.SeriesBundle reduces them, BLOCK_NODES // nodes bodies), the
-circle's refine_max and value_at on that block's norm_T2, and every ndarray
-a freshly constructed grid holds (grid.tables.<attribute>[.<entry>], timed
-as the constructor, not the shared make_grid). Every output is compared bit
-for bit, same shape and same float64 bytes, but for the three
-NUMERIC_KERNELS rows: they feed only numeric-class artifacts (supT2, supC2
+Kernels. Each tree runs one worker process, which writes outputs.npz and
+exits. It builds one fixed convex body per size (per-face M on the cubed
+sphere, N on the circle) and dumps the outputs of the kernels in `_kernels`,
+component-first as the package returns them: the halo extends and d1/d2
+stencils (cubed sphere), the graph jet, the embedding and its chart jet,
+grid.spectrum of the chart Hessian, stable_dt, one RK4 and one Heun step,
+compute_invariants' area, norm_T2 and TENSORS for that body and area,
+norm_T2 and residuals for one block of bodies (as diagnostics.SeriesBundle
+reduces them, BLOCK_NODES // nodes bodies), the circle's refine_max and
+value_at on that block's norm_T2, and every ndarray a freshly constructed
+grid holds (grid.tables.<attribute>[.<entry>], from the constructor, not
+the shared make_grid). Every output is compared bit for bit, same shape and
+same float64 bytes, but for the three NUMERIC_KERNELS rows: they feed only numeric-class artifacts (supT2, supC2
 and the |T|^2 right side), so they are held to the numeric rule and print
 their largest relative deviation.
-
-With --rounds R > 0 the two workers then time each kernel per call in R
-interleaved rounds: both sides back to back per kernel, the side that goes
-first alternating from kernel to kernel and from round to round. A worker
-times a batch of calls sized once to take about BATCH_S. The table gives each
-side's median per-call time and their ratio. graph_hessian is timed as the
-input of spectrum and stable_dt; stable_dt includes the spectrum it reads.
 
 The first line names the domain in which the byte-identical class holds:
 numpy's version, the core count, and numpy's CPU baseline and enabled
 dispatch targets. Exits 0 when both parts match, 1 on any difference, and 2
-when a tree does not provide the package or a kernel worker dies. Runs on
-numpy and the standard library only.
+when a tree does not provide the package or its worker exits non-zero or
+writes no outputs.npz. Runs on numpy and the standard library only.
 """
 
 import argparse
@@ -62,16 +55,13 @@ import io
 import json
 import math
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 
 REL_TOL = 1e-9
-BATCH_S = 0.02
 
 # artifacts compared by the numeric rule; every other file byte for byte
 NUMERIC = {"series.csv", "invariants.json", "report.json", "sweep.csv"}
@@ -446,15 +436,14 @@ def _tables(g):
 
 
 def _kernels(kind, res):
-    """{name: (call, outputs)}: a zero-argument call per kernel and its outputs."""
+    """{name: output} for every kernel output at one size."""
     from centroflow.diagnostics import BLOCK_NODES
     from centroflow.flow import FlowState, StepControl, stable_dt, step
     from centroflow.grids import CircleGrid, CubedSphereGrid
     from centroflow.invariants import compute_invariants
     from centroflow.support import SupportField, embed, fourier_support
 
-    cls = CubedSphereGrid if kind == "M" else CircleGrid
-    g = cls(res)
+    g = (CubedSphereGrid if kind == "M" else CircleGrid)(res)
 
     def body(k):
         """The k-th convex body of a family; the kernels run on body 0."""
@@ -468,123 +457,64 @@ def _kernels(kind, res):
     block = SupportField(g, u=np.stack(
         [body(k).u for k in range(max(1, BLOCK_NODES // g.w.size))], axis=-1))
     u = field.u
-    D2 = g.graph_hessian(u)
-    controls = {s: StepControl(scheme=s) for s in ("rk4", "heun")}
-
-    def one_step(scheme):
-        return lambda: step(FlowState(0.0, field), controls[scheme], 1.0)
-
-    calls = {"graph_hessian": lambda: g.graph_hessian(u),
-             "spectrum": lambda: g.spectrum(D2),
-             "stable_dt": lambda: stable_dt(field, controls["rk4"], g.spectrum(D2)),
-             "step.rk4": one_step("rk4"),
-             "step.heun": one_step("heun"),
-             "compute_invariants": lambda: compute_invariants(field),
-             "compute_invariants.block": lambda: compute_invariants(block),
-             "grid.tables": lambda: cls(res),
-             "graph_jet": lambda: g.graph_jet(u),
-             "embed": lambda: embed(field, g.graph_jet(u))}
-    X = calls["embed"]()
-    calls["chart_jet"] = lambda: g.chart_jet(X)
-    if kind == "M":
-        ext = g.extend(u, kind="deg1")
-        calls = dict({"extend.deg1": lambda: g.extend(u, kind="deg1"),
-                      "extend.scalar": lambda: g.extend(field.s),
-                      "extend.vec3": lambda: np.array([g.extend(c) for c in X]),
-                      "d1": lambda: (g.d1(ext, 1), g.d1(ext, 2)),
-                      "d2": lambda: (g.d2(ext, 1), g.d2(ext, 2))}, **calls)
-    else:
-        T2 = compute_invariants(block).norm_T2
-        angles = np.linspace(0.1, 6.0, T2.shape[-1])
-        calls.update({"refine_max.block": lambda: g.refine_max(T2),
-                      "value_at.block": lambda: g.value_at(T2, angles)})
-    det, lo, hi = calls["spectrum"]()
-    iv = calls["compute_invariants"]()
-    outputs = {"spectrum.det": det, "spectrum.lo": lo, "spectrum.hi": hi,
-               "stable_dt": np.float64(calls["stable_dt"]()),
-               "step.rk4.u": calls["step.rk4"]()[0].field.u,
-               "step.heun.u": calls["step.heun"]()[0].field.u,
+    spec = g.spectrum(g.graph_hessian(u))
+    X = embed(field, g.graph_jet(u))
+    iv, ivb = compute_invariants(field), compute_invariants(block)
+    outputs = {"spectrum.det": spec[0], "spectrum.lo": spec[1], "spectrum.hi": spec[2],
+               "stable_dt": np.float64(stable_dt(field, StepControl(scheme="rk4"), spec)),
                "compute_invariants.area": np.float64(iv.area),
                "compute_invariants.norm_T2": iv.norm_T2, "embed": X, **_tables(g)}
+    for scheme in ("rk4", "heun"):
+        state, _ = step(FlowState(0.0, field), StepControl(scheme=scheme), 1.0)
+        outputs[f"step.{scheme}.u"] = state.field.u
     outputs.update({f"compute_invariants.{name}": getattr(iv, name) for name in TENSORS})
-    outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = calls["chart_jet"]()
-    outputs["graph_jet.Du"], outputs["graph_jet.D2"] = calls["graph_jet"]()
-    ivb = calls["compute_invariants.block"]()
+    outputs["chart_jet.X_i"], outputs["chart_jet.X_ij"] = g.chart_jet(X)
+    outputs["graph_jet.Du"], outputs["graph_jet.D2"] = g.graph_jet(u)
     for name in ("area", "norm_T2", "residual_gauss_cross", "residual_C_symmetry",
                  "residual_relsupport"):
         outputs[f"compute_invariants.block.{name}"] = getattr(ivb, name)
     if kind == "M":
-        for name in ("extend.deg1", "extend.scalar", "extend.vec3"):
-            outputs[name] = calls[name]()
+        ext = g.extend(u, kind="deg1")
+        outputs.update({"extend.deg1": ext, "extend.scalar": g.extend(field.s),
+                        "extend.vec3": np.array([g.extend(c) for c in X])})
         for name in ("d1", "d2"):
-            outputs[f"{name}.axis1"], outputs[f"{name}.axis2"] = calls[name]()
+            for axis in (1, 2):
+                outputs[f"{name}.axis{axis}"] = getattr(g, name)(ext, axis)
     else:
-        theta, value = calls["refine_max.block"]()
-        outputs.update({"refine_max.block.theta": theta, "refine_max.block.value": value,
-                        "value_at.block": calls["value_at.block"]()})
-    return calls, outputs
-
-
-def _batch(call):
-    """Number of calls that take about BATCH_S, from one warm call."""
-    call()
-    t0 = time.perf_counter()
-    call()
-    return max(1, int(BATCH_S / max(time.perf_counter() - t0, 1e-9)))
+        T2 = ivb.norm_T2
+        outputs["refine_max.block.theta"], outputs["refine_max.block.value"] = g.refine_max(T2)
+        outputs["value_at.block"] = g.value_at(T2, np.linspace(0.1, 6.0, T2.shape[-1]))
+    return outputs
 
 
 def worker(Ms, Ns):
-    """Dump the outputs to outputs.npz in the working directory and print the kernel
-    names, then answer each kernel name read on stdin with its per-call time.
+    """Dump every kernel output to outputs.npz in the working directory.
 
     Run as `parity.py SRC SRC --worker --M ... --N ...` with in_tree(SRC, ...).
     """
-    timed, dump = {}, {}
+    arrays = {}
     for kind, res in [("M", M) for M in Ms] + [("N", N) for N in Ns]:
-        calls, outputs = _kernels(kind, res)
-        dump.update({f"{kind}={res}/{k}": np.asarray(v) for k, v in outputs.items()})
-        timed.update({f"{kind}={res}/{k}": (c, _batch(c)) for k, c in calls.items()})
-    np.savez("outputs.npz", **dump)
-    print(json.dumps(list(timed)), flush=True)
-    for key in iter(sys.stdin.readline, ""):
-        call, reps = timed[key.strip()]
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            call()
-        print(repr((time.perf_counter() - t0) / reps), flush=True)
+        arrays.update({f"{kind}={res}/{k}": np.asarray(v)
+                       for k, v in _kernels(kind, res).items()})
+    np.savez("outputs.npz", **arrays)
 
 
-class Side:
-    """One tree's kernel worker, in a working directory of its own."""
-
-    def __init__(self, name, src, workdir, Ms, Ns):
-        self.name, self.workdir = name, workdir
-        self.proc = subprocess.Popen(
+def dump(side, src, Ms, Ns):
+    """The tree src's kernel outputs from one worker run; None, after naming the side
+    on standard error, when the worker exits non-zero or writes no outputs.npz."""
+    with tempfile.TemporaryDirectory() as workdir:
+        proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), src, src, "--worker",
              "--M", *map(str, Ms), "--N", *map(str, Ns)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, **in_tree(src, workdir))
-
-    def expect(self):
-        line = self.proc.stdout.readline()
-        if not line:
-            print(f"parity: the {self.name} kernel worker died", file=sys.stderr)
-            raise SystemExit(2)
-        return line
-
-    def outputs(self):
-        """(outputs, kernel names) once the worker is ready."""
-        keys = json.loads(self.expect())
-        with np.load(os.path.join(self.workdir, "outputs.npz")) as z:
-            return {k: z[k] for k in z.files}, keys
-
-    def time(self, key):
-        self.proc.stdin.write(key + "\n")
-        self.proc.stdin.flush()
-        return float(self.expect())
-
-    def close(self):
-        self.proc.stdin.close()
-        self.proc.wait()
+            capture_output=True, text=True, **in_tree(src, workdir))
+        path = os.path.join(workdir, "outputs.npz")
+        if proc.returncode == 0 and os.path.exists(path):
+            with np.load(path) as z:
+                return {k: z[k] for k in z.files}
+    last = (proc.stderr.strip().splitlines() or ["no outputs.npz"])[-1]
+    print(f"parity: the {side} kernel dump failed (exit {proc.returncode}): {last}",
+          file=sys.stderr)
+    return None
 
 
 def _bytes(a):
@@ -615,37 +545,18 @@ def compare(a, b):
     return lines
 
 
-def check_kernels(base, head, Ms, Ns, rounds):
-    """Run both trees' kernel workers and compare their outputs; prints the
-    differences, the summary and, when rounds > 0, the timing table; returns the
-    number of differences. Exits 2 when a worker dies."""
-    with tempfile.TemporaryDirectory() as tmp:
-        sides = []
-        try:
-            for name, src in (("base", base), ("head", head)):
-                os.makedirs(os.path.join(tmp, name))
-                sides.append(Side(name, src, os.path.join(tmp, name), Ms, Ns))
-            (base_out, keys), (head_out, head_keys) = (s.outputs() for s in sides)
-            keys = [key for key in keys if key in head_keys]   # timed on both sides
-            times = {key: ([], []) for key in keys}
-            for r in range(rounds):
-                for k, key in enumerate(keys):
-                    for i in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
-                        times[key][i].append(sides[i].time(key))
-        finally:
-            for s in sides:
-                s.close()
+def check_kernels(base, head, Ms, Ns):
+    """Dump both trees' kernel outputs and compare them; prints the differences and
+    the summary; returns the number of differences, or None when a dump failed."""
+    base_out, head_out = dump("base", base, Ms, Ns), dump("head", head, Ms, Ns)
+    if base_out is None or head_out is None:
+        return None
     lines = compare(base_out, head_out)
     for line in lines:
         print(line)
     diffs = sum(line.startswith("[diff]") for line in lines)
     print(f"outputs: {len(base_out.keys() | head_out.keys())} compared, "
           f"{diffs} difference(s)")
-    if rounds:
-        print(f"{'kernel':<28}{'base us':>12}{'head us':>12}{'head/base':>11}")
-        for key, (tb, th) in times.items():
-            tb, th = statistics.median(tb) * 1e6, statistics.median(th) * 1e6
-            print(f"{key:<28}{tb:>12.1f}{th:>12.1f}{th / tb:>11.3f}")
     return diffs
 
 
@@ -655,7 +566,6 @@ def main(argv=None):
     p.add_argument("head")
     p.add_argument("--M", type=int, nargs="*", default=[17, 33, 65])
     p.add_argument("--N", type=int, nargs="*", default=[256, 1024])
-    p.add_argument("--rounds", type=int, default=15)
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
@@ -666,11 +576,12 @@ def main(argv=None):
                 print(f"parity: {src} does not provide the centroflow package "
                       "(pass the src/ of a checkout)", file=sys.stderr)
                 return 2
-    print(f"parity: {args.base} vs {args.head}; {stability_domain()}; "
-          f"{args.rounds} interleaved rounds")
+    print(f"parity: {args.base} vs {args.head}; {stability_domain()}")
     diffs = check_artifacts(args.base, args.head)
-    diffs += check_kernels(args.base, args.head, args.M, args.N, args.rounds)
-    return 1 if diffs else 0
+    kernel_diffs = check_kernels(args.base, args.head, args.M, args.N)
+    if kernel_diffs is None:
+        return 2
+    return 1 if diffs + kernel_diffs else 0
 
 
 if __name__ == "__main__":
