@@ -4,7 +4,8 @@ Subcommands: evolve, diagnose, oracle-compare, sweep, validate-config.
 Exit codes: 0 success (including runs that legitimately end in Extinction or
 Blowup), 1 a Violated diagnose verdict, an oracle-compare error beyond its
 tolerance or a failed sweep cell, 2 configuration or input error, 3 flow
-stopped by a numerical guard (ConvexityLost or NumericalBlowup). Outputs are
+stopped by a numerical guard (ConvexityLost or NumericalBlowup) or a diagnose
+stopped by one on a stored snapshot (TransversalityLost). Outputs are
 deterministic for a fixed config: float fields use repr round-tripping and
 rows follow input order.
 """
@@ -77,9 +78,7 @@ def cmd_diagnose(args):
         raise ConfigError(f"--decay-ratio must be a finite number >= 0, got {ratio}")
     outdir = iomod.resolve_outdir(args.trajectory)
     traj, meta = iomod.load_trajectory(outdir)
-    cfg_hash = meta.get("config_hash")
-    if cfg_hash != iomod.config_hash(meta.get("config", {})):
-        raise ConfigError("metadata config hash does not match its config echo")
+    cfg_hash = meta["config_hash"]
     bundle = diag.SeriesBundle(traj)
     report = diag.run_report(bundle, decay_ratio=ratio)
     iomod.write_report(os.path.join(outdir, iomod.REPORT_NAME), report, cfg_hash)

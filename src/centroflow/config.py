@@ -2,9 +2,10 @@
 
 A config is a plain JSON mapping; validate() normalizes it (fills defaults,
 checks every field) and returns the canonical dict that gets hashed into all
-outputs. Fourier initial data is validated for convexity on the actual grid
-before any stepping, so a bad datum dies with exit code 2 instead of a guard
-trip halfway through a run.
+outputs. Every mapping it holds refuses a key it does not know. Every initial
+datum is checked for convexity on the actual grid before any stepping
+(build_initial), so a bad datum dies with exit code 2 instead of a guard trip
+halfway through a run.
 """
 
 import copy
@@ -32,6 +33,12 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _require_known(obj, known, what):
+    """The one unknown-key rule of the config, its parts and the sweep spec."""
+    unknown = set(obj) - set(known)
+    _require(not unknown, f"unknown {what}: {sorted(unknown)}")
+
+
 def validate(raw):
     """Normalize and validate a config mapping; returns the canonical dict."""
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -39,9 +46,8 @@ def validate(raw):
     for key, val in DEFAULTS.items():
         cfg.setdefault(key, val)
 
-    known = {"n", "resolution", "initial", "stops", *STEPPING} | set(DEFAULTS)
-    unknown = set(cfg) - known
-    _require(not unknown, f"unknown config fields: {sorted(unknown)}")
+    _require_known(cfg, {"n", "resolution", "initial", "stops", *STEPPING, *DEFAULTS},
+                   "config fields")
 
     _require(is_number(cfg.get("n")) and cfg["n"] in (1, 2), "'n' must be 1 or 2")
     n = cfg["n"]
@@ -50,8 +56,7 @@ def validate(raw):
 
     stops = cfg.get("stops", {})
     _require(isinstance(stops, dict), "'stops' must be an object")
-    extra = set(stops) - set(STOPS)
-    _require(not extra, f"unknown stop thresholds: {sorted(extra)}")
+    _require_known(stops, STOPS, "stop thresholds")
     # StepControl checks the values and fills the defaults; its floats go back
     control = StepControl(**{k: cfg[k] for k in STEPPING if k in cfg}, **stops)
     cfg.update((k, getattr(control, k)) for k in STEPPING)
@@ -66,10 +71,12 @@ def validate(raw):
     init = cfg.get("initial")
     _require(isinstance(init, dict) and "kind" in init,
              "'initial' must be an object with a 'kind'")
+    _require_known(init, ("kind", "params"), "initial fields")
     kind = init["kind"]
     params = init.get("params", {})
     _require(isinstance(params, dict), "'initial.params' must be an object")
     if kind == "ellipsoid":
+        _require_known(params, ("matrix", "radius"), "ellipsoid params")
         has_m, has_r = "matrix" in params, "radius" in params
         _require(has_m != has_r,
                  "ellipsoid initial takes exactly one of 'matrix' or 'radius'")
@@ -84,6 +91,7 @@ def validate(raw):
             ellipsoid_shape_matrix(rows, n + 1)
     elif kind == "fourier":
         _require(n == 1, "fourier initial data is only defined for n=1")
+        _require_known(params, ("c0", "a", "b"), "fourier params")
         _require("c0" in params, "fourier initial needs 'c0'")
         _require(is_number(params["c0"]) and params["c0"] > 0, "'c0' must be positive")
         for key in ("a", "b"):
@@ -94,6 +102,7 @@ def validate(raw):
             _require(len(coeffs) < res // 2,
                      f"fourier '{key}' has more modes than the grid resolves")
     elif kind == "file":
+        _require_known(params, ("path",), "file params")
         _require(isinstance(params.get("path"), str) and params["path"],
                  "file initial needs a 'path'")
     else:
@@ -179,8 +188,7 @@ def validate_sweep(raw):
     spec = copy.deepcopy(raw)
     for key, val in SWEEP_DEFAULTS.items():
         spec.setdefault(key, val)
-    unknown = set(spec) - {"base", "axes", "parallelism", "max_cells"}
-    _require(not unknown, f"unknown sweep fields: {sorted(unknown)}")
+    _require_known(spec, ("base", "axes", "parallelism", "max_cells"), "sweep fields")
     _require(isinstance(spec.get("base"), dict), "sweep needs a 'base' config")
     base = validate(spec["base"])
     axes = spec.get("axes", [])

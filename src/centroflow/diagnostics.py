@@ -60,9 +60,10 @@ class BoundCheck:
 
     def __init__(self, name, margins, tolerance):
         self.name = name
-        self.margins = np.asarray(margins, dtype=float)
+        # the one rule for an empty check (too few snapshots): it holds at margin 0
+        self.margins = np.asarray(margins, dtype=float) if len(margins) else np.zeros(1)
         self.tolerance = tolerance
-        worst = float(np.min(self.margins)) if self.margins.size else 0.0
+        worst = float(np.min(self.margins))
         if worst >= 0.0:
             self.verdict = "Holds"
         elif worst >= -tolerance:
@@ -102,13 +103,13 @@ def invariant_summaries(inv, times):
             for b, t in enumerate(times)]
 
 
-def _block_rows(states, s0, with_rhs):
+def _block_rows(states, s0):
     """A block of snapshots' scalars, one array (B,) per key, and their digests.
 
     The block's snapshots are the columns of one batch field; its invariant
     stack is reduced per column and dropped. drift is max |s - s0| against
-    the first snapshot's s0. with_rhs adds the integral and refined-max
-    values of the |T|^2 right side.
+    the first snapshot's s0; int_rhs and sup_rhs are the integral and
+    refined-max values of the |T|^2 right side.
     """
     grid = states[0].field.grid
     field = SupportField(grid, u=np.stack([st.field.u for st in states], axis=-1))
@@ -128,13 +129,12 @@ def _block_rows(states, s0, with_rhs):
            "roundness": oracles.best_fit_ellipsoid(field)[1],
            "residual_relsupport": iv.residual_relsupport,
            "grad_max": per(np.max, gradient_norm(field, iv.X))}
-    if with_rhs:
-        te = inva.t2_evolution_rhs(iv)
-        row["int_rhs"] = grid.integrate_chart(
-            (te + 0.5 * field.n * iv.norm_T2 ** 2) * iv.sqrt_det_g)
-        # evaluate at the grid's refined max, not the nearest node: on the circle
-        # the node offset costs O(h^2 rhs'') which dominates the residual floor
-        row["sup_rhs"] = grid.value_at(te, where)
+    te = inva.t2_evolution_rhs(iv)
+    row["int_rhs"] = grid.integrate_chart(
+        (te + 0.5 * field.n * iv.norm_T2 ** 2) * iv.sqrt_det_g)
+    # evaluate at the grid's refined max, not the nearest node: on the circle
+    # the node offset costs O(h^2 rhs'') which dominates the residual floor
+    row["sup_rhs"] = grid.value_at(te, where)
     return row, invariant_summaries(iv, [st.t for st in states])
 
 
@@ -158,12 +158,11 @@ class SeriesBundle:
         s0 = snaps[0].field.s
         self.n = snaps[0].field.n
         size = max(1, BLOCK_NODES // math.prod(snaps[0].field.grid.shape))
-        blocks, summaries = zip(*[_block_rows(snaps[i:i + size], s0,
-                                              with_rhs=len(self.t) >= 3)
+        blocks, summaries = zip(*[_block_rows(snaps[i:i + size], s0)
                                   for i in range(0, len(snaps), size)])
         self.summaries = [d for block in summaries for d in block]
         series = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-        int_rhs, sup_rhs = series.pop("int_rhs", None), series.pop("sup_rhs", None)
+        int_rhs, sup_rhs = series.pop("int_rhs"), series.pop("sup_rhs")
         vars(self).update(series)
         self.area_rhs = 0.5 * self.n * self.int_T2
         self._evolution_residuals(int_rhs, sup_rhs)
@@ -174,14 +173,11 @@ class SeriesBundle:
         r_area: d(Area)/dt vs (n/2) int |T|^2 dmu            [metric trace law]
         r_intT2: d/dt int |T|^2 dmu vs int (rhs + (n/2)|T|^4) dmu
         r_supT2: d/dt |T|^2 at its spatial max vs the pointwise rhs
-        All are relative; endpoints carry nan, and every entry does below
-        three snapshots (no right sides then).
+        All are relative; endpoints carry nan, and so every entry does below
+        three snapshots (no interior to difference at).
         """
         nan = np.full(len(self.t), np.nan)
         self.r_area, self.r_intT2, self.r_supT2 = nan.copy(), nan.copy(), nan.copy()
-        if int_rhs is None:
-            self.residual_prop21 = nan
-            return
         for r, y, rhs in ((self.r_area, self.area, self.area_rhs),
                           (self.r_intT2, self.int_T2, int_rhs),
                           (self.r_supT2, self.supT2, sup_rhs)):
@@ -228,19 +224,17 @@ def check_pinch(bundle):
     """Positivity of the curvature matrix over the run; reports empirical L."""
     lo, hi = bundle.eig_min_b, bundle.eig_max_b
     L = max(float(np.max(hi)), 1.0 / float(np.min(lo))) if np.min(lo) > 0 else np.inf
-    margins = [v - PINCH_EPS for v in lo]
-    return float(L), BoundCheck("curvature_pinch_positive", margins, 0.0)
+    return float(L), BoundCheck("curvature_pinch_positive", lo - PINCH_EPS, 0.0)
 
 
 def check_area_law(bundle):
     """(monotone, identity, isoperimetric) verdicts for the area series."""
     A = bundle.area
-    mono = BoundCheck("area_monotone", A[1:] - A[:-1] if len(A) > 1 else [0.0],
-                      AREA_MONO_TOL)
+    mono = BoundCheck("area_monotone", np.diff(A), AREA_MONO_TOL)
     # identity margin convention: tol*max(1, rhs) - |diff| >= 0 means holds
     rhs = bundle.area_rhs[1:-1]
     idm = AREA_IDENT_TOL * np.maximum(1.0, rhs) - np.abs(_centred(A, bundle.t) - rhs)
-    ident = BoundCheck("area_identity", idm if idm.size else [0.0], 0.0)
+    ident = BoundCheck("area_identity", idm, 0.0)
     iso = BoundCheck("area_isoperimetric",
                      SPHERE_AREA[bundle.n] + AREA_ISO_TOL - A, 0.0)
     return mono, ident, iso
@@ -254,9 +248,8 @@ def check_tchebychev_laws(bundle, decay_ratio=None):
     n = bundle.n
     bound = max((n + 3.0) / n, bundle.supT2[0])
     bcheck = BoundCheck("tchebychev_sup_bound", bound + BOUND_TOL - bundle.supT2, 0.0)
-    interior = bundle.r_supT2[1:-1]
     ident = BoundCheck("tchebychev_identity",
-                       TCHEBYCHEV_IDENT_TOL - interior if interior.size else [0.0], 0.0)
+                       TCHEBYCHEV_IDENT_TOL - bundle.r_supT2[1:-1], 0.0)
     decay = None if decay_ratio is None else BoundCheck(
         "tchebychev_decay", [decay_ratio * bundle.supT2[0] - bundle.supT2[-1]], 0.0)
     return bcheck, ident, decay

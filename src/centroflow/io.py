@@ -19,7 +19,6 @@ from itertools import chain
 
 import numpy as np
 
-from .diagnostics import SERIES_COLUMNS
 from .errors import ConfigError
 from .flow import TERMINATIONS, FlowState, Trajectory, is_number
 from .grids import grid_shape, make_grid
@@ -54,8 +53,9 @@ def resolve_outdir(path):
     return path
 
 
-def read_json(path, what):
-    """The JSON object stored at path; ConfigError names `what` when it is not one."""
+def read_json(path, what, fields=()):
+    """The JSON object stored at path, holding every key in fields (the one
+    missing-field rule of both run files); ConfigError names `what` if it is not."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -63,6 +63,9 @@ def read_json(path, what):
         raise ConfigError(f"unreadable {what} {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} is not a JSON object")
+    for key in fields:
+        if key not in doc:
+            raise ConfigError(f"{what} {path} missing field '{key}'")
     return doc
 
 
@@ -85,11 +88,8 @@ def write_snapshot(path, field, t, cfg_hash):
 
 
 def load_snapshot(path, grid=None):
-    """Read one snapshot; returns (t, SupportField). Corrupt data -> ConfigError."""
-    doc = read_json(path, "snapshot")
-    for key in ("n", "resolution", "time", "values"):
-        if key not in doc:
-            raise ConfigError(f"snapshot {path} missing field '{key}'")
+    """(t, SupportField, config hash or None) of a snapshot; corrupt -> ConfigError."""
+    doc = read_json(path, "snapshot", ("n", "resolution", "time", "values"))
     n, resolution = doc["n"], doc["resolution"]
     try:
         shape = grid_shape(n, resolution)
@@ -145,8 +145,12 @@ def write_trajectory(outdir, traj, config, cfg_hash, wall_time):
 
 
 def load_trajectory(outdir):
-    """Rebuild a Trajectory (and its metadata) from a run directory."""
-    meta = read_json(os.path.join(outdir, META_NAME), "metadata")
+    """(Trajectory, metadata) of a run directory; the one check of its integrity."""
+    meta = read_json(os.path.join(outdir, META_NAME), "metadata", (
+        "config", "config_hash", "termination", "step_count", "renorm_factors"))
+    if not (isinstance(meta["config"], dict)
+            and meta["config_hash"] == config_hash(meta["config"])):
+        raise ConfigError("metadata config hash does not match its config echo")
     snapdir = os.path.join(outdir, SNAP_DIR)
     if not os.path.isdir(snapdir):
         raise ConfigError(f"missing snapshot directory {snapdir}")
@@ -157,23 +161,22 @@ def load_trajectory(outdir):
     states = []
     for name in names:
         t, field, snap_hash = load_snapshot(os.path.join(snapdir, name), grid)
-        # a null hash matches only a metadata file without one
-        if snap_hash != meta.get("config_hash"):
+        if snap_hash != meta["config_hash"]:
             raise ConfigError(f"snapshot {name} hash does not match metadata")
         grid = field.grid
         states.append(FlowState(t=t, field=field, step_count=0))
     if any(b.t <= a.t for a, b in zip(states, states[1:])):
         raise ConfigError("snapshot times are not strictly increasing")
-    factors = meta.get("renorm_factors", [1.0] * len(states))  # only a missing key
+    factors = meta["renorm_factors"]
     if not (isinstance(factors, list) and all(is_number(f) and f > 0 for f in factors)):
         raise ConfigError(f"renorm_factors must be a list of finite positive numbers, "
                           f"got {factors!r}")
     if len(factors) != len(states):
         raise ConfigError("renorm_factors length does not match snapshots")
-    termination = meta.get("termination", "ReachedTEnd")
+    termination = meta["termination"]
     if termination not in TERMINATIONS:
         raise ConfigError(f"termination must be one of {TERMINATIONS}, got {termination!r}")
-    steps = meta.get("step_count", 0)
+    steps = meta["step_count"]
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
         raise ConfigError(f"step_count must be a nonnegative integer, got {steps!r}")
     return Trajectory(states, termination, steps, [float(f) for f in factors]), meta
@@ -197,7 +200,7 @@ def write_csv(path, columns, rows, cfg_hash=None):
 
 
 def write_series_csv(path, rows, cfg_hash):
-    write_csv(path, SERIES_COLUMNS, rows, cfg_hash)
+    write_csv(path, list(rows[0]), rows, cfg_hash)   # a bundle's rows: keys are columns
 
 
 def write_report(path, report, cfg_hash):

@@ -101,12 +101,12 @@ def best_fit_ellipsoid(field):
     if bad.size:
         Q[bad] = (evecs[bad] * np.maximum(evals[bad, None], SPD_FLOOR)) \
             @ evecs[bad].swapaxes(1, 2)
-    # the spec symmetrizes Q before the fits are evaluated: the clamped
-    # (evecs * evals) @ evecs.T is not exactly symmetric
+    # symmetrized before the fits: the clamped (evecs * evals) @ evecs.T is not
+    # exactly symmetric. The spec's own 0.5 * (Q + Q^T) then keeps every bit
+    Q = 0.5 * (Q + Q.swapaxes(1, 2))
     spec = EllipsoidSpec(np.moveaxis(Q, 0, -1).reshape((dim, dim) + field.batch_shape),
                          in_batch_shape(grid, field.s, degenerate))
-    Qs = np.ascontiguousarray(np.moveaxis(spec.Q.reshape(dim, dim, -1), -1, 0))
-    fits = np.sqrt(np.einsum("qi,bij,qj->bq", x, Qs, x))
+    fits = np.sqrt(np.einsum("qi,bij,qj->bq", x, Q, x))
     num = np.sqrt(np.sum(wq * (s - fits) ** 2, axis=1))
     den = np.sqrt(np.sum(wq * s ** 2, axis=1))
     return spec, in_batch_shape(grid, field.s, num / den)

@@ -39,6 +39,8 @@ def flower_cfg(**over):
 
 RADIUS = {"kind": "ellipsoid", "params": {"radius": 1.0}}
 
+MISSING = object()   # a test value that deletes its key instead of setting it
+
 # (initial datum or None for FLOWER's, dotted path of a numeric field, a value
 # that is not a finite number: JSON booleans, and an int beyond the float range)
 NON_NUMBERS = [
@@ -168,6 +170,28 @@ class TestValidate:
     def test_unknown_initial_kind(self):
         with pytest.raises(ConfigError, match="unknown initial kind"):
             validate({"n": 1, "resolution": 64, "initial": {"kind": "star"}})
+
+    @pytest.mark.parametrize("kind, extra, what", [
+        ("fourier", {"params": {"c0": 1.0, "A": [0, 0, 0.3]}}, "fourier params"),
+        ("fourier", {"params": {"c0": 1.0}, "param": {"a": [0, 0, 0.3]}},
+         "initial fields"),
+        ("ellipsoid", {"params": {"radius": 1.0, "centre": [0.1, 0.0]}},
+         "ellipsoid params"),
+        ("file", {"params": {"path": None, "time": 0.5}}, "file params"),
+    ], ids=["typo-fourier-param", "typo-params", "ellipsoid-extra-param",
+            "file-extra-param"])
+    def test_unknown_initial_key_exits_2(self, tmp_path, kind, extra, what):
+        # each would otherwise evolve a body its author did not ask for
+        initial = copy.deepcopy(dict(extra, kind=kind))
+        if kind == "file":
+            initial["params"]["path"] = datum = str(tmp_path / "circle.json")
+            iomod.write_snapshot(datum, SupportField(make_grid(1, 64), s=np.ones(64)),
+                                 0.0, None)
+        with pytest.raises(ConfigError, match=f"unknown {what}: "):
+            validate(flower_cfg(initial=initial))
+        cfg = flower_cfg(initial=initial, output=str(tmp_path / "o"))
+        assert main(["evolve", "--config", write_cfg(tmp_path / "c.json", cfg)]) == 2
+        assert not os.path.exists(tmp_path / "o")
 
     def test_stop_threshold_sanity(self):
         with pytest.raises(ConfigError, match="smaller than"):
@@ -420,6 +444,8 @@ class TestCLI:
         meta = json.loads(meta_path.read_text())
         meta["config"]["cfl"] = 0.19  # config echo no longer matches its hash
         meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match="config echo"):
+            iomod.load_trajectory(str(out))
         assert main(["diagnose", "--trajectory", str(out)]) == 2
 
     def test_guard_termination_exit_code(self, tmp_path):
@@ -553,13 +579,23 @@ class TestCLI:
         ("diagnose", "metadata", "step_count", 7.0),
         ("diagnose", "metadata", "step_count", "7"),
         ("diagnose", "snapshot", "config_hash", None),
+        ("diagnose", "snapshot", "values", MISSING),
+        ("diagnose", "metadata", "renorm_factors", MISSING),
+        ("diagnose", "metadata", "termination", MISSING),
+        ("diagnose", "metadata", "step_count", MISSING),
+        ("diagnose", "metadata", "config", MISSING),
+        ("diagnose", "metadata", "config_hash", MISSING),
+        ("diagnose", "metadata", "config", [1, 2]),
     ], ids=["ragged-values", "text-values", "text-time", "null-time",
             "text-renorm-factors", "scalar-renorm-factors", "number-snapshot",
             "number-metadata", "evolve-from-ragged-file",
             "validate-list-time-file", "bool-n", "float-resolution",
             "resolution-not-values", "number-termination", "unknown-termination",
             "null-termination", "negative-step-count", "bool-step-count",
-            "float-step-count", "text-step-count", "null-snapshot-hash"])
+            "float-step-count", "text-step-count", "null-snapshot-hash",
+            "missing-values", "missing-renorm-factors", "missing-termination",
+            "missing-step-count", "missing-config", "missing-config-hash",
+            "list-config"])
     def test_corrupt_artifact_exits_2(self, tmp_path, command, artifact, key, value):
         out = self.run_dir(tmp_path, flower_cfg())
         path = out / ("metadata.json" if artifact == "metadata"
@@ -567,6 +603,8 @@ class TestCLI:
         doc = json.loads(path.read_text())
         if key is None:
             doc = value
+        elif value is MISSING:
+            del doc[key]
         else:
             doc[key] = value
         path.write_text(json.dumps(doc))
@@ -583,8 +621,8 @@ class TestCLI:
         for v in ([], 0, False, "", {}, None, "111", [True] * 3, ["1.0"] * 3)]])
     def test_bad_renorm_factor_exits_2(self, tmp_path, factor):
         # check_c0 divides each anchor by its factor. ("all", v) replaces the
-        # whole list: only a missing key may default to factors of 1.0, and
-        # on this renormalized run they would make diagnose report Violated
+        # whole list: factors of 1.0 in its place would make diagnose report
+        # Violated on this renormalized run
         out = self.run_dir(tmp_path, flower_cfg(renormalize=True))
         assert main(["diagnose", "--trajectory", str(out)]) == 0
         path = out / "metadata.json"
@@ -662,14 +700,28 @@ class TestCLI:
                          initial={"kind": "file", "params": {"path": str(snap)}})
         assert main(["validate-config", "--config", write_cfg(tmp_path / "f.json", cfg)]) == 0
 
-    def test_missing_renorm_factors_default_to_one(self, tmp_path):
+    def test_missing_renorm_factors_exits_2(self, tmp_path):
+        # write_trajectory always records them: no format without them is read
         out = self.run_dir(tmp_path, flower_cfg())
         path = out / "metadata.json"
         doc = json.loads(path.read_text())
         assert doc.pop("renorm_factors") == [1.0, 1.0, 1.0]
         path.write_text(json.dumps(doc))
-        assert iomod.load_trajectory(str(out))[0].renorm_factors == [1.0, 1.0, 1.0]
-        assert main(["diagnose", "--trajectory", str(out)]) == 0
+        with pytest.raises(ConfigError, match="missing field 'renorm_factors'"):
+            iomod.load_trajectory(str(out))
+        assert main(["diagnose", "--trajectory", str(out)]) == 2
+
+    def test_truncated_run_exits_2(self, tmp_path):
+        # a run that lost its last snapshot and its renorm_factors is corrupt:
+        # diagnose must not judge the 3 snapshots of the 4 recorded that remain
+        out = self.run_dir(tmp_path, flower_cfg(t_end=0.03))
+        path = out / "metadata.json"
+        doc = json.loads(path.read_text())
+        assert doc["snapshot_count"] == 4
+        del doc["renorm_factors"]
+        path.write_text(json.dumps(doc))
+        (out / "snapshots" / "snap_000003.json").unlink()
+        assert main(["diagnose", "--trajectory", str(out)]) == 2
 
     def test_mismatched_header_builds_no_grid(self, tmp_path, monkeypatch):
         out = self.run_dir(tmp_path, flower_cfg())

@@ -120,10 +120,25 @@ class TestSeriesBundle:
         assert np.nanmax(gentle_bundle.r_supT2) < 2e-3
 
     def test_two_snapshot_bundle_all_nan(self, circle64):
-        f = SupportField(circle64, s=np.full(64, 1.0))
-        traj = evolve(f, StepControl(t_end=0.01, snapshot_interval=0.01))
-        b = SeriesBundle(traj)
-        assert np.all(np.isnan(b.residual_prop21))
+        # below three snapshots no centred difference exists: the general path
+        # leaves every residual NaN and each differenced check empty, which
+        # holds at margin 0. Radius 0.5 under extinction_radius 0.6 stops at once
+        unit = evolve(SupportField(circle64, s=np.full(64, 1.0)),
+                      StepControl(t_end=0.01, snapshot_interval=0.01))
+        stopped = evolve(SupportField(circle64, s=np.full(64, 0.5)),
+                         StepControl(t_end=0.01, snapshot_interval=0.01,
+                                     extinction_radius=0.6))
+        assert (len(unit), len(stopped)) == (2, 1)
+        assert (stopped.termination, stopped.step_count) == ("Extinction", 0)
+        for traj in (unit, stopped):
+            b = SeriesBundle(traj)
+            for arr in (b.r_area, b.r_intT2, b.r_supT2, b.residual_prop21):
+                assert arr.shape == (len(traj),) and np.all(np.isnan(arr))
+            checks = {c.name: c for c in run_report(b).checks}
+            for name in ("area_identity", "tchebychev_identity"):
+                assert checks[name].margins.tolist() == [0.0]
+                assert checks[name].verdict == "Holds"
+        assert checks["area_monotone"].margins.tolist() == [0.0]
 
 
 def _bundle_memory(traj):
