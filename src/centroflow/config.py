@@ -198,6 +198,7 @@ def validate_sweep(raw):
         _require(isinstance(ax, dict) and isinstance(ax.get("path"), str)
                  and isinstance(ax.get("values"), list) and ax["values"],
                  "each axis needs a 'path' and a nonempty 'values' list")
+        _require_known(ax, ("path", "values"), "axis fields")
         _walk_path(base, ax["path"])  # path must resolve in the base config
         size *= len(ax["values"])
     for key in ("parallelism", "max_cells"):

@@ -1,12 +1,13 @@
 """Explicit time stepping for the support-function flow.
 
 The PDE is s_t = (s/2n) log(s^{n+2} det(hess s + s id)) on the sphere.  It is
-advanced in the graph variables u = w s of the grid (u = s on the circle,
-spectral in theta).  For n=2 the right side regroups to
-u_t = (1/2n) u log det D^2 u + ((n+2)/2n) u log u; the determinant is measured
-against the same stencils applied to the exact sphere graph w (grid.ref_det),
-so every round sphere is a fixed point of the discrete operator to round-off,
-not merely to truncation order.
+advanced in the graph variables u = w s of the grid, where it reads
+u_t = (u/2n) log(det D^2 u / ref_det * (u/w)^{n+2}) for every n: D^2 u is the
+chart Hessian and ref_det its determinant on the exact sphere graph w (on the
+circle, spectral in theta, w = 1, D^2 u = u + u'' and ref_det = 1).  On the
+cubed sphere ref_det comes from the same stencils applied to w, so every round
+sphere is a fixed point of the discrete operator to round-off, not merely to
+truncation order.
 """
 
 import math
@@ -71,12 +72,10 @@ class Trajectory:
     growth-law bounds can be anchored per interval.
     """
 
-    def __init__(self, snapshots, termination, step_count, renorm_factors=None):
+    def __init__(self, snapshots, termination, step_count, renorm_factors):
         self.snapshots = snapshots
         self.termination = termination
         self.step_count = step_count
-        if renorm_factors is None:
-            renorm_factors = [1.0] * len(snapshots)
         self.renorm_factors = renorm_factors
 
     @property
@@ -88,47 +87,39 @@ class Trajectory:
 
 
 def _rhs_values(grid, u, convexity_floor, spec):
-    """Right-hand side on the graph values u (u = s on the circle).
+    """Right-hand side (u/2n) log(det / ref_det * srel^{n+2}), srel = u/w = s.
 
-    spec is grid.spectrum of the chart Hessian of u: (det, lo, hi).
+    spec is grid.spectrum of the chart Hessian of u: (det, lo, hi). The power
+    is a product: numpy's integer powers round differently across CPU
+    dispatch levels, a product of floats does not.
     """
+    srel = u / grid.w
     if u.min() <= 0.0:
-        s = u / grid.w
-        raise OriginCrossed("support function lost positivity", value=s.min(),
-                            where=np.unravel_index(np.argmin(s), u.shape))
+        raise OriginCrossed("support function lost positivity", value=srel.min(),
+                            where=np.unravel_index(np.argmin(srel), u.shape))
     det, lo, _ = spec
     if lo.min() <= convexity_floor:
         raise ConvexityLost("graph Hessian lost positivity", value=float(lo.min()),
                             where=np.unravel_index(np.argmin(lo), lo.shape))
-    if grid.n == 1:
-        out = 0.5 * u * np.log(u**3 * det)
-    else:
-        ratio = det / grid.ref_det
-        srel = u / grid.w
-        out = 0.25 * u * np.log(ratio) + u * np.log(srel)
-        # same value grouped as w * s_t; the two must agree to rounding
-        alt = 0.25 * u * np.log(ratio * (srel * srel) ** 2)
-        if np.abs(out - alt).max() > 1e-10:
-            raise NumericalBlowup("face/sphere right-hand sides disagree")
+    n = grid.n
+    power = math.prod([srel] * (n + 1), start=srel)   # srel^{n+2}
+    out = (0.5 / n) * u * np.log(det / grid.ref_det * power)
     if not np.isfinite(out).all():
         raise NumericalBlowup("non-finite right-hand side")
     return out
 
 
 def stable_dt(field, control, spec):
-    """Explicit step from the linearized diffusion coefficient (s/2n) b^{-1}.
+    """Explicit step from the diffusion bound (u/4)(1/lo + 1/hi) per node.
 
-    n=1: coefficient s/(2b) per node on the uniform theta grid.
-    n=2: the chart-coordinate diffusion tensor is (u/4)(D^2 u)^{-1}; its trace
-    bounds the symbol over both axes.
+    The linearized chart-coordinate diffusion tensor is (u/2n)(D^2 u)^{-1}. At
+    n=2 the bound is its trace, which bounds the symbol over both axes; at n=1,
+    where lo = hi = b and u = s, it is the coefficient s/(2b) itself.
     spec is grid.spectrum of the chart Hessian of field.u: (det, lo, hi).
     """
     g = field.grid
     _, lo, hi = spec
-    if field.n == 1:
-        lam = (field.s / (2.0 * lo)).max()
-    else:
-        lam = (0.25 * field.u * (1.0 / lo + 1.0 / hi)).max()
+    lam = (0.25 * field.u * (1.0 / lo + 1.0 / hi)).max()
     if not math.isfinite(lam) or lam <= 0:
         raise NumericalBlowup("no stable step: degenerate diffusion coefficient")
     return min(control.dt_max, control.cfl * g.h**2 / lam)

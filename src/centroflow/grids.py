@@ -76,6 +76,7 @@ class CircleGrid:
     """Equispaced periodic grid on S^1 with spectral differentiation."""
 
     n = 1
+    ref_det = 1.0   # the chart Hessian's determinant on w = 1: b = w + w'' = 1
 
     def __init__(self, resolution):
         grid_shape(self.n, resolution)

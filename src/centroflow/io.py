@@ -147,7 +147,8 @@ def write_trajectory(outdir, traj, config, cfg_hash, wall_time):
 def load_trajectory(outdir):
     """(Trajectory, metadata) of a run directory; the one check of its integrity."""
     meta = read_json(os.path.join(outdir, META_NAME), "metadata", (
-        "config", "config_hash", "termination", "step_count", "renorm_factors"))
+        "config", "config_hash", "termination", "step_count", "renorm_factors",
+        "snapshot_count"))
     if not (isinstance(meta["config"], dict)
             and meta["config_hash"] == config_hash(meta["config"])):
         raise ConfigError("metadata config hash does not match its config echo")
@@ -157,6 +158,10 @@ def load_trajectory(outdir):
     names = sorted(f for f in os.listdir(snapdir) if f.endswith(".json"))
     if not names:
         raise ConfigError(f"no snapshots in {snapdir}")
+    count = meta["snapshot_count"]
+    if isinstance(count, bool) or not isinstance(count, int) or count != len(names):
+        raise ConfigError(f"snapshot_count is {count!r}, but {snapdir} holds "
+                          f"{len(names)} snapshot(s)")
     grid = None
     states = []
     for name in names:

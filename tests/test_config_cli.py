@@ -270,6 +270,15 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="no field"):
             validate_sweep(spec)
 
+    def test_misspelled_axis_key_exits_2(self, tmp_path):
+        # an axis object takes 'path' and 'values' only: "valeus" ran one cell
+        spec = {"base": flower_cfg(output=str(tmp_path / "sweep")),
+                "axes": [{"path": "t_end", "values": [0.01], "valeus": [0.02]}]}
+        with pytest.raises(ConfigError, match="unknown axis fields: \\['valeus'\\]"):
+            validate_sweep(spec)
+        assert main(["sweep", "--spec", write_cfg(tmp_path / "s.json", spec)]) == 2
+        assert not os.path.exists(tmp_path / "sweep")
+
     def test_cell_cap(self):
         spec = self.base_spec()
         spec["max_cells"] = 4
@@ -722,6 +731,28 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         (out / "snapshots" / "snap_000003.json").unlink()
         assert main(["diagnose", "--trajectory", str(out)]) == 2
+
+    def test_lost_snapshot_with_trimmed_factors_exits_2(self, tmp_path):
+        # renorm_factors trimmed to the 3 snapshots left: only snapshot_count
+        # still tells that the run recorded 4
+        out = self.run_dir(tmp_path, flower_cfg(t_end=0.03))
+        path = out / "metadata.json"
+        doc = json.loads(path.read_text())
+        assert doc["snapshot_count"] == 4
+        doc["renorm_factors"] = doc["renorm_factors"][:3]
+        path.write_text(json.dumps(doc))
+        (out / "snapshots" / "snap_000003.json").unlink()
+        with pytest.raises(ConfigError, match="snapshot_count is 4, but .* holds 3"):
+            iomod.load_trajectory(str(out))
+        assert main(["diagnose", "--trajectory", str(out)]) == 2
+        for count in (3.0, "3", None, [3]):   # the count of the 3 left, not as an integer
+            path.write_text(json.dumps(dict(doc, snapshot_count=count)))
+            with pytest.raises(ConfigError, match="snapshot_count"):
+                iomod.load_trajectory(str(out))
+        del doc["snapshot_count"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="missing field 'snapshot_count'"):
+            iomod.load_trajectory(str(out))
 
     def test_mismatched_header_builds_no_grid(self, tmp_path, monkeypatch):
         out = self.run_dir(tmp_path, flower_cfg())

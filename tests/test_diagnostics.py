@@ -157,7 +157,7 @@ class TestSeriesBundleMemory:
     def _still_trajectory(grid, K):
         field = SupportField(grid, s=1.0 + 0.05 * np.prod(grid.nodes, axis=-1))
         states = [FlowState(t=1e-3 * k, field=field, step_count=0) for k in range(K)]
-        return Trajectory(states, "ReachedTEnd", 0)
+        return Trajectory(states, "ReachedTEnd", 0, [1.0] * len(states))
 
     def test_only_scalar_series_outlive_construction(self, sphere33):
         SeriesBundle(self._still_trajectory(sphere33, 3))  # warm any grid caches
@@ -293,7 +293,7 @@ class TestBlockGuard:
         assert all(w[0] in (0, g.N // 2) for w in where)
         states = [FlowState(t=1e-3 * k, field=f) for k, f in enumerate(fields)]
         with pytest.raises(TransversalityLost) as exc:
-            SeriesBundle(Trajectory(states, "ReachedTEnd", 0))
+            SeriesBundle(Trajectory(states, "ReachedTEnd", 0, [1.0] * len(states)))
         assert exc.value.value == alone[0]
         assert exc.value.where == where[0] + (2,)   # and its column in the block
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import centroflow
 from centroflow import flow
 from centroflow.errors import (ConfigError, ConvexityLost, GuardError,
                                NumericalBlowup, OriginCrossed, TransversalityLost)
@@ -25,9 +30,14 @@ def sphere_field(n, R, res):
 
 
 class TestFixedPoint:
-    def test_unit_circle_rhs_zero(self):
+    def test_unit_circle_rhs_zero(self, flower256):
         f = sphere_field(1, 1.0, 64)
         assert np.all(rhs(f) == 0.0)
+        # on a Fourier body the general right side is the paper's n=1 form
+        # (s/2) log(s^3 (s + s'')), with the spectral curvature radius s + s''
+        s = flower256.s
+        paper = 0.5 * s * np.log(s**3 * (s + flower256.grid.deriv(s, 2)))
+        assert np.max(np.abs(rhs(flower256) - paper)) <= 1e-14 * np.max(np.abs(paper))
 
     def test_unit_sphere_rhs_zero(self):
         # determinant is measured against the same stencils applied to the
@@ -38,9 +48,11 @@ class TestFixedPoint:
     def test_unit_sphere_bitwise_stationary(self):
         for n, res in ((1, 64), (2, 17)):
             f = sphere_field(n, 1.0, res)
-            traj = evolve(f, StepControl(t_end=0.05, snapshot_interval=0.05))
-            assert traj.termination == "ReachedTEnd"
-            assert np.array_equal(traj.snapshots[-1].field.s, f.s)
+            for scheme in flow.SCHEMES:
+                traj = evolve(f, StepControl(t_end=0.05, snapshot_interval=0.05,
+                                             scheme=scheme))
+                assert traj.termination == "ReachedTEnd"
+                assert np.array_equal(traj.snapshots[-1].field.s, f.s)
 
 
 class TestTemporalAccuracy:
@@ -397,3 +409,42 @@ def test_guard_errors_share_one_constructor(cls):
     exc = cls("lost", where=(1, 2, 3), value=-0.5)
     assert isinstance(exc, GuardError) and "__init__" not in vars(cls)
     assert (str(exc), exc.where, exc.value) == ("lost", (1, 2, 3), -0.5)
+
+
+# one short n=1 and one short n=2 run; the final graph values go to argv[1]
+DISPATCH_RUN = """
+import sys
+import numpy as np
+from centroflow.flow import StepControl, evolve
+from centroflow.grids import CircleGrid, CubedSphereGrid
+from centroflow.support import SupportField, fourier_support
+g = CubedSphereGrid(17)
+u = g.w * (1.0 + 0.2 * np.prod(g.nodes, axis=-1) + 0.05 * g.nodes[..., 2])
+bodies = {"n1": (fourier_support(CircleGrid(256), 1.0, a=[0.0, 0.0, 0.1]), 0.05),
+          "n2": (SupportField(g, u=g.sync_duplicates(u)), 0.01)}
+final = {key: evolve(f, StepControl(t_end=t, snapshot_interval=t)).snapshots[-1].field.u
+         for key, (f, t) in bodies.items()}
+np.savez(sys.argv[1], **final)
+"""
+
+
+def test_evolve_is_byte_identical_across_cpu_dispatch(tmp_path):
+    # numpy picks SIMD kernels at run time; with every enabled dispatch target
+    # above its baseline disabled, both n must still step to the same bytes
+    umath = pytest.importorskip("numpy._core._multiarray_umath")   # numpy >= 2
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not enabled:
+        pytest.skip("numpy enables no CPU dispatch target above its baseline here")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(centroflow.__file__)))
+    runs = []
+    for disabled in ("", " ".join(enabled)):
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        path = tmp_path / f"run{len(runs)}.npz"
+        subprocess.run([sys.executable, "-c", DISPATCH_RUN, str(path)], env=env, check=True,
+                       timeout=120)
+        with np.load(path) as final:
+            runs.append(dict(final))
+    for key in ("n1", "n2"):
+        a, b = runs[0][key], runs[1][key]
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (
+            f"{key}: {int(np.sum(a != b))} of {a.size} nodes differ")

@@ -2,10 +2,9 @@
 
 Every other module calls the grid interface (see tests/test_grids.py). A
 comparison of ``n``, ``<obj>.n`` or ``<obj>["n"]`` with an integer literal is
-allowed only in the functions below, where a unified formula would change the
-last bits of the artifacts (flow right side and step bound), where the n >= 2
-restriction is the physics (the Pick invariant, computed only for n >= 2), or
-where it validates input.
+allowed only in the functions below, where the n >= 2 restriction is the
+physics (the Pick invariant, computed only for n >= 2), or where it validates
+input. The flow's right side and step bound state one formula for both grids.
 """
 
 import ast
@@ -17,8 +16,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "centroflow"
 
 ALLOWED = {
     ("config", "validate"),
-    ("flow", "_rhs_values"),
-    ("flow", "stable_dt"),
     ("invariants", "compute_invariants"),
     ("support", "fourier_support"),
 }
